@@ -1,8 +1,9 @@
 """Command line interface: file ingestion, command dispatch, reports.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.  Reports are
-plain text by default or a versioned JSON document with --json; both are
-byte-stable across runs for fixed inputs.
+Exit codes: 0 success, 1 validation failure, 2 usage error (including an
+unreadable input file or a bad setting).  Reports are plain text by default
+or a versioned JSON document with --json; both are byte-stable across runs
+for fixed inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,20 @@ from . import textio
 
 REPORT_SCHEMA = 1
 
+# config file keys and their defaults; every setting is a count
+CONFIG_DEFAULTS = {
+    "budget_nodes": Budget().nodes,
+    "site_vertices": 2,
+    "site_edges": 4,
+    "site_arity": 3,
+    "operad_arity": 4,
+    "operad_ops": 16,
+}
+
+
+class UsageError(Exception):
+    """A malformed setting; reported like an unreadable file, with exit 2."""
+
 
 def main(argv=None):
     parser = build_parser()
@@ -35,7 +50,7 @@ def main(argv=None):
     except LooseEndsError as e:
         emit(args, {"ok": False, "error": e.code, "detail": str(e)})
         return 1
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     emit(args, {"ok": True, "data": payload})
@@ -84,8 +99,18 @@ def read_file(path):
         return fh.read()
 
 
+def _count(name, raw):
+    try:
+        n = int(raw)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+    if n < 0:
+        raise UsageError(f"{name} must not be negative, got {n}")
+    return n
+
+
 def load_config(args):
-    settings = {}
+    settings = dict(CONFIG_DEFAULTS)
     cfg = getattr(args, "config", None)
     if cfg:
         for raw in read_file(cfg).splitlines():
@@ -93,28 +118,30 @@ def load_config(args):
             if not line:
                 continue
             key, _, val = line.partition("=")
-            settings[key.strip()] = val.strip()
-    budget = Budget(nodes=int(settings.get("budget_nodes", Budget().nodes)))
-    bounds = SiteBounds(
-        max_vertices=int(settings.get("site_vertices", 2)),
-        max_edges=int(settings.get("site_edges", 4)),
-        max_arity=int(settings.get("site_arity", 3)),
-    )
-    caps = OperadCaps(
-        max_arity=int(settings.get("operad_arity", 4)),
-        max_ops_per_profile=int(settings.get("operad_ops", 16)),
-    )
+            key = key.strip()
+            if key not in CONFIG_DEFAULTS:
+                raise UsageError(f"unknown config key {key!r} in {cfg}")
+            settings[key] = _count(key, val.strip())
     # flags win over the config file
-    if getattr(args, "budget", None):
-        budget = Budget(nodes=args.budget)
-    for field, attr in (
-        ("max_vertices", "vertices"),
-        ("max_edges", "edges"),
-        ("max_arity", "arity"),
+    for key, attr in (
+        ("budget_nodes", "budget"),
+        ("site_vertices", "vertices"),
+        ("site_edges", "edges"),
+        ("site_arity", "arity"),
     ):
         v = getattr(args, attr, None)
         if v is not None:
-            bounds = SiteBounds(**{**bounds.__dict__, field: v})
+            settings[key] = _count(f"--{attr}", v)
+    budget = Budget(nodes=settings["budget_nodes"])
+    bounds = SiteBounds(
+        max_vertices=settings["site_vertices"],
+        max_edges=settings["site_edges"],
+        max_arity=settings["site_arity"],
+    )
+    caps = OperadCaps(
+        max_arity=settings["operad_arity"],
+        max_ops_per_profile=settings["operad_ops"],
+    )
     return budget, bounds, caps
 
 
@@ -149,7 +176,7 @@ def cmd_validate(args):
             "graph": name,
             "kind": "directed" if isinstance(g, graphs_mod.DGraph) else "undirected",
             "vertices": len(g.vertices),
-            "edges": len(g.edges if isinstance(g, graphs_mod.DGraph) else g.edges()),
+            "edges": len(g.edge_keys),
             "connected": s.is_connected,
             "tree": s.is_tree,
         }

@@ -1,6 +1,6 @@
 """Run-wide knobs: search budgets, site truncation bounds, operad table caps."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,3 @@ DEFAULT_CAPS = OperadCaps()
 # bounds for hom-set-heavy presheaf sites; the full DEFAULT_BOUNDS site is
 # still used for the per-graph oracles (Emb bijection, shape checks)
 SMALL_BOUNDS = SiteBounds(max_vertices=2, max_edges=4, max_arity=3)
-
-
-def with_overrides(base, **kw):
-    return replace(base, **{k: v for k, v in kw.items() if v is not None})

@@ -58,23 +58,11 @@ class EmbRegion:
         return f"[vertices {vs}; uncut {zs}]" if zs else f"[vertices {vs}]"
 
 
-def host_edges(g):
-    return g.edges() if isinstance(g, UGraph) else g.edges
-
-
-def edge_ends(g, e):
-    """Vertices attached to the two ends of e (None for boundary ends)."""
-    if isinstance(g, UGraph):
-        a, b = e
-        return (g.t.get(a), g.t.get(b))
-    return (g.inputs.get(e), g.outputs.get(e))
-
-
 def internal_edges_of(g, vertex_set):
     """Edges with both ends attached inside vertex_set."""
     out = set()
-    for e in host_edges(g):
-        x, y = edge_ends(g, e)
+    for e in g.edge_keys:
+        x, y = g.ends(e)
         if x is not None and y is not None and x in vertex_set and y in vertex_set:
             out.add(e)
     return frozenset(out)
@@ -82,8 +70,8 @@ def internal_edges_of(g, vertex_set):
 
 def incident_edges(g, vertex_set):
     out = set()
-    for e in host_edges(g):
-        x, y = edge_ends(g, e)
+    for e in g.edge_keys:
+        x, y = g.ends(e)
         if (x in vertex_set) or (y in vertex_set):
             out.add(e)
     return frozenset(out)
@@ -102,7 +90,7 @@ def region_connected(g, vertices, glued):
         return x
 
     for e in glued:
-        x, y = edge_ends(g, e)
+        x, y = g.ends(e)
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[rx] = ry
@@ -122,7 +110,7 @@ def region(g, vertices, glued):
 
 
 def edge_element(g, e):
-    if e not in set(host_edges(g)):
+    if e not in g.edge_keys:
         fail("UnknownEdge", f"{e!r}")
     return EmbEdge(g, e)
 
@@ -134,7 +122,7 @@ def vertex_element(g, v):
 def id_element(g):
     if g.vertices:
         return EmbRegion(g, frozenset(g.vertices), internal_edges_of(g, set(g.vertices)))
-    (e,) = host_edges(g)
+    (e,) = g.edge_keys
     return EmbEdge(g, e)
 
 
@@ -154,7 +142,7 @@ def enumerate_emb(g):
 
 @lru_cache(maxsize=None)
 def _enumerate_pieces(g):
-    out = [EmbEdge(g, e) for e in sorted(host_edges(g))]
+    out = [EmbEdge(g, e) for e in g.edge_keys]
     verts = sorted(g.vertices)
     for k in range(1, len(verts) + 1):
         for s in itertools.combinations(verts, k):
@@ -263,7 +251,7 @@ def leq(x, y) -> bool:
             return x.edge == y.edge
         if x.edge in y.glued:
             return True
-        a, b = edge_ends(y.host, x.edge)
+        a, b = y.host.ends(x.edge)
         return (a in y.vertices) or (b in y.vertices)
     if isinstance(y, EmbEdge):
         return False
@@ -365,44 +353,26 @@ def class_of_embedding(m: EtaleMap):
     g = m.target
     h = m.source
     if not h.vertices:
-        if isinstance(h, UGraph):
-            (e,) = h.edges()
-            return EmbEdge(g, g.edge_key(m.component[e[0]]))
-        (e,) = h.edges
-        return EmbEdge(g, m.component[e])
+        (e,) = h.edge_keys
+        return EmbEdge(g, m.edge_image(e))
     vset = frozenset(m.vertex_map.values())
-    if isinstance(h, UGraph):
-        covered = {}
-        for e in h.edges():
-            img = g.edge_key(m.component[e[0]])
-            covered[img] = covered.get(img, 0) + 1
-        glued = {
-            e
-            for e in internal_edges_of(g, vset)
-            if covered.get(e, 0) == 1 and _edge_intact(h, g, m, e)
-        }
-    else:
-        covered = {}
-        for e in h.edges:
-            covered[m.component[e]] = covered.get(m.component[e], 0) + 1
-        glued = {
-            e
-            for e in internal_edges_of(g, vset)
-            if covered.get(e, 0) == 1 and _edge_intact(h, g, m, e)
-        }
+    covered = {}
+    for e in h.edge_keys:
+        img = m.edge_image(e)
+        covered[img] = covered.get(img, 0) + 1
+    glued = {
+        e
+        for e in internal_edges_of(g, vset)
+        if covered.get(e, 0) == 1 and _edge_intact(h, m, e)
+    }
     return EmbRegion(g, vset, frozenset(glued))
 
 
-def _edge_intact(h, g, m, e):
+def _edge_intact(h, m, e):
     """True when the single preimage edge of e has both of its ends attached."""
-    if isinstance(h, UGraph):
-        for he in h.edges():
-            if g.edge_key(m.component[he[0]]) == e:
-                return all(a in h.t for a in he)
-    else:
-        for he in h.edges:
-            if m.component[he] == e:
-                return he in h.inputs and he in h.outputs
+    for he in h.edge_keys:
+        if m.edge_image(he) == e:
+            return h.is_internal_edge(he)
     return False
 
 
@@ -410,18 +380,11 @@ def pushforward(m: EtaleMap, x):
     """Image of x in Emb(target) along the embedding m with source = x.host."""
     if x.host != m.source:
         fail("HostMismatch", "pushforward needs x on the embedding's source")
-    g = m.target
-    h = m.source
     if isinstance(x, EmbEdge):
-        if isinstance(h, UGraph):
-            return EmbEdge(g, g.edge_key(m.component[x.edge[0]]))
-        return EmbEdge(g, m.component[x.edge])
+        return EmbEdge(m.target, m.edge_image(x.edge))
     vset = frozenset(m.vertex_map[v] for v in x.vertices)
-    if isinstance(h, UGraph):
-        glued = frozenset(g.edge_key(m.component[e[0]]) for e in x.glued)
-    else:
-        glued = frozenset(m.component[e] for e in x.glued)
-    return EmbRegion(g, vset, glued)
+    glued = frozenset(m.edge_image(e) for e in x.glued)
+    return EmbRegion(m.target, vset, glued)
 
 
 # ---------------------------------------------------------------------------

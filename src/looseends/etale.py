@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .config import DEFAULT_BUDGET
-from .errors import fail
+from .errors import LooseEndsError, fail
 from .graphs import DGraph, UGraph, is_connected
 
 
@@ -88,6 +88,10 @@ class EtaleMap:
                     if len(set(image)) != len(image) or set(image) != set(theirs):
                         fail("NeighborhoodNotBijective", f"at vertex {v!r}")
 
+    def edge_image(self, e):
+        """The target edge that the source edge e maps onto."""
+        return self.target.edge_of(self.component[self.source.slot_of(e)])
+
     @property
     def vertex_injective(self):
         vals = list(self.vertex_map.values())
@@ -105,7 +109,7 @@ def is_embedding(f: EtaleMap) -> bool:
 
 
 def identity_etale(g) -> EtaleMap:
-    comp = {a: a for a in (g.arcs if isinstance(g, UGraph) else g.edges)}
+    comp = {s: s for s in g.slots}
     return EtaleMap(g, g, comp, {v: v for v in g.vertices}, check=False)
 
 
@@ -185,7 +189,7 @@ def _enumerate_etale_u(h, g, out, tick):
                     total[a0], total[a1] = b, g.dagger[b]
                 try:
                     out.append(EtaleMap(h, g, total, dict(vmap)))
-                except Exception:
+                except LooseEndsError:
                     continue
 
     if not verts:
@@ -262,7 +266,7 @@ def _enumerate_etale_d(h, g, out, tick):
                 total.update(zip(free, images))
                 try:
                     out.append(EtaleMap(h, g, total, dict(vmap)))
-                except Exception:
+                except LooseEndsError:
                     continue
 
     def assign(i, vmap):

@@ -14,7 +14,7 @@ import itertools
 
 from .config import OperadCaps
 from .emb import realize, vertex_element
-from .errors import fail
+from .errors import LooseEndsError, fail
 from .etale import EtaleMap
 from .gmaps import compose, map_from_embedding, star_cover
 from .graphs import UGraph, iso, make_star, validate_ugraph
@@ -169,7 +169,7 @@ def presentation_from_segal(X: Presheaf, flavor, caps=None, name=None):
     for n in range(0, caps.max_arity + 1):
         try:
             s_idx = _star_object(site, n)
-        except Exception:
+        except LooseEndsError:
             continue
         order, legs = _leg_refs(site, s_idx, edge_idx)
         star_data[n] = (s_idx, order, legs)

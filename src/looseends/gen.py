@@ -184,9 +184,3 @@ def gen_trees_u(bounds: SiteBounds):
     from .graphs import shape
 
     return [g for g in gen_connected_ugraphs(bounds) if shape(g).is_tree]
-
-
-def gen_trees_d(bounds: SiteBounds):
-    from .graphs import shape
-
-    return [g for g in gen_connected_dgraphs(bounds) if shape(g).is_tree]

@@ -28,9 +28,16 @@ from .emb import (
     vertex_disjoint,
     vertex_element,
 )
-from .errors import fail
+from .errors import LooseEndsError, fail
 from .etale import EtaleMap
-from .graphs import DGraph, UGraph, is_connected, shape
+from .graphs import (
+    DGraph,
+    UGraph,
+    complete_slot_maps,
+    extend_slot_map,
+    is_connected,
+    shape,
+)
 
 
 class GraphMap:
@@ -67,28 +74,22 @@ class GraphMap:
             tuple(sorted(self.phi0[e] for e in outs)),
         )
 
-
-def _edge_image(m: GraphMap, e):
-    if isinstance(m.source, UGraph):
-        return m.target.edge_key(m.phi0[e[0]])
-    return m.phi0[e]
+    def edge_image(self, e):
+        """The target edge that phi0 sends the source edge e onto."""
+        return self.target.edge_of(self.phi0[self.source.slot_of(e)])
 
 
 def validate_graph_map(m: GraphMap):
     g, gp = m.source, m.target
     if isinstance(g, UGraph) != isinstance(gp, UGraph):
         fail("SourceTargetMismatch", "mixed directedness")
-    if isinstance(g, UGraph):
-        for a in g.arcs:
-            if a not in m.phi0 or m.phi0[a] not in gp.dagger:
-                fail("BoundaryIncompatible", f"phi0 not total at {a!r}")
-        for a in g.arcs:
-            if m.phi0[g.dagger[a]] != gp.dagger[m.phi0[a]]:
-                fail("NotInvolutive", f"phi0 at arc {a!r}")
-    else:
-        for e in g.edges:
-            if e not in m.phi0 or m.phi0[e] not in set(gp.edges):
-                fail("BoundaryIncompatible", f"phi0 not total at {e!r}")
+    target_slots = set(gp.slots)
+    for s in g.slots:
+        if s not in m.phi0 or m.phi0[s] not in target_slots:
+            fail("BoundaryIncompatible", f"phi0 not total at {s!r}")
+    for s in g.slots:
+        if m.phi0[g.partner(s)] != gp.partner(m.phi0[s]):
+            fail("NotInvolutive", f"phi0 at arc {s!r}")
     elems = enumerate_emb(g)
     target_elems = set(enumerate_emb(gp))
     for x in elems:
@@ -102,7 +103,7 @@ def validate_graph_map(m: GraphMap):
             y = m.phi_hat[x]
             if not isinstance(y, EmbEdge):
                 fail("EdgesNotPreserved", f"{x!r} maps to {y!r}")
-            if y.edge != _edge_image(m, x.edge):
+            if y.edge != m.edge_image(x.edge):
                 fail("BoundaryIncompatible", f"edge image of {x!r} disagrees with phi0")
     # (iv) boundary compatibility
     for x in elems:
@@ -124,7 +125,7 @@ def validate_graph_map(m: GraphMap):
 
 
 def identity_map(g) -> GraphMap:
-    comp = {a: a for a in (g.arcs if isinstance(g, UGraph) else g.edges)}
+    comp = {s: s for s in g.slots}
     phi_hat = {x: x for x in enumerate_emb(g)}
     return GraphMap(g, g, comp, phi_hat, check=False)
 
@@ -141,11 +142,7 @@ def map_from_embedding(m: EtaleMap) -> GraphMap:
     """The inert map induced by an embedding: post-composition on classes."""
     g = m.source
     phi_hat = {x: pushforward(m, x) for x in enumerate_emb(g)}
-    if isinstance(g, UGraph):
-        phi0 = dict(m.component)
-    else:
-        phi0 = dict(m.component)
-    return GraphMap(g, m.target, phi0, phi_hat, check=False)
+    return GraphMap(g, m.target, m.component, phi_hat, check=False)
 
 
 def is_active(m: GraphMap) -> bool:
@@ -193,7 +190,7 @@ def extend_tree_map(g, gp, phi0, phi1) -> GraphMap:
     phi_hat = {}
     for x in enumerate_emb(g):
         if isinstance(x, EmbEdge):
-            phi_hat[x] = edge_element(gp, _edge_image(probe, x.edge))
+            phi_hat[x] = edge_element(gp, probe.edge_image(x.edge))
         elif len(x.vertices) == 1:
             (v,) = x.vertices
             phi_hat[x] = phi1[v]
@@ -219,7 +216,7 @@ def _extremal_vertex(g, vertex_set):
     for v in sorted(vertex_set):
         neighbors = set()
         for e in internal_edges_of(g, vertex_set):
-            x, y = _ends(g, e)
+            x, y = g.ends(e)
             if v == x and y != v:
                 neighbors.add(y)
             if v == y and x != v:
@@ -227,13 +224,6 @@ def _extremal_vertex(g, vertex_set):
         if len(neighbors) <= 1:
             return v
     fail("NotTrees", "no extremal vertex; host is not a tree")
-
-
-def _ends(g, e):
-    if isinstance(g, UGraph):
-        a, b = e
-        return g.t.get(a), g.t.get(b)
-    return g.inputs.get(e), g.outputs.get(e)
 
 
 def restrict_tree_map(m: GraphMap):
@@ -260,24 +250,14 @@ def _lift_through_embedding(m: GraphMap, incl: EtaleMap):
     """Find alpha : source -> H with incl-pushforward matching m."""
     g = m.source
     h = incl.source
-    # candidate phi0: lift each component value through incl's component
-    if isinstance(g, UGraph):
-        fibers = {}
-        for a_h, a_t in incl.component.items():
-            fibers.setdefault(a_t, []).append(a_h)
-        items = sorted({g.edge_key(a)[0] for a in g.arcs})
+    # candidate phi0: lift each edge's first slot through incl's component
+    fibers = {}
+    for s_h, s_t in incl.component.items():
+        fibers.setdefault(s_t, []).append(s_h)
+    items = [g.slot_of(e) for e in g.edge_keys]
 
-        def candidates(a):
-            return sorted(fibers.get(m.phi0[a], []))
-
-    else:
-        fibers = {}
-        for e_h, e_t in incl.component.items():
-            fibers.setdefault(e_t, []).append(e_h)
-        items = sorted(g.edges)
-
-        def candidates(e):
-            return sorted(fibers.get(m.phi0[e], []))
+    def candidates(s):
+        return sorted(fibers.get(m.phi0[s], []))
 
     h_elems = enumerate_emb(h)
     by_push = {}
@@ -287,13 +267,10 @@ def _lift_through_embedding(m: GraphMap, incl: EtaleMap):
     elems = enumerate_emb(g)
 
     def try_phi0(assign):
-        if isinstance(g, UGraph):
-            phi0 = {}
-            for a, b in assign.items():
-                phi0[a] = b
-                phi0[g.dagger[a]] = h.dagger[b]
-        else:
-            phi0 = dict(assign)
+        phi0 = {}
+        for s, c in assign.items():
+            phi0[s] = c
+            phi0[g.partner(s)] = h.partner(c)
         probe = GraphMap(g, h, phi0, {}, check=False)
         # assign phi_hat elementwise from pushforward fibers, pruned by
         # boundary compatibility, then check the remaining map conditions
@@ -303,7 +280,7 @@ def _lift_through_embedding(m: GraphMap, incl: EtaleMap):
             if i == len(elems):
                 try:
                     return GraphMap(g, h, phi0, dict(table), check=True)
-                except Exception:
+                except LooseEndsError:
                     return None
             x = elems[i]
             want = probe.push_boundary(boundary_profile(x))
@@ -428,102 +405,41 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
         by_boundary.setdefault(boundary_profile(y), []).append(y)
 
     undirected = isinstance(g, UGraph)
-    verts = sorted(g.vertices)
-    out = []
 
-    def phi0_complete(phi0):
-        if undirected:
-            missing = [a for a in g.arcs if a not in phi0]
-            orbit = []
-            for a in sorted(missing):
-                if g.dagger[a] in {o[0] for o in orbit}:
-                    continue
-                orbit.append((a, g.dagger[a]))
-            for assignment in itertools.product(sorted(gp.arcs), repeat=len(orbit)):
-                tick()
-                full = dict(phi0)
-                for (a, b), c in zip(orbit, assignment):
-                    full[a] = c
-                    full[b] = gp.dagger[c]
-                yield full
-        else:
-            missing = sorted(e for e in g.edges if e not in phi0)
-            for assignment in itertools.product(sorted(gp.edges), repeat=len(missing)):
-                tick()
-                full = dict(phi0)
-                full.update(zip(missing, assignment))
-                yield full
+    def sides(x):
+        """The boundary lists a map must match up bijectively: the boundary,
+        or the inputs and the outputs."""
+        prof = boundary_profile(x)
+        return (prof,) if undirected else prof
+
+    verts = sorted(g.vertices)
+    stars = [sides(vertex_element(g, v)) for v in verts]
+    images = [(y, sides(y)) for y in target_elems]
+    out = []
 
     def vertex_assignments(i, phi0, phi1):
         tick()
         if i == len(verts):
-            for full0 in phi0_complete(phi0):
+            for full0 in complete_slot_maps(phi0, g, gp):
+                tick()
                 fill_regions(full0, dict(phi1))
             return
-        v = verts[i]
-        if undirected:
-            mine = sorted(g.dagger[a] for a in g.nbhd(v))  # boundary of star_v
-        else:
-            mine_in = sorted(g.in_of(v))
-            mine_out = sorted(g.out_of(v))
-        for y in target_elems:
-            prof = boundary_profile(y)
-            if undirected:
-                if len(prof) != len(mine):
+        v, mine = verts[i], stars[i]
+        for y, prof in images:
+            if list(map(len, prof)) != list(map(len, mine)):
+                continue
+            for perms in itertools.product(*map(itertools.permutations, prof)):
+                tick()
+                pairs = zip(itertools.chain(*mine), itertools.chain(*perms))
+                new = extend_slot_map(phi0, pairs, g, gp)
+                if new is None:
                     continue
-                for perm in itertools.permutations(prof):
-                    tick()
-                    new = {}
-                    ok = True
-                    for a, b in zip(mine, perm):
-                        want = {a: b, g.dagger[a]: gp.dagger[b]}
-                        for k, val in want.items():
-                            if k in phi0:
-                                if phi0[k] != val:
-                                    ok = False
-                            elif new.get(k, val) != val:
-                                ok = False
-                            else:
-                                new[k] = val
-                            if not ok:
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
-                    phi0.update(new)
-                    phi1[v] = y
-                    vertex_assignments(i + 1, phi0, phi1)
-                    del phi1[v]
-                    for k in new:
-                        del phi0[k]
-            else:
-                ins, outs = prof
-                if len(ins) != len(mine_in) or len(outs) != len(mine_out):
-                    continue
-                for pi in itertools.permutations(ins):
-                    for po in itertools.permutations(outs):
-                        tick()
-                        new = {}
-                        ok = True
-                        for e, d in itertools.chain(zip(mine_in, pi), zip(mine_out, po)):
-                            if e in phi0:
-                                if phi0[e] != d:
-                                    ok = False
-                                    break
-                            elif new.get(e, d) != d:
-                                ok = False
-                                break
-                            else:
-                                new[e] = d
-                        if not ok:
-                            continue
-                        phi0.update(new)
-                        phi1[v] = y
-                        vertex_assignments(i + 1, phi0, phi1)
-                        del phi1[v]
-                        for k in new:
-                            del phi0[k]
+                phi0.update(new)
+                phi1[v] = y
+                vertex_assignments(i + 1, phi0, phi1)
+                del phi1[v]
+                for k in new:
+                    del phi0[k]
 
     elems = enumerate_emb(g)
     big_regions = [
@@ -537,7 +453,7 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
         table = {}
         for x in elems:
             if isinstance(x, EmbEdge):
-                table[x] = EmbEdge(gp, _edge_image(probe, x.edge))
+                table[x] = EmbEdge(gp, probe.edge_image(x.edge))
             elif len(x.vertices) == 1 and not x.glued:
                 (v,) = x.vertices
                 table[x] = phi1[v]
@@ -547,7 +463,7 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
             if i == len(big_regions):
                 try:
                     cand = GraphMap(g, gp, phi0, dict(table), check=True)
-                except Exception:
+                except LooseEndsError:
                     return
                 if tag is None or morphism_in_category(cand, tag):
                     out.append(cand)
@@ -561,11 +477,7 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
 
         rec(0)
 
-    if verts:
-        vertex_assignments(0, {}, {})
-    else:
-        for full0 in phi0_complete({}):
-            fill_regions(full0, {})
+    vertex_assignments(0, {}, {})
     out.sort(key=lambda m: m._key)
     return out
 

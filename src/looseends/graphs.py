@@ -6,12 +6,24 @@ attachment function from dangling arcs to vertices.  A directed graph is a
 finite edge set where each edge is the input of at most one vertex and the
 output of at most one vertex.  Both presentations are immutable after
 validation and hashable, so they can key caches and site tables.
+
+Both flavors share one read-only slot interface, so that code which only
+names edges runs unchanged on either:
+
+- ``slots``: the sorted arcs (undirected) or edges (directed); the domain
+  of a graph map's ``phi0`` and of an etale map's ``component``.
+- ``partner(s)``: the other arc of s's edge, or s itself.
+- ``edge_of(s)`` / ``slot_of(e)``: the edge key of a slot, and the first
+  slot of an edge key.
+- ``edge_keys``: the sorted edge keys, built on first use.
+- ``ends(e)``: the vertices at the two ends of e, ``None`` at a loose end.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import fail
 
@@ -44,7 +56,7 @@ class UGraph:
         if not dagger and not vertices:
             fail("EmptyGraph", "the empty graph is rejected")
         self.name = name
-        self.arcs = tuple(arcs)
+        self.arcs = self.slots = tuple(arcs)
         self.dagger = dict(dagger)
         self.t = dict(t)
         self.vertices = tuple(sorted(vset))
@@ -82,11 +94,24 @@ class UGraph:
         """Canonical name of the dagger-orbit of a."""
         return tuple(sorted((a, self.dagger[a])))
 
-    def edges(self):
+    edge_of = edge_key
+
+    def partner(self, a):
+        return self.dagger[a]
+
+    def slot_of(self, e):
+        return e[0]
+
+    def ends(self, e):
+        a, b = e
+        return self.t.get(a), self.t.get(b)
+
+    @cached_property
+    def edge_keys(self):
         return tuple(sorted({self.edge_key(a) for a in self.arcs}))
 
-    def edge_arcs(self, e):
-        return e  # an edge key is the sorted arc pair
+    def edges(self):
+        return self.edge_keys
 
     def is_internal_edge(self, e):
         return all(a in self.t for a in e)
@@ -117,7 +142,7 @@ class DGraph:
         if not edges and not vertices:
             fail("EmptyGraph", "the empty graph is rejected")
         self.name = name
-        self.edges = tuple(sorted(eset))
+        self.edges = self.slots = self.edge_keys = tuple(sorted(eset))
         self.inputs = dict(inputs)
         self.outputs = dict(outputs)
         self.vertices = tuple(sorted(vset))
@@ -140,6 +165,15 @@ class DGraph:
 
     def __repr__(self):
         return f"DGraph({self.name!r}, {len(self.edges)} edges, {len(self.vertices)} vertices)"
+
+    def partner(self, e):
+        return e
+
+    # an edge is its own slot, partner and edge key
+    edge_of = slot_of = partner
+
+    def ends(self, e):
+        return self.inputs.get(e), self.outputs.get(e)
 
     def in_of(self, v):
         return self._in[v]
@@ -219,6 +253,39 @@ def validate_dgraph(name, edges, incidence):
                 fail("EdgeOutputReused", f"edge {e!r} is an output of {outputs[e]!r} and {v!r}")
             outputs[e] = v
     return DGraph(name, sorted(eset), inputs, outputs, vertices)
+
+
+# ---------------------------------------------------------------------------
+# slot maps (phi0 of a graph map, the component of an etale map)
+
+
+def extend_slot_map(phi0, pairs, source, target):
+    """The entries that extend phi0 by s -> c and partner(s) -> partner(c)
+    for each pair (s, c), or None when a slot would get two images."""
+    new = {}
+    for s, c in pairs:
+        for k, val in ((s, c), (source.partner(s), target.partner(c))):
+            if k in phi0:
+                if phi0[k] != val:
+                    return None
+            elif new.setdefault(k, val) != val:
+                return None
+    return new
+
+
+def complete_slot_maps(phi0, source, target):
+    """Every extension of phi0 to all source slots: the missing edges get
+    target slots in sorted order, partners following partners."""
+    missing = []
+    for s in source.slots:
+        if s not in phi0 and source.partner(s) not in missing:
+            missing.append(s)
+    for images in itertools.product(target.slots, repeat=len(missing)):
+        full = dict(phi0)
+        for s, c in zip(missing, images):
+            full[s] = c
+            full[source.partner(s)] = target.partner(c)
+        yield full
 
 
 # ---------------------------------------------------------------------------

@@ -80,16 +80,6 @@ def op_term(P, p, tag):
     return Term(p, tuple((tag, "e", k) for k in range(len(prof))))
 
 
-def term_color(P, t, port):
-    prof = P.op_profile[t.op]
-    if P.directed:
-        ins, outs = t.ports
-        if port in ins:
-            return prof[0][ins.index(port)]
-        return prof[1][outs.index(port)]
-    return prof[t.ports.index(port)]
-
-
 def act_to(P, t: Term, new_ports):
     """The same abstract operation with ports listed in a different order."""
     if P.directed:
@@ -993,7 +983,7 @@ def evaluate(P, d: DecoratedGraph, rng=None):
         rng.shuffle(verts)
     done = {verts[0]}
     current = star_term(verts[0])
-    internal = _internal_edge_list(g)
+    internal = _internal_edge_list(g, undirected)
 
     def ports_of(t):
         if undirected:
@@ -1022,7 +1012,7 @@ def evaluate(P, d: DecoratedGraph, rng=None):
         # otherwise graft a new vertex along one internal edge
         for e, (pa, pb) in agenda():
             have = ports_of(current)
-            va, vb = _edge_owners(g, e)
+            va, vb = g.ends(e)
             if pa in have and vb not in done:
                 current = _graft(P, current, pa, star_term(vb), pb, undirected)
                 done.add(vb)
@@ -1042,32 +1032,18 @@ def evaluate(P, d: DecoratedGraph, rng=None):
     return current
 
 
-def _internal_edge_list(g):
-    """internal edge -> (port at one end, port at the other end)."""
-    from .graphs import UGraph
+def _internal_edge_list(g, undirected):
+    """internal edge -> (port at one end, port at the other end), in the
+    order of g.ends.  Ports of undirected star terms are boundary arcs: the
+    star at t(a) carries port dagger(a).  Directed ports are tagged edges."""
 
-    out = {}
-    if isinstance(g, UGraph):
-        for e in g.edges():
+    def ports(e):
+        if undirected:
             a, b = e
-            if a in g.t and b in g.t:
-                # ports of star terms are boundary arcs: the star at t(a)
-                # carries port dagger(a) = b ... port names are arcs
-                out[e] = (b, a)
-    else:
-        for e in g.edges:
-            if e in g.inputs and e in g.outputs:
-                out[e] = (("in", e), ("out", e))
-    return out
+            return b, a
+        return ("in", e), ("out", e)
 
-
-def _edge_owners(g, e):
-    from .graphs import UGraph
-
-    if isinstance(g, UGraph):
-        a, b = e
-        return g.t.get(a), g.t.get(b)
-    return g.inputs.get(e), g.outputs.get(e)
+    return {e: ports(e) for e in g.edge_keys if g.is_internal_edge(e)}
 
 
 def _graft(P, t1, port1, t2, port2, undirected):
@@ -1221,49 +1197,23 @@ def generator_op(P, h, v):
 def operad_homs(PH, h, PG, g):
     """All morphisms C(h) -> C(g): an involutive color map plus a
     color-compatible image operation per generator."""
+    from .graphs import complete_slot_maps, extend_slot_map
+
     verts = sorted(h.vertices)
     out = []
 
-    def finish(f0, images):
-        # extend f0 over edges not touching a vertex (lone edge sources)
-        missing = [a for a in h.arcs if a not in f0]
-        orbits = []
-        for a in sorted(missing):
-            if h.dagger[a] not in {o[0] for o in orbits}:
-                orbits.append((a, h.dagger[a]))
-        for assignment in itertools.product(sorted(g.arcs), repeat=len(orbits)):
-            full = dict(f0)
-            for (a, b), c in zip(orbits, assignment):
-                full[a] = c
-                full[b] = g.dagger[c]
-            out.append((full, dict(images)))
-
     def assign(i, f0, images):
         if i == len(verts):
-            finish(f0, images)
+            # extend f0 over edges not touching a vertex (lone edge sources)
+            out.extend((full, dict(images)) for full in complete_slot_maps(f0, h, g))
             return
         v = verts[i]
         order = star_boundary_order(h, v)
         for q, prof in PG.op_profile.items():
             if len(prof) != len(order):
                 continue
-            new = {}
-            ok = True
-            for a, c in zip(order, prof):
-                want = {a: c, h.dagger[a]: g.dagger[c]}
-                for k, val in want.items():
-                    if k in f0:
-                        if f0[k] != val:
-                            ok = False
-                    elif new.get(k, val) != val:
-                        ok = False
-                    else:
-                        new[k] = val
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
+            new = extend_slot_map(f0, zip(order, prof), h, g)
+            if new is None:
                 continue
             f0.update(new)
             images[v] = q

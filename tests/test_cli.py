@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from looseends.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -189,3 +191,33 @@ def test_compose_cli(tmp_path, capsys):
     body = json.loads(out)
     assert body["ok"]
     assert "composite : L1 -> L0" in body["data"]["composite"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["directory", "not_utf8", "non_integer", "unknown_key", "negative_flag"],
+)
+def test_bad_input_exits_2(case, tmp_path, capsys):
+    cfg = tmp_path / "settings.cfg"
+    manifest = tmp_path / "site.json"
+    site_build = ["site-build", "--category", "U0", "-o", str(manifest)]
+    if case == "directory":
+        argv = ["validate", FIXTURES]
+    elif case == "not_utf8":
+        binary = tmp_path / "binary.graph"
+        binary.write_bytes(b"graph g undirected\n\xff\xfe\n")
+        argv = ["validate", str(binary)]
+    elif case == "non_integer":
+        cfg.write_text("budget_nodes = abc\n")
+        argv = site_build + ["--config", str(cfg)]
+    elif case == "unknown_key":
+        cfg.write_text("bogus_key = 3\n")
+        argv = site_build + ["--config", str(cfg)]
+    else:
+        argv = site_build + ["--vertices", "-1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not manifest.exists()

@@ -333,8 +333,10 @@ class TestOracleBijection:
 
 
 class TestPushforward:
-    def test_matches_composition_classes(self, theta, loop_with_legs):
-        for host in (theta, loop_with_legs):
+    def test_matches_composition_classes(self, theta, loop_with_legs, diamond):
+        hosts = [theta, loop_with_legs, diamond]
+        hosts += gen_connected_dgraphs(SiteBounds(2, 4, 3))
+        for host in hosts:
             for y in enumerate_emb(host):
                 if isinstance(y, EmbEdge):
                     continue

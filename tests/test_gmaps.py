@@ -12,6 +12,7 @@ from looseends.emb import (
     realize,
     vertex_element,
 )
+from looseends import gmaps
 from looseends.errors import LooseEndsError
 from looseends.gen import gen_trees_u
 from looseends.gmaps import (
@@ -184,6 +185,15 @@ class TestCounts:
         s0 = degeneracies[0]
         for d in faces:
             assert compose(s0, d, check=True) == identity_map(l0)
+
+    def test_program_errors_are_not_swallowed(self, monkeypatch):
+        # only a failed check may drop a candidate; a KeyError is a bug
+        def broken(m):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(gmaps, "validate_graph_map", broken)
+        with pytest.raises(KeyError):
+            enumerate_graph_maps(make_linear(1), make_linear(2), tag="Delta")
 
 
 class TestFactorize:

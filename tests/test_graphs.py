@@ -325,3 +325,27 @@ class TestShapeExhaustive:
         for g in gen_connected_dgraphs(SiteBounds(3, 6, 3)):
             s = shape(g)
             assert s.is_acyclic == (s.is_connected and not has_directed_cycle_oracle(g))
+
+
+class TestSlotInterface:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_members_agree_with_the_presentation(self, directed):
+        from looseends.config import SiteBounds
+        from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs
+
+        gen = gen_connected_dgraphs if directed else gen_connected_ugraphs
+        for g in gen(SiteBounds(2, 4, 3)):
+            for s in g.slots:
+                assert g.partner(g.partner(s)) == s
+                assert g.edge_of(g.partner(s)) == g.edge_of(s)
+            assert g.edge_keys == tuple(sorted({g.edge_of(s) for s in g.slots}))
+            for e in g.edge_keys:
+                assert g.edge_of(g.slot_of(e)) == e
+                if directed:
+                    assert g.ends(e) == (g.inputs.get(e), g.outputs.get(e))
+                else:
+                    assert g.ends(e) == tuple(g.t.get(a) for a in e)
+            if directed:
+                assert g.slots == g.edges == g.edge_keys
+            else:
+                assert g.slots == g.arcs and g.edges() is g.edge_keys
