@@ -155,11 +155,19 @@ def load_graphs(paths):
 def pick_graph(graphs, name):
     if name:
         if name not in graphs:
-            raise LooseEndsError("UnknownArc", f"no graph named {name!r}")
+            raise LooseEndsError("UnknownGraph", f"no graph named {name!r}")
         return graphs[name]
     if len(graphs) != 1:
-        raise LooseEndsError("UnknownArc", "several graphs in file; use --graph")
+        raise LooseEndsError("AmbiguousGraph", "several graphs in file; use --graph")
     return next(iter(graphs.values()))
+
+
+def pick_graph_pair(graphs, spec):
+    """The source and target graphs named by --graph SOURCE,TARGET."""
+    names = (spec or "").split(",")
+    if len(names) != 2 or not all(names):
+        raise UsageError(f"--graph must be SOURCE,TARGET, got {spec!r}")
+    return [pick_graph(graphs, n) for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +377,8 @@ def cmd_orient(args):
     g = pick_graph(graphs, args.graph)
     if args.root:
         d = root(g, args.root, name=f"{g.name}_rooted")
+    elif args.plus is None:
+        raise UsageError("orient needs --plus or --root")
     else:
         plus = frozenset(args.plus.split(","))
         d = orient(g, plus, name=f"{g.name}_oriented")
@@ -450,11 +460,11 @@ def cmd_oracle(args):
         graphs = load_graphs(args.files)
         names = sorted(graphs)
         if args.graph:
-            src_name, dst_name = args.graph.split(",")
+            src, dst = pick_graph_pair(graphs, args.graph)
         else:
-            src_name, dst_name = names[0], names[-1]
-        maps = enumerate_etale(graphs[src_name], graphs[dst_name], budget=budget)
-        return {"source": src_name, "target": dst_name, "maps": len(maps)}
+            src, dst = graphs[names[0]], graphs[names[-1]]
+        maps = enumerate_etale(src, dst, budget=budget)
+        return {"source": src.name, "target": dst.name, "maps": len(maps)}
     if args.kind == "shape":
         graphs = load_graphs(args.files)
         g = pick_graph(graphs, args.graph)
@@ -468,9 +478,7 @@ def cmd_oracle(args):
     if args.kind == "treemaps":
         from .gmaps import enumerate_graph_maps, extend_tree_map, restrict_tree_map
 
-        graphs = load_graphs(args.files)
-        src_name, dst_name = args.graph.split(",")
-        src, dst = graphs[src_name], graphs[dst_name]
+        src, dst = pick_graph_pair(load_graphs(args.files), args.graph)
         maps = enumerate_graph_maps(src, dst, budget=budget)
         round_trips = 0
         for m in maps:

@@ -398,8 +398,8 @@ def is_structured(x) -> bool:
     longer paths force closure under directed paths between region edges.
     """
     g = x.host
-    if not isinstance(g, DGraph):
-        fail("NotAcyclic", "structured subgraphs live in directed graphs")
+    if not g.directed:
+        fail("FlavorMismatch", "structured subgraphs live in directed graphs")
     from .graphs import shape
 
     s = shape(g)

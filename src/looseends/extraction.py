@@ -18,7 +18,7 @@ from .errors import LooseEndsError, fail
 from .etale import EtaleMap
 from .gmaps import compose, map_from_embedding, star_cover
 from .graphs import UGraph, iso, make_star, validate_ugraph
-from .operads import OperadPresentation
+from .operads import OperadPresentation, _close_tables, flavor_has_contraction
 from .presheaves import Presheaf
 
 
@@ -219,32 +219,21 @@ def presentation_from_segal(X: Presheaf, flavor, caps=None, name=None):
         else:
             P.identities[c] = P.actions[(p, (1, 0))]
 
-    # compositions through two-vertex join graphs
-    for p, (n, v) in op_value.items():
-        for q, (m_ar, w) in op_value.items():
-            for i in range(n):
-                for j in range(m_ar):
-                    if P.op_profile[p][i] != dagger[P.op_profile[q][j]]:
-                        continue
-                    size = n + m_ar - 2
-                    if size > caps.max_arity:
-                        continue
-                    r = _compose_via_join(
-                        X, site, star_data, value_to_op, p, i, q, j, op_value, dagger
-                    )
-                    P.compositions[(p, i, j, q)] = r
-
-    # contractions through loop graphs
-    if flavor == "modular":
-        for p, (n, v) in op_value.items():
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if P.op_profile[p][i] != dagger[P.op_profile[p][j]]:
-                        continue
-                    P.contractions[(p, i, j)] = _contract_via_loop(
-                        X, site, star_data, value_to_op, p, i, j, op_value
-                    )
-    return P
+    # compositions through two-vertex join graphs, contractions through
+    # loop graphs
+    return _close_tables(
+        P,
+        lambda p, i, j, q: _compose_via_join(
+            X, site, star_data, value_to_op, p, i, q, j, op_value, dagger
+        ),
+        (
+            (lambda p, i, j: _contract_via_loop(
+                X, site, star_data, value_to_op, p, i, j, op_value
+            ))
+            if flavor_has_contraction(flavor)
+            else None
+        ),
+    )
 
 
 def _segal_preimage(X, i, cover_values):

@@ -6,6 +6,15 @@ small term calculus: profile positions carry port labels, composition and
 contraction act on ports, and two terms are equal when an action table entry
 aligns their ports.  Equivariance, associativity, interchange and identity
 laws each reduce to building both sides and comparing terms.
+
+The flavors share one code path.  A profile, a port tuple or a permutation
+is read through ``sides``: one side when undirected, the inputs and the
+outputs when directed.  Entries pair through ``dual``: the color involution,
+or equality.  A composition key (p, i, j, q) joins entry i of p's first side
+to entry j of q's last side, and a contraction key (p, i, j) closes entry i
+of the first side against entry j of the last (i < j on a single side).
+Only splicing a composite and dropping a contracted pair are spelled out
+per flavor.
 """
 
 from __future__ import annotations
@@ -43,22 +52,113 @@ class OperadPresentation:
     identities: dict  # color -> op
     caps: OperadCaps = field(default_factory=lambda: DEFAULT_CAPS)
 
-    @property
-    def directed(self):
-        return self.flavor in DIRECTED_FLAVORS
+    def __setattr__(self, name, value):
+        # directed is read on every profile and port access: kept in step
+        # with the flavor rather than recomputed
+        super().__setattr__(name, value)
+        if name == "flavor":
+            super().__setattr__("directed", value in DIRECTED_FLAVORS)
+
+    def dual(self, c):
+        """The color an entry of color c pairs with."""
+        return c if self.directed else self.dagger.get(c)
 
     def arity(self, p):
-        prof = self.op_profile[p]
-        return len(prof[0]) + len(prof[1]) if self.directed else len(prof)
+        return self.profile_size(self.op_profile[p])
 
     def profile_size(self, prof):
-        return len(prof[0]) + len(prof[1]) if self.directed else len(prof)
+        return sum(map(len, sides(self, prof)))
 
     def __repr__(self):
         return (
             f"OperadPresentation({self.name!r}, {self.flavor},"
             f" {len(self.op_profile)} ops)"
         )
+
+
+# ---------------------------------------------------------------------------
+# the flavors: sides, splicing and dropping
+
+
+def sides(obj, x):
+    """x (a profile, port tuple or permutation) as a tuple of sides; obj is
+    a presentation or a graph, whose ``directed`` flag says how x splits."""
+    return x if obj.directed else (x,)
+
+
+def joined(obj, parts):
+    """The profile, port tuple or permutation with the given sides."""
+    parts = tuple(parts)
+    return parts if obj.directed else sum(parts, ())
+
+
+def _relabel(obj, x, f):
+    return joined(obj, (tuple(map(f, part)) for part in sides(obj, x)))
+
+
+def _identity_profile(P, c):
+    return joined(P, ((P.dual(c),), (c,)))
+
+
+def _splice(P, x, i, y, j):
+    """Entry i of x joined to entry j of y, for profiles and port tuples."""
+    if P.directed:
+        (xi, xo), (yi, yo) = x, y
+        return xi[:i] + yi + xi[i + 1 :], yo[:j] + xo + yo[j + 1 :]
+    return x[:i] + y[j + 1 :] + y[:j] + x[i + 1 :]
+
+
+def _drop(P, x, i, j):
+    """x without entry i of its first side and entry j of its last side."""
+    parts = [list(part) for part in sides(P, x)]
+    del parts[-1][j]
+    del parts[0][i]
+    return joined(P, map(tuple, parts))
+
+
+def _matching_pairs(P, p, q):
+    """Entries (i, j) of p's first side and q's last side that compose."""
+    first, last = sides(P, P.op_profile[p])[0], sides(P, P.op_profile[q])[-1]
+    want = [P.dual(c) for c in last]
+    return [(i, j) for i, c in enumerate(first) for j, d in enumerate(want) if c == d]
+
+
+def _contraction_pairs(P, prof):
+    """Entries (i, j) of prof's first and last side that a contraction closes."""
+    first, last = sides(P, prof)[0], sides(P, prof)[-1]
+    return [
+        (i, j)
+        for i in range(len(first))
+        for j in range(len(last))
+        if (P.directed or i < j) and first[i] == P.dual(last[j])
+    ]
+
+
+def _admissible_compositions(P):
+    """(p, i, j, q, composite profile) for every composition within the caps."""
+    for p in P.op_profile:
+        for q in P.op_profile:
+            for i, j in _matching_pairs(P, p, q):
+                prof = _splice(P, P.op_profile[p], i, P.op_profile[q], j)
+                size = P.profile_size(prof)
+                if size > P.caps.max_arity:
+                    continue
+                if size == 0 and not flavor_allows_empty_profile(P.flavor):
+                    continue
+                yield p, i, j, q, prof
+
+
+def _perms_for(P, p):
+    """The permutations of p's entries, side by side: the action's keys."""
+    ranges = (itertools.permutations(range(len(s))) for s in sides(P, P.op_profile[p]))
+    return [joined(P, perm) for perm in itertools.product(*ranges)]
+
+
+def _act_profile(P, x, perm):
+    """x (a profile or port tuple) relisted by perm."""
+    return joined(
+        P, (tuple(s[k] for k in ps) for s, ps in zip(sides(P, x), sides(P, perm)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -72,33 +172,28 @@ class Term:
 
 
 def op_term(P, p, tag):
-    prof = P.op_profile[p]
-    if P.directed:
-        ins = tuple((tag, "i", k) for k in range(len(prof[0])))
-        outs = tuple((tag, "o", k) for k in range(len(prof[1])))
-        return Term(p, (ins, outs))
-    return Term(p, tuple((tag, "e", k) for k in range(len(prof))))
+    letters = ("i", "o") if P.directed else ("e",)
+    parts = zip(letters, sides(P, P.op_profile[p]))
+    return Term(p, joined(P, (tuple((tag, x, k) for k in range(len(s))) for x, s in parts)))
 
 
 def act_to(P, t: Term, new_ports):
     """The same abstract operation with ports listed in a different order."""
-    if P.directed:
-        ins, outs = t.ports
-        ni, no = new_ports
-        if sorted(ins) != sorted(ni) or sorted(outs) != sorted(no):
+    perm = []
+    for a, b in zip(sides(P, t.ports), sides(P, new_ports)):
+        if sorted(a) != sorted(b):
             return None
-        perm = (
-            tuple(ins.index(x) for x in ni),
-            tuple(outs.index(x) for x in no),
-        )
-    else:
-        if sorted(t.ports) != sorted(new_ports):
-            return None
-        perm = tuple(t.ports.index(x) for x in new_ports)
-    q = P.actions.get((t.op, perm))
+        perm.append(tuple(map(a.index, b)))
+    q = P.actions.get((t.op, joined(P, perm)))
     if q is None:
         return None
     return Term(q, new_ports)
+
+
+def _relistings(P, t: Term):
+    """t under every permutation of its ports, side by side."""
+    orders = itertools.product(*map(itertools.permutations, sides(P, t.ports)))
+    return [act_to(P, t, joined(P, order)) for order in orders]
 
 
 def term_eq(P, t1: Term, t2: Term) -> bool:
@@ -109,40 +204,52 @@ def term_eq(P, t1: Term, t2: Term) -> bool:
 def compose_terms(P, t1: Term, i, t2: Term, j):
     """t1 with its entry i composed against entry j of t2; None if the table
     lacks the entry (out of caps) or the colors do not match."""
-    key = (t1.op, i, j, t2.op)
-    r = P.compositions.get(key)
+    r = P.compositions.get((t1.op, i, j, t2.op))
     if r is None:
         return None
-    if P.directed:
-        (i1, o1), (i2, o2) = t1.ports, t2.ports
-        ports = (
-            i1[:i] + i2 + i1[i + 1 :],
-            o2[:j] + o1 + o2[j + 1 :],
-        )
-    else:
-        p1, p2 = t1.ports, t2.ports
-        ports = p1[:i] + p2[j + 1 :] + p2[:j] + p1[i + 1 :]
-    return Term(r, ports)
+    return Term(r, _splice(P, t1.ports, i, t2.ports, j))
 
 
 def contract_term(P, t: Term, i, j):
     r = P.contractions.get((t.op, i, j))
     if r is None:
         return None
-    if P.directed:
-        ins, outs = t.ports
-        return Term(r, (ins[:i] + ins[i + 1 :], outs[:j] + outs[j + 1 :]))
-    return Term(r, tuple(x for k, x in enumerate(t.ports) if k not in (i, j)))
+    return Term(r, _drop(P, t.ports, i, j))
 
 
 def port_index(P, t: Term, port):
     """(side, index) of the port in t; side is 0/1 directed, 0 undirected."""
-    if P.directed:
-        ins, outs = t.ports
-        if port in ins:
-            return 0, ins.index(port)
-        return 1, outs.index(port)
-    return 0, t.ports.index(port)
+    parts = sides(P, t.ports)
+    for side, part in enumerate(parts):
+        if port in part:
+            return side, part.index(port)
+    return len(parts) - 1, parts[-1].index(port)
+
+
+def _port(P, t: Term, side, k):
+    return sides(P, t.ports)[side][k]
+
+
+def compose_at(P, t1: Term, port1, t2: Term, port2):
+    """t1 and t2 composed along port1 of t1 and port2 of t2; None if the
+    ports do not compose or the table lacks the entry.  The term whose port
+    lies on its first side supplies entry i of the key."""
+    (s1, i), (s2, j) = port_index(P, t1, port1), port_index(P, t2, port2)
+    last = len(sides(P, t1.ports)) - 1
+    if s1 == 0 and s2 == last:
+        return compose_terms(P, t1, i, t2, j)
+    if s2 == 0 and s1 == last:
+        return compose_terms(P, t2, j, t1, i)
+    return None
+
+
+def contract_at(P, t: Term, port1, port2):
+    """t with the ports port1 and port2 contracted against each other; None
+    if they cannot be or the table lacks the entry."""
+    (s1, i), (s2, j) = sorted((port_index(P, t, port1), port_index(P, t, port2)))
+    if s1 != 0 or s2 != len(sides(P, t.ports)) - 1:
+        return None
+    return contract_term(P, t, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -178,35 +285,13 @@ def _check_shapes(P):
     for p, prof in P.op_profile.items():
         if p not in P.ops.get(prof, ()):
             fail("TableIncomplete", f"op {p!r} missing from its profile set")
-        if P.directed:
-            if any(c not in P.colors for c in prof[0] + prof[1]):
-                fail("FlavorMismatch", f"profile {prof!r} uses unknown colors")
-        elif any(c not in P.colors for c in prof):
+        if any(c not in P.colors for part in sides(P, prof) for c in part):
             fail("FlavorMismatch", f"profile {prof!r} uses unknown colors")
-    if not P.directed:
-        for c in P.colors:
-            if P.dagger.get(P.dagger.get(c)) != c:
-                fail("FlavorMismatch", "color involution is not self-inverse")
-        if P.flavor == "cyclic" and P.ops.get((), ()):
-            fail("FlavorMismatch", "cyclic flavor forbids the empty profile")
-
-
-def _perms_for(P, p):
-    if P.directed:
-        ins, outs = P.op_profile[p]
-        return [
-            (pi, po)
-            for pi in itertools.permutations(range(len(ins)))
-            for po in itertools.permutations(range(len(outs)))
-        ]
-    return list(itertools.permutations(range(len(P.op_profile[p]))))
-
-
-def _act_profile(P, prof, perm):
-    if P.directed:
-        (ins, outs), (pi, po) = prof, perm
-        return tuple(ins[k] for k in pi), tuple(outs[k] for k in po)
-    return tuple(prof[k] for k in perm)
+    for c in P.colors:
+        if P.dual(P.dual(c)) != c:
+            fail("FlavorMismatch", "color involution is not self-inverse")
+    if P.flavor == "cyclic" and P.ops.get((), ()):
+        fail("FlavorMismatch", "cyclic flavor forbids the empty profile")
 
 
 def _check_actions(P):
@@ -219,369 +304,160 @@ def _check_actions(P):
                 fail("ActionLawViolated", f"wrong profile at {(p, perm)!r}")
     for p in P.op_profile:
         t = op_term(P, p, "a")
-        if P.directed:
-            idp = (t.ports[0], t.ports[1])
-        else:
-            idp = t.ports
-        if act_to(P, t, idp).op != p:
+        if act_to(P, t, t.ports).op != p:
             fail("ActionLawViolated", f"identity permutation moves {p!r}")
         # group action: two successive relistings equal one relisting
-        for new1 in _port_orders(P, t):
-            t1 = act_to(P, t, new1)
-            for new2 in _port_orders(P, t1):
-                if act_to(P, t1, new2).op != act_to(P, t, new2).op:
+        for t1 in _relistings(P, t):
+            for t2 in _relistings(P, t1):
+                if t2.op != act_to(P, t, t2.ports).op:
                     fail("ActionLawViolated", f"not a group action at {p!r}")
-
-
-def _port_orders(P, t):
-    if P.directed:
-        ins, outs = t.ports
-        return [
-            (pi, po)
-            for pi in itertools.permutations(ins)
-            for po in itertools.permutations(outs)
-        ]
-    return list(itertools.permutations(t.ports))
 
 
 def _check_identity_shapes(P):
     for c, p in P.identities.items():
-        want = ((c,), (c,)) if P.directed else (P.dagger[c], c)
-        if P.op_profile.get(p) != want:
+        if P.op_profile.get(p) != _identity_profile(P, c):
             fail("IdentityLawViolated", f"identity of {c!r} has wrong profile")
     for c in P.colors:
         if c not in P.identities:
             fail("IdentityLawViolated", f"color {c!r} lacks an identity")
 
 
-def _matching_pairs(P, p, q):
-    if P.directed:
-        (p_in, _), (_, q_out) = P.op_profile[p], P.op_profile[q]
-        for i in range(len(p_in)):
-            for j in range(len(q_out)):
-                if p_in[i] == q_out[j]:
-                    yield i, j
-    else:
-        pp, qq = P.op_profile[p], P.op_profile[q]
-        for i in range(len(pp)):
-            for j in range(len(qq)):
-                if pp[i] == P.dagger[qq[j]]:
-                    yield i, j
-
-
 def _check_composition_totality(P):
-    for p in P.op_profile:
-        for q in P.op_profile:
-            for i, j in _matching_pairs(P, p, q):
-                prof = _composed_profile(P, p, i, q, j)
-                if P.profile_size(prof) > P.caps.max_arity:
-                    continue
-                if (
-                    not P.directed
-                    and not prof
-                    and not flavor_allows_empty_profile(P.flavor)
-                ):
-                    continue
-                r = P.compositions.get((p, i, j, q))
-                if r is None:
-                    fail("TableIncomplete", f"composition missing at {(p, i, j, q)!r}")
-                if P.op_profile[r] != prof:
-                    fail(
-                        "AssociativityViolated",
-                        f"composite at {(p, i, j, q)!r} has wrong profile",
-                    )
-
-
-def _composed_profile(P, p, i, q, j):
-    pp, qq = P.op_profile[p], P.op_profile[q]
-    if P.directed:
-        (i1, o1), (i2, o2) = pp, qq
-        return (i1[:i] + i2 + i1[i + 1 :], o2[:j] + o1 + o2[j + 1 :])
-    return pp[:i] + qq[j + 1 :] + qq[:j] + pp[i + 1 :]
+    for p, i, j, q, prof in _admissible_compositions(P):
+        r = P.compositions.get((p, i, j, q))
+        if r is None:
+            fail("TableIncomplete", f"composition missing at {(p, i, j, q)!r}")
+        if P.op_profile[r] != prof:
+            fail(
+                "AssociativityViolated",
+                f"composite at {(p, i, j, q)!r} has wrong profile",
+            )
 
 
 def _check_contraction_totality(P):
     for (p, i, j), r in P.contractions.items():
         prof = P.op_profile[p]
-        if P.directed:
-            ins, outs = prof
-            ok = i < len(ins) and j < len(outs) and ins[i] == outs[j]
-            want = (ins[:i] + ins[i + 1 :], outs[:j] + outs[j + 1 :])
-        else:
-            ok = i < j < len(prof) and prof[i] == P.dagger[prof[j]]
-            want = tuple(x for k, x in enumerate(prof) if k not in (i, j))
-        if not ok:
+        if (i, j) not in _contraction_pairs(P, prof):
             fail("FlavorLacksContraction", f"invalid contraction key {(p, i, j)!r}")
-        if P.op_profile[r] != want:
+        if P.op_profile[r] != _drop(P, prof, i, j):
             fail("EquivarianceViolated", f"contraction at {(p, i, j)!r} wrong profile")
-    for p in P.op_profile:
-        prof = P.op_profile[p]
-        if P.directed:
-            ins, outs = prof
-            pairs = [
-                (i, j)
-                for i in range(len(ins))
-                for j in range(len(outs))
-                if ins[i] == outs[j]
-            ]
-        else:
-            pairs = [
-                (i, j)
-                for i in range(len(prof))
-                for j in range(i + 1, len(prof))
-                if prof[i] == P.dagger[prof[j]]
-            ]
-        for i, j in pairs:
+    for p, prof in P.op_profile.items():
+        for i, j in _contraction_pairs(P, prof):
             if (p, i, j) not in P.contractions:
                 fail("TableIncomplete", f"contraction missing at {(p, i, j)!r}")
 
 
 def _check_identity_laws(P):
-    ids = set(P.identities.values())
-    for p in P.op_profile:
+    """An identity composed at a port of p gives p back, the port renamed to
+    the identity's far port.  Each port meets an identity on its right and
+    one on its left; in the directed flavors only one of the two composes."""
+    for p, prof in P.op_profile.items():
         tp = op_term(P, p, "p")
-        prof = P.op_profile[p]
-        entries = (
-            [(0, k) for k in range(len(prof[0]))] + [(1, k) for k in range(len(prof[1]))]
-            if P.directed
-            else [(0, k) for k in range(len(prof))]
-        )
-        for side, k in entries:
-            color = prof[side][k] if P.directed else prof[k]
-            tid = op_term(P, P.identities[color], "id")
-            if P.directed:
-                if side == 0:
-                    got = compose_terms(P, tp, k, tid, 0)
-                    if got is None:
-                        continue
-                    ins, outs = tp.ports
-                    want = Term(p, (ins[:k] + (tid.ports[0][0],) + ins[k + 1 :], outs))
-                else:
-                    got = compose_terms(P, tid, 0, tp, k)
-                    if got is None:
-                        continue
-                    ins, outs = tp.ports
-                    want = Term(p, (ins, outs[:k] + (tid.ports[1][0],) + outs[k + 1 :]))
-                if not term_eq(P, got, want):
-                    fail("IdentityLawViolated", f"{p!r} entry {(side, k)!r}")
-            else:
-                # p composed with an identity at a matching entry
-                got = compose_terms(P, tp, k, tid, 0)
-                if got is not None:
-                    want = Term(
-                        p, tp.ports[:k] + (tid.ports[1],) + tp.ports[k + 1 :]
-                    )
-                    if not term_eq(P, got, want):
-                        fail("IdentityLawViolated", f"{p!r} entry {k}")
-                # the identity composed with p
-                tid2 = op_term(P, P.identities[P.dagger[color]], "id2")
-                got = compose_terms(P, tid2, 1, tp, k)
-                if got is not None:
-                    want = Term(
-                        p, tp.ports[:k] + (tid2.ports[0],) + tp.ports[k + 1 :]
-                    )
-                    if not term_eq(P, got, want):
-                        fail("IdentityLawViolated", f"{p!r} entry {k} (left)")
+        for side, (ports, colors) in enumerate(zip(sides(P, tp.ports), sides(P, prof))):
+            for k, (x, color) in enumerate(zip(ports, colors)):
+                # an identity's ports, flattened, carry (dual color, color)
+                tid = op_term(P, P.identities[color], "id")
+                near, far = sum(sides(P, tid.ports), ())
+                tid2 = op_term(P, P.identities[P.dual(color)], "id2")
+                far2, near2 = sum(sides(P, tid2.ports), ())
+                for got, y, label in (
+                    (compose_at(P, tp, x, tid, near), far, ""),
+                    (compose_at(P, tid2, near2, tp, x), far2, " (left)"),
+                ):
+                    want = Term(p, _relabel(P, tp.ports, lambda z: y if z == x else z))
+                    if got is not None and not term_eq(P, got, want):
+                        fail("IdentityLawViolated", f"{p!r} entry {(side, k)!r}{label}")
 
 
 def _check_equivariance(P):
-    for (p, i, j, q), r in P.compositions.items():
-        tp = op_term(P, p, "p")
-        tq = op_term(P, q, "q")
+    for p, i, j, q in P.compositions:
+        tp, tq = op_term(P, p, "p"), op_term(P, q, "q")
         base = compose_terms(P, tp, i, tq, j)
-        if base is None:
-            continue
-        port_i = tp.ports[0][i] if P.directed else tp.ports[i]
-        port_j = tq.ports[1][j] if P.directed else tq.ports[j]
-        for new in _port_orders(P, tp):
-            tp2 = act_to(P, tp, new)
-            side, i2 = port_index(P, tp2, port_i)
-            other = compose_terms(P, tp2, i2, tq, j)
-            if other is None:
-                fail("TableIncomplete", f"equivariance gap at {(p, i, j, q)!r}")
-            if not term_eq(P, base, other):
-                fail("EquivarianceViolated", f"p-action at {(p, i, j, q)!r}")
-        for new in _port_orders(P, tq):
-            tq2 = act_to(P, tq, new)
-            side, j2 = port_index(P, tq2, port_j)
-            other = compose_terms(P, tp, i, tq2, j2)
-            if other is None:
-                fail("TableIncomplete", f"equivariance gap at {(p, i, j, q)!r}")
-            if not term_eq(P, base, other):
-                fail("EquivarianceViolated", f"q-action at {(p, i, j, q)!r}")
+        x, y = _port(P, tp, 0, i), _port(P, tq, -1, j)
+        for label, others in (
+            ("p", (compose_at(P, tp2, x, tq, y) for tp2 in _relistings(P, tp))),
+            ("q", (compose_at(P, tp, x, tq2, y) for tq2 in _relistings(P, tq))),
+        ):
+            for other in others:
+                if other is None:
+                    fail("TableIncomplete", f"equivariance gap at {(p, i, j, q)!r}")
+                if not term_eq(P, base, other):
+                    fail("EquivarianceViolated", f"{label}-action at {(p, i, j, q)!r}")
+
+
+def _recompose(P, tp, tq, x, y, inner, owner):
+    """tp and tq composed along x and y again, with the term owning a port
+    that was used first replaced by inner."""
+    if inner is None:
+        return None
+    return compose_at(P, tp, x, inner, y) if owner is tq else compose_at(P, inner, x, tq, y)
 
 
 def _check_associativity(P):
-    for (p, i, j, q), r in P.compositions.items():
-        tp = op_term(P, p, "p")
-        tq = op_term(P, q, "q")
+    pairs = {(p, q): _matching_pairs(P, p, q) for p in P.op_profile for q in P.op_profile}
+    terms = {s: op_term(P, s, "s") for s in P.op_profile}
+    for p, i, j, q in P.compositions:
+        tp, tq = op_term(P, p, "p"), op_term(P, q, "q")
         mid = compose_terms(P, tp, i, tq, j)
-        if mid is None:
-            continue
-        for s in P.op_profile:
-            ts = op_term(P, s, "s")
-            for k, l in _matching_pairs(P, mid.op, s):
+        x, y = _port(P, tp, 0, i), _port(P, tq, -1, j)
+        for s, ts in terms.items():
+            for k, l in pairs[mid.op, s]:
                 lhs = compose_terms(P, mid, k, ts, l)
                 if lhs is None:
                     continue
-                port = mid.ports[0][k] if P.directed else mid.ports[k]
-                owner = port[0]
-                if owner == "q":
-                    sideq, kq = port_index(P, tq, port)
-                    inner = compose_terms(P, tq, kq, ts, l)
-                    if inner is None:
-                        continue
-                    sj, j2 = port_index(P, inner, tq.ports[1][j] if P.directed else tq.ports[j])
-                    rhs = compose_terms(P, tp, i, inner, j2)
-                else:
-                    sidep, kp = port_index(P, tp, port)
-                    inner = compose_terms(P, tp, kp, ts, l)
-                    if inner is None:
-                        continue
-                    si, i2 = port_index(P, inner, tp.ports[0][i] if P.directed else tp.ports[i])
-                    rhs = compose_terms(P, inner, i2, tq, j)
-                if rhs is None:
-                    continue
-                if not term_eq(P, lhs, rhs):
+                z, w = _port(P, mid, 0, k), _port(P, ts, -1, l)
+                owner = tq if z[0] == "q" else tp
+                rhs = _recompose(P, tp, tq, x, y, compose_at(P, owner, z, ts, w), owner)
+                if rhs is not None and not term_eq(P, lhs, rhs):
                     fail(
                         "AssociativityViolated",
                         f"{(p, i, j, q)!r} then attach {s!r} at {(k, l)!r}",
                     )
 
 
-def _contraction_pairs_of_term(P, t):
-    prof = P.op_profile[t.op]
-    if P.directed:
-        ins, outs = prof
-        return [
-            (i, j)
-            for i in range(len(ins))
-            for j in range(len(outs))
-            if ins[i] == outs[j]
-        ]
-    return [
-        (i, j)
-        for i in range(len(prof))
-        for j in range(i + 1, len(prof))
-        if prof[i] == P.dagger[prof[j]]
-    ]
-
-
 def _check_contraction_laws(P):
     # contractions commute among themselves
-    for (p, i, j), r in P.contractions.items():
+    for p, i, j in P.contractions:
         tp = op_term(P, p, "p")
         first = contract_term(P, tp, i, j)
-        if first is None:
-            continue
-        for k, l in _contraction_pairs_of_term(P, first):
+        x, y = _port(P, tp, 0, i), _port(P, tp, -1, j)
+        for k, l in _contraction_pairs(P, P.op_profile[first.op]):
             lhs = contract_term(P, first, k, l)
             if lhs is None:
                 continue
-            pk = first.ports[0][k] if P.directed else first.ports[k]
-            pl = first.ports[1][l] if P.directed else first.ports[l]
-            s1, a = port_index(P, tp, pk)
-            s2, b = port_index(P, tp, pl)
-            if P.directed:
-                other = contract_term(P, tp, a, b)
-            else:
-                other = contract_term(P, tp, min(a, b), max(a, b))
-            if other is None:
-                continue
-            pi_ = tp.ports[0][i] if P.directed else tp.ports[i]
-            pj_ = tp.ports[1][j] if P.directed else tp.ports[j]
-            s3, a2 = port_index(P, other, pi_)
-            s4, b2 = port_index(P, other, pj_)
-            if P.directed:
-                rhs = contract_term(P, other, a2, b2)
-            else:
-                rhs = contract_term(P, other, min(a2, b2), max(a2, b2))
-            if rhs is None:
-                continue
-            if not term_eq(P, lhs, rhs):
+            other = contract_at(P, tp, _port(P, first, 0, k), _port(P, first, -1, l))
+            rhs = None if other is None else contract_at(P, other, x, y)
+            if rhs is not None and not term_eq(P, lhs, rhs):
                 fail("EquivarianceViolated", f"contractions at {(p, i, j)!r} do not commute")
     # contraction equivariance
-    for (p, i, j), r in P.contractions.items():
+    for p, i, j in P.contractions:
         tp = op_term(P, p, "p")
         base = contract_term(P, tp, i, j)
-        pi_ = tp.ports[0][i] if P.directed else tp.ports[i]
-        pj_ = tp.ports[1][j] if P.directed else tp.ports[j]
-        for new in _port_orders(P, tp):
-            tp2 = act_to(P, tp, new)
-            _, a = port_index(P, tp2, pi_)
-            _, b = port_index(P, tp2, pj_)
-            if P.directed:
-                other = contract_term(P, tp2, a, b)
-            else:
-                other = contract_term(P, tp2, min(a, b), max(a, b))
+        x, y = _port(P, tp, 0, i), _port(P, tp, -1, j)
+        for tp2 in _relistings(P, tp):
+            other = contract_at(P, tp2, x, y)
             if other is None:
                 fail("TableIncomplete", f"contraction gap at {(p, i, j)!r}")
             if not term_eq(P, base, other):
                 fail("EquivarianceViolated", f"contraction action at {(p, i, j)!r}")
     # interchange with composition
-    for (p, i, j, q), r in P.compositions.items():
-        tp = op_term(P, p, "p")
-        tq = op_term(P, q, "q")
+    for p, i, j, q in P.compositions:
+        tp, tq = op_term(P, p, "p"), op_term(P, q, "q")
         mid = compose_terms(P, tp, i, tq, j)
-        if mid is None:
-            continue
-        for k, l in _contraction_pairs_of_term(P, mid):
+        x, y = _port(P, tp, 0, i), _port(P, tq, -1, j)
+        for k, l in _contraction_pairs(P, P.op_profile[mid.op]):
             lhs = contract_term(P, mid, k, l)
             if lhs is None:
                 continue
-            pk = mid.ports[0][k] if P.directed else mid.ports[k]
-            pl = mid.ports[1][l] if P.directed else mid.ports[l]
-            own_k, own_l = pk[0], pl[0]
-            if own_k == own_l:
-                t0 = tp if own_k == "p" else tq
-                _, a = port_index(P, t0, pk)
-                _, b = port_index(P, t0, pl)
-                if P.directed:
-                    inner = contract_term(P, t0, a, b)
-                else:
-                    inner = contract_term(P, t0, min(a, b), max(a, b))
-                if inner is None:
-                    continue
-                if own_k == "p":
-                    _, i2 = port_index(P, inner, tp.ports[0][i] if P.directed else tp.ports[i])
-                    rhs = compose_terms(P, inner, i2, tq, j)
-                else:
-                    _, j2 = port_index(P, inner, tq.ports[1][j] if P.directed else tq.ports[j])
-                    rhs = compose_terms(P, tp, i, inner, j2)
+            z, w = _port(P, mid, 0, k), _port(P, mid, -1, l)
+            tz, tw = (tq if z[0] == "q" else tp), (tq if w[0] == "q" else tp)
+            if tz is tw:
+                rhs = _recompose(P, tp, tq, x, y, contract_at(P, tz, z, w), tz)
             else:
                 # parallel pair: compose along it, then contract the original
-                if P.directed:
-                    if own_k == "p":  # input from p, output from q
-                        _, a = port_index(P, tp, pk)
-                        _, b = port_index(P, tq, pl)
-                        r2 = compose_terms(P, tp, a, tq, b)
-                    else:  # input from q, output from p: compose the other way
-                        _, a = port_index(P, tq, pk)
-                        _, b = port_index(P, tp, pl)
-                        r2 = compose_terms(P, tq, a, tp, b)
-                    if r2 is None:
-                        continue
-                    porti = tp.ports[0][i]
-                    portj = tq.ports[1][j]
-                    _, a2 = port_index(P, r2, porti)
-                    _, b2 = port_index(P, r2, portj)
-                    rhs = contract_term(P, r2, a2, b2)
-                else:
-                    tk = tp if own_k == "p" else tq
-                    tl = tp if own_l == "p" else tq
-                    _, a = port_index(P, tk, pk)
-                    _, b = port_index(P, tl, pl)
-                    r2 = compose_terms(P, tk, a, tl, b)
-                    if r2 is None:
-                        continue
-                    porti = tp.ports[i]
-                    portj = tq.ports[j]
-                    _, a2 = port_index(P, r2, porti)
-                    _, b2 = port_index(P, r2, portj)
-                    rhs = contract_term(P, r2, min(a2, b2), max(a2, b2))
-            if rhs is None:
-                continue
-            if not term_eq(P, lhs, rhs):
+                joint = compose_at(P, tz, z, tw, w)
+                rhs = None if joint is None else contract_at(P, joint, x, y)
+            if rhs is not None and not term_eq(P, lhs, rhs):
                 fail(
                     "EquivarianceViolated",
                     f"contraction/composition interchange at {(p, i, j, q)!r}",
@@ -598,109 +474,58 @@ def _close_tables(P: OperadPresentation, compose_rule, contract_rule=None):
     compose_rule(p, i, j, q) and contract_rule(p, i, j) return the result op
     (must exist in the op set); actions must already be present.
     """
-    for p in P.op_profile:
-        for q in P.op_profile:
-            for i, j in _matching_pairs(P, p, q):
-                prof = _composed_profile(P, p, i, q, j)
-                if P.profile_size(prof) > P.caps.max_arity:
-                    continue
-                if (
-                    not P.directed
-                    and not prof
-                    and not flavor_allows_empty_profile(P.flavor)
-                ):
-                    continue
-                P.compositions[(p, i, j, q)] = compose_rule(p, i, j, q)
+    for p, i, j, q, _ in _admissible_compositions(P):
+        P.compositions[(p, i, j, q)] = compose_rule(p, i, j, q)
     if contract_rule is not None:
-        for p in P.op_profile:
-            prof = P.op_profile[p]
-            if P.directed:
-                ins, outs = prof
-                pairs = [
-                    (i, j)
-                    for i in range(len(ins))
-                    for j in range(len(outs))
-                    if ins[i] == outs[j]
-                ]
-            else:
-                pairs = [
-                    (i, j)
-                    for i in range(len(prof))
-                    for j in range(i + 1, len(prof))
-                    if prof[i] == P.dagger[prof[j]]
-                ]
-            for i, j in pairs:
+        for p, prof in P.op_profile.items():
+            for i, j in _contraction_pairs(P, prof):
                 P.contractions[(p, i, j)] = contract_rule(p, i, j)
     return P
 
 
+def _name_actions_and_identities(P, op_name):
+    """The action and identity tables of a presentation whose ops are named
+    by their profiles through op_name."""
+    for p, prof in P.op_profile.items():
+        for perm in _perms_for(P, p):
+            P.actions[(p, perm)] = op_name(_act_profile(P, prof, perm))
+    P.identities.update({c: op_name(_identity_profile(P, c)) for c in P.colors})
+
+
 def terminal_presentation(flavor, colors=("c",), dagger=None, caps=DEFAULT_CAPS, name=None):
     """One operation in every admissible profile."""
-    directed = flavor in DIRECTED_FLAVORS
     colors = tuple(colors)
     if dagger is None:
         dagger = {c: c for c in colors}
-    ops, op_profile = {}, {}
+    P = OperadPresentation(
+        name or f"terminal-{flavor}", flavor, colors, dagger, {}, {}, {}, {}, {}, {}, caps
+    )
 
     def op_name(prof):
-        if directed:
-            return "t(" + ",".join(prof[0]) + ";" + ",".join(prof[1]) + ")"
-        return "t(" + ",".join(prof) + ")"
+        return "t(" + ";".join(",".join(part) for part in sides(P, prof)) + ")"
 
-    profiles = []
-    if directed:
-        for n in range(caps.max_arity + 1):
-            for m in range(caps.max_arity + 1 - n):
-                for ins in itertools.product(colors, repeat=n):
-                    for outs in itertools.product(colors, repeat=m):
-                        profiles.append((ins, outs))
-    else:
-        for n in range(caps.max_arity + 1):
-            if n == 0 and not flavor_allows_empty_profile(flavor):
-                continue
-            profiles.extend(itertools.product(colors, repeat=n))
-    for prof in profiles:
-        p = op_name(prof)
-        ops[prof] = (p,)
-        op_profile[p] = prof
-    P = OperadPresentation(
-        name or f"terminal-{flavor}",
-        flavor,
-        colors,
-        dagger,
-        ops,
-        op_profile,
-        {},
-        {},
-        {},
-        {},
-        caps,
-    )
-    for p, prof in op_profile.items():
-        for perm in _perms_for(P, p):
-            P.actions[(p, perm)] = op_name(_act_profile(P, prof, perm))
-    if directed:
-        P.identities.update({c: op_name(((c,), (c,))) for c in colors})
-    else:
-        P.identities.update({c: op_name((dagger[c], c)) for c in colors})
+    arity = range(caps.max_arity + 1)
+    for lengths in itertools.product(arity, repeat=2 if P.directed else 1):
+        if sum(lengths) > caps.max_arity:
+            continue
+        if sum(lengths) == 0 and not flavor_allows_empty_profile(flavor):
+            continue
+        choices = (itertools.product(colors, repeat=n) for n in lengths)
+        for parts in itertools.product(*choices):
+            prof = joined(P, parts)
+            P.ops[prof] = (op_name(prof),)
+            P.op_profile[op_name(prof)] = prof
+    _name_actions_and_identities(P, op_name)
     _close_tables(
         P,
-        lambda p, i, j, q: op_name(_composed_profile(P, p, i, q, j)),
+        lambda p, i, j, q: op_name(_splice(P, P.op_profile[p], i, P.op_profile[q], j)),
         (
-            (lambda p, i, j: op_name(_contracted_profile(P, p, i, j)))
+            (lambda p, i, j: op_name(_drop(P, P.op_profile[p], i, j)))
             if flavor_has_contraction(flavor)
             else None
         ),
     )
     return P
-
-
-def _contracted_profile(P, p, i, j):
-    prof = P.op_profile[p]
-    if P.directed:
-        ins, outs = prof
-        return (ins[:i] + ins[i + 1 :], outs[:j] + outs[j + 1 :])
-    return tuple(x for k, x in enumerate(prof) if k not in (i, j))
 
 
 def io_presentation(caps=DEFAULT_CAPS):
@@ -750,55 +575,36 @@ def free_cyclic(g, caps=DEFAULT_CAPS):
     boundary; composition is union of subtrees.  Profiles beyond the arity
     cap are omitted (and compositions landing there).
     """
-    from .emb import EmbEdge, boundary, enumerate_emb, unions
-    from .graphs import UGraph, shape
+    from .emb import boundary, enumerate_emb, unions
+    from .graphs import shape
 
-    if not isinstance(g, UGraph) or not shape(g).is_tree:
+    if g.directed or not shape(g).is_tree:
         fail("NotATree", g.name)
-    colors = tuple(g.arcs)
-    dagger = dict(g.dagger)
-    subtrees = list(enumerate_emb(g))
-    by_boundary = {}
-    ops, op_profile = {}, {}
+
+    def op_name(prof):
+        return "<" + ",".join(prof) + ">"
+
+    P = OperadPresentation(
+        f"C({g.name})", "augCyclic", g.arcs, dict(g.dagger), {}, {}, {}, {}, {}, {}, caps
+    )
     op_of = {}
-    for t in subtrees:
+    for t in enumerate_emb(g):
         bd = boundary(t)
-        by_boundary[frozenset(bd)] = t
         if len(bd) > caps.max_arity:
             continue
         for ordering in itertools.permutations(bd):
-            p = "<" + ",".join(ordering) + ">"
-            ops.setdefault(ordering, ())
-            ops[ordering] = ops[ordering] + (p,)
-            op_profile[p] = ordering
+            p = op_name(ordering)
+            P.ops[ordering] = P.ops.get(ordering, ()) + (p,)
+            P.op_profile[p] = ordering
             op_of[p] = t
-    P = OperadPresentation(
-        f"C({g.name})",
-        "augCyclic",
-        colors,
-        dagger,
-        ops,
-        op_profile,
-        {},
-        {},
-        {},
-        {},
-        caps,
-    )
-    for p, prof in op_profile.items():
-        for perm in _perms_for(P, p):
-            P.actions[(p, perm)] = "<" + ",".join(prof[k] for k in perm) + ">"
-    for a in g.arcs:
-        P.identities[a] = "<" + ",".join((dagger[a], a)) + ">"
+    _name_actions_and_identities(P, op_name)
 
     def compose_rule(p, i, j, q):
-        s, t = op_of[p], op_of[q]
-        zs = unions(s, t)
+        zs = unions(op_of[p], op_of[q])
         if len(zs) != 1:
             fail("NotATree", "subtree union not unique")
-        prof = _composed_profile(P, p, i, q, j)
-        target = "<" + ",".join(prof) + ">"
-        if target not in op_profile:
+        target = op_name(_splice(P, P.op_profile[p], i, P.op_profile[q], j))
+        if target not in P.op_profile:
             fail("TableIncomplete", "composite outside tabulated profiles")
         if op_of[target] != zs[0]:
             fail("AssociativityViolated", "union disagrees with profile bookkeeping")
@@ -845,11 +651,36 @@ class DecoratedGraph:
 
 def star_boundary_order(g, v):
     """Canonical listing of the star boundary at v (arcs; directed: pair)."""
-    from .graphs import UGraph
+    if g.directed:
+        return tuple(sorted(g.in_of(v))), tuple(sorted(g.out_of(v)))
+    return tuple(sorted(g.dagger[a] for a in g.nbhd(v)))
 
-    if isinstance(g, UGraph):
-        return tuple(sorted(g.dagger[a] for a in g.nbhd(v)))
-    return tuple(sorted(g.in_of(v))), tuple(sorted(g.out_of(v)))
+
+def _label(g, side, s):
+    """The port of a star term at slot s: the arc itself, or the edge tagged
+    by the side it lies on."""
+    return (("in", "out")[side], s) if g.directed else s
+
+
+def _slot(g, port):
+    return port[1] if g.directed else port
+
+
+def _ports(g, x, f=lambda s: s):
+    """Port labels for x, a side-shaped tuple whose entries f maps to slots."""
+    return joined(
+        g, (tuple(_label(g, k, f(e)) for e in part) for k, part in enumerate(sides(g, x)))
+    )
+
+
+def _end_ports(g, e):
+    """The ports of an edge at its two ends, in the order of g.ends(e): the
+    star at t(a) carries port dagger(a); a directed edge is an input port at
+    one end and an output port at the other."""
+    if g.directed:
+        return _label(g, 0, e), _label(g, 1, e)
+    a, b = e
+    return b, a
 
 
 def decorated(host, coloring, decoration):
@@ -859,82 +690,35 @@ def decorated(host, coloring, decoration):
 
 
 def decoration_valid(P, d: DecoratedGraph) -> bool:
-    from .graphs import UGraph
-
     g = d.host
     col = dict(d.coloring)
     dec = dict(d.decoration)
-    if isinstance(g, UGraph) == P.directed:
+    if g.directed != P.directed:
         return False
-    if isinstance(g, UGraph):
-        for a in g.arcs:
-            if col.get(a) not in P.colors:
-                return False
-            if col[g.dagger[a]] != P.dagger[col[a]]:
-                return False
-    else:
-        for e in g.edges:
-            if col.get(e) not in P.colors:
-                return False
+    for s in g.slots:
+        if col.get(s) not in P.colors or col[g.partner(s)] != P.dual(col[s]):
+            return False
     for v in g.vertices:
         p = dec.get(v)
-        if p not in P.op_profile:
-            return False
-        order = star_boundary_order(g, v)
-        if isinstance(g, UGraph):
-            want = tuple(col[a] for a in order)
-        else:
-            want = (
-                tuple(col[e] for e in order[0]),
-                tuple(col[e] for e in order[1]),
-            )
-        if P.op_profile[p] != want:
+        want = _relabel(g, star_boundary_order(g, v), col.__getitem__)
+        if p not in P.op_profile or P.op_profile[p] != want:
             return False
     return True
 
 
 def enumerate_decorations(P, g):
     """All valid decorated graphs on g; the nerve's value set."""
-    from .graphs import UGraph
-
     out = []
-    if isinstance(g, UGraph):
-        orbits = sorted({g.edge_key(a) for a in g.arcs})
-        choices = []
-        for a, b in orbits:
-            choices.append([(a, c) for c in P.colors])
-        for picks in itertools.product(*choices):
-            col = {}
-            for (a, c) in picks:
-                col[a] = c
-                col[g.dagger[a]] = P.dagger[c]
-            _extend_decorations(P, g, col, out)
-    else:
-        for assignment in itertools.product(P.colors, repeat=len(g.edges)):
-            col = dict(zip(g.edges, assignment))
-            _extend_decorations(P, g, col, out)
+    stars = [star_boundary_order(g, v) for v in g.vertices]
+    for picks in itertools.product(P.colors, repeat=len(g.edge_keys)):
+        col = {}
+        for e, c in zip(g.edge_keys, picks):
+            col[g.slot_of(e)] = c
+            col[g.partner(g.slot_of(e))] = P.dual(c)
+        pools = [P.ops.get(_relabel(g, star, col.__getitem__), ()) for star in stars]
+        for ops in itertools.product(*pools):
+            out.append(decorated(g, col, dict(zip(g.vertices, ops))))
     return out
-
-
-def _extend_decorations(P, g, col, out):
-    from .graphs import UGraph
-
-    pools = []
-    for v in g.vertices:
-        order = star_boundary_order(g, v)
-        if isinstance(g, UGraph):
-            want = tuple(col[a] for a in order)
-        else:
-            want = (
-                tuple(col[e] for e in order[0]),
-                tuple(col[e] for e in order[1]),
-            )
-        pool = P.ops.get(want, ())
-        if not pool:
-            return
-        pools.append(pool)
-    for picks in itertools.product(*pools):
-        out.append(decorated(g, col, dict(zip(g.vertices, picks))))
 
 
 def evaluate(P, d: DecoratedGraph, rng=None):
@@ -945,50 +729,23 @@ def evaluate(P, d: DecoratedGraph, rng=None):
     collapse order; order independence is a property the tests check, not an
     assumption here.
     """
-    from .graphs import UGraph, is_connected
+    from .graphs import is_connected
 
     g = d.host
     if not is_connected(g):
         fail("NotClosed", "evaluate needs a connected host")
     if not decoration_valid(P, d):
         fail("FlavorMismatch", "decoration does not match the presentation")
-    undirected = isinstance(g, UGraph)
     dec = dict(d.decoration)
 
     if not g.vertices:
         # a bare edge evaluates to the identity on its color
-        if undirected:
-            (e,) = [g.edge_key(a) for a in g.arcs[:1]]
-            a, b = e
-            c = d.color(b)
-            t = Term(P.identities[c], (a, b))
-            return t
-        (e,) = g.edges
-        c = d.color(e)
-        return Term(P.identities[c], ((("in", e),), (("out", e),)))
+        (e,) = g.edge_keys
+        x, y = _end_ports(g, e) if g.directed else e
+        return Term(P.identities[d.color(_slot(g, y))], joined(P, ((x,), (y,))))
 
     def star_term(v):
-        order = star_boundary_order(g, v)
-        if undirected:
-            return Term(dec[v], order)
-        ins, outs = order
-        return Term(
-            dec[v],
-            (tuple(("in", e) for e in ins), tuple(("out", e) for e in outs)),
-        )
-
-    verts = sorted(g.vertices)
-    if rng is not None:
-        verts = list(verts)
-        rng.shuffle(verts)
-    done = {verts[0]}
-    current = star_term(verts[0])
-    internal = _internal_edge_list(g, undirected)
-
-    def ports_of(t):
-        if undirected:
-            return set(t.ports)
-        return set(t.ports[0]) | set(t.ports[1])
+        return Term(dec[v], _ports(g, star_boundary_order(g, v)))
 
     def agenda():
         items = sorted(pending.items())
@@ -996,110 +753,55 @@ def evaluate(P, d: DecoratedGraph, rng=None):
             rng.shuffle(items)
         return items
 
-    pending = dict(internal)
+    verts = sorted(g.vertices)
+    if rng is not None:
+        rng.shuffle(verts)
+    done = {verts[0]}
+    current = star_term(verts[0])
+    pending = {e: _end_ports(g, e) for e in g.edge_keys if g.is_internal_edge(e)}
     while True:
-        progress = False
-        # contract edges with both ends already inside the current term
-        for e, (pa, pb) in agenda():
-            have = ports_of(current)
-            if pa in have and pb in have:
-                current = _absorb_internal(P, current, pa, pb, undirected)
-                del pending[e]
-                progress = True
-                break
-        if progress:
+        have = set(itertools.chain(*sides(P, current.ports)))
+        # contract an edge with both ends already inside the current term
+        e = next((e for e, ends in agenda() if have.issuperset(ends)), None)
+        if e is not None:
+            current = contract_at(P, current, *pending.pop(e))
+            if current is None:
+                if not flavor_has_contraction(P.flavor):
+                    fail("FlavorLacksContraction", f"{P.flavor} cannot close this edge")
+                fail("ArityCapExceeded", "contraction outside the tabulated range")
             continue
         # otherwise graft a new vertex along one internal edge
-        for e, (pa, pb) in agenda():
-            have = ports_of(current)
-            va, vb = g.ends(e)
-            if pa in have and vb not in done:
-                current = _graft(P, current, pa, star_term(vb), pb, undirected)
-                done.add(vb)
-                del pending[e]
-                progress = True
-                break
-            if pb in have and va not in done:
-                current = _graft(P, current, pb, star_term(va), pa, undirected)
-                done.add(va)
-                del pending[e]
-                progress = True
-                break
-        if not progress:
+        graft = next(
+            (
+                (e, x, w, y)
+                for e, ends in agenda()
+                for x, w, y in zip(ends, reversed(g.ends(e)), reversed(ends))
+                if x in have and w not in done
+            ),
+            None,
+        )
+        if graft is None:
             break
+        e, x, w, y = graft
+        star = star_term(w)
+        grown = compose_at(P, current, x, star, y)
+        if grown is None:
+            size = P.arity(current.op) + P.arity(star.op) - 2
+            if size > P.caps.max_arity:
+                fail("ArityCapExceeded", f"profile of size {size} not tabulated")
+            fail("TableIncomplete", f"no composition joining {current.op!r} and {star.op!r}")
+        current = grown
+        done.add(w)
+        del pending[e]
     if pending or len(done) != len(g.vertices):
         fail("NotClosed", "evaluation did not exhaust the internal edges")
     return current
 
 
-def _internal_edge_list(g, undirected):
-    """internal edge -> (port at one end, port at the other end), in the
-    order of g.ends.  Ports of undirected star terms are boundary arcs: the
-    star at t(a) carries port dagger(a).  Directed ports are tagged edges."""
-
-    def ports(e):
-        if undirected:
-            a, b = e
-            return b, a
-        return ("in", e), ("out", e)
-
-    return {e: ports(e) for e in g.edge_keys if g.is_internal_edge(e)}
-
-
-def _graft(P, t1, port1, t2, port2, undirected):
-    if undirected:
-        i = t1.ports.index(port1)
-        j = t2.ports.index(port2)
-        res = compose_terms(P, t1, i, t2, j)
-    else:
-        s1, i = port_index(P, t1, port1)
-        s2, j = port_index(P, t2, port2)
-        if s1 == 0 and s2 == 1:
-            res = compose_terms(P, t1, i, t2, j)
-        elif s1 == 1 and s2 == 0:
-            res = compose_terms(P, t2, j, t1, i)
-        else:
-            res = None
-    if res is None:
-        _explain_missing(P, t1, port1, t2, port2)
-    return res
-
-
-def _absorb_internal(P, t, pa, pb, undirected):
-    if undirected:
-        i, j = t.ports.index(pa), t.ports.index(pb)
-        res = contract_term(P, t, min(i, j), max(i, j))
-    else:
-        sa, i = port_index(P, t, pa)
-        sb, j = port_index(P, t, pb)
-        if sa == sb:
-            res = None
-        else:
-            if sa == 1:
-                i, j = j, i
-            res = contract_term(P, t, i, j)
-    if res is None:
-        if not flavor_has_contraction(P.flavor):
-            fail("FlavorLacksContraction", f"{P.flavor} cannot close this edge")
-        fail("ArityCapExceeded", "contraction outside the tabulated range")
-    return res
-
-
-def _explain_missing(P, t1, port1, t2, port2):
-    size = P.arity(t1.op) + P.arity(t2.op) - 2
-    if size > P.caps.max_arity:
-        fail("ArityCapExceeded", f"profile of size {size} not tabulated")
-    fail("TableIncomplete", f"no composition joining {t1.op!r} and {t2.op!r}")
-
-
 def evaluate_normalized(P, d: DecoratedGraph):
     """Evaluate and relist ports canonically (sorted) for comparisons."""
     t = evaluate(P, d)
-    if P.directed:
-        new = (tuple(sorted(t.ports[0])), tuple(sorted(t.ports[1])))
-    else:
-        new = tuple(sorted(t.ports))
-    return act_to(P, t, new)
+    return act_to(P, t, joined(P, map(tuple, map(sorted, sides(P, t.ports)))))
 
 
 # ---------------------------------------------------------------------------
@@ -1108,29 +810,15 @@ def evaluate_normalized(P, d: DecoratedGraph):
 
 def pull_decoration(P, incl, d: DecoratedGraph) -> DecoratedGraph:
     """Restrict a decoration along an embedding (e.g. a realization)."""
-    from .graphs import UGraph
-
     g, h = incl.target, incl.source
     col_g = dict(d.coloring)
     dec_g = dict(d.decoration)
-    undirected = isinstance(g, UGraph)
-    if undirected:
-        col_h = {x: col_g[incl.component[x]] for x in h.arcs}
-    else:
-        col_h = {x: col_g[incl.component[x]] for x in h.edges}
+    col_h = {x: col_g[incl.component[x]] for x in h.slots}
     dec_h = {}
     for v in h.vertices:
         w = incl.vertex_map[v]
-        order_h = star_boundary_order(h, v)
-        order_g = star_boundary_order(g, w)
-        if undirected:
-            sigma = tuple(order_g.index(incl.component[x]) for x in order_h)
-        else:
-            (ins_h, outs_h), (ins_g, outs_g) = order_h, order_g
-            sigma = (
-                tuple(ins_g.index(incl.component[e]) for e in ins_h),
-                tuple(outs_g.index(incl.component[e]) for e in outs_h),
-            )
+        parts = zip(sides(h, star_boundary_order(h, v)), sides(g, star_boundary_order(g, w)))
+        sigma = joined(h, (tuple(pg.index(incl.component[x]) for x in ph) for ph, pg in parts))
         dec_h[v] = P.actions[(dec_g[w], sigma)]
     return decorated(h, col_h, dec_h)
 
@@ -1141,43 +829,22 @@ def evaluate_region(P, d: DecoratedGraph, x):
     from .emb import realize
 
     k, incl = realize(x)
-    dk = pull_decoration(P, incl, d)
-    t = evaluate(P, dk)
-    if P.directed:
-        ins = tuple(("in", incl.component[e]) for (_, e) in t.ports[0])
-        outs = tuple(("out", incl.component[e]) for (_, e) in t.ports[1])
-        return Term(t.op, (ins, outs))
-    ports = tuple(incl.component[a] for a in t.ports)
-    return Term(t.op, ports)
+    t = evaluate(P, pull_decoration(P, incl, d))
+    return Term(t.op, _ports(k, t.ports, lambda port: incl.component[_slot(k, port)]))
 
 
 def nerve_action(P, m, d: DecoratedGraph) -> DecoratedGraph:
     """Contravariant action of a graph map on decorations: color through
     phi0 and decorate each source vertex by evaluating its image region."""
     from .emb import vertex_element
-    from .graphs import UGraph
 
     g = m.source
     col_t = dict(d.coloring)
-    undirected = isinstance(g, UGraph)
-    if undirected:
-        col = {a: col_t[m.phi0[a]] for a in g.arcs}
-    else:
-        col = {e: col_t[m.phi0[e]] for e in g.edges}
+    col = {s: col_t[m.phi0[s]] for s in g.slots}
     dec = {}
     for v in g.vertices:
-        y = m.phi_hat[vertex_element(g, v)]
-        t = evaluate_region(P, d, y)
-        order = star_boundary_order(g, v)
-        if undirected:
-            new_ports = tuple(m.phi0[b] for b in order)
-        else:
-            ins, outs = order
-            new_ports = (
-                tuple(("in", m.phi0[e]) for e in ins),
-                tuple(("out", m.phi0[e]) for e in outs),
-            )
-        moved = act_to(P, t, new_ports)
+        t = evaluate_region(P, d, m.phi_hat[vertex_element(g, v)])
+        moved = act_to(P, t, _ports(g, star_boundary_order(g, v), m.phi0.__getitem__))
         if moved is None:
             fail("FlavorMismatch", f"region term does not match star of {v!r}")
         dec[v] = moved.op

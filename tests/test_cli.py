@@ -195,7 +195,16 @@ def test_compose_cli(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case",
-    ["directory", "not_utf8", "non_integer", "unknown_key", "negative_flag"],
+    [
+        "directory",
+        "not_utf8",
+        "non_integer",
+        "unknown_key",
+        "negative_flag",
+        "oracle_without_pair",
+        "oracle_pair_without_comma",
+        "orient_without_choice",
+    ],
 )
 def test_bad_input_exits_2(case, tmp_path, capsys):
     cfg = tmp_path / "settings.cfg"
@@ -213,11 +222,31 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
     elif case == "unknown_key":
         cfg.write_text("bogus_key = 3\n")
         argv = site_build + ["--config", str(cfg)]
-    else:
+    elif case == "negative_flag":
         argv = site_build + ["--vertices", "-1"]
+    elif case == "oracle_without_pair":
+        argv = ["oracle", "treemaps", fx("linear.graph")]
+    elif case == "oracle_pair_without_comma":
+        argv = ["oracle", "etale", fx("linear.graph"), "--graph", "L0"]
+    else:
+        argv = ["orient", fx("four_cycle.graph")]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not manifest.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["emb", fx("linear.graph")], "AmbiguousGraph"),
+        (["emb", fx("linear.graph"), "--graph", "L9"], "UnknownGraph"),
+        (["oracle", "treemaps", fx("linear.graph"), "--graph", "L0,L9"], "UnknownGraph"),
+    ],
+)
+def test_graph_choice_error_codes(argv, code, capsys):
+    status, out = run(capsys, *argv, "--json")
+    assert status == 1
+    assert json.loads(out)["error"] == code

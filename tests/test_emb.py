@@ -254,6 +254,11 @@ class TestStructured:
             is_structured(vertex_element(g, "u"))
         assert ei.value.code == "NotAcyclic"
 
+    def test_undirected_host_is_a_flavor_mismatch(self, theta):
+        with pytest.raises(LooseEndsError) as ei:
+            is_structured(vertex_element(theta, "u"))
+        assert ei.value.code == "FlavorMismatch"
+
     def test_bypass_region_not_structured(self):
         # u -> v -> w plus a direct u -> w edge: {u, w} is not path-closed
         g = validate_dgraph(

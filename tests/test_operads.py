@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from looseends.graphs import (
     validate_ugraph,
 )
 from looseends.operads import (
+    OperadPresentation,
     act_to,
     decorated,
     decoration_valid,
@@ -334,3 +337,166 @@ class TestAssociativityLaw:
         with pytest.raises(LooseEndsError) as ei:
             validate_presentation(Q)
         assert ei.value.code == "AssociativityViolated"
+
+
+def _graded(P):
+    """P times Z/2: two operations over each operation of P, grades adding
+    under composition and kept by actions and contractions.  Every profile
+    then holds two operations, so a swap within a profile passes the shape
+    checks and has to be caught by a law."""
+
+    def nm(p, g):
+        return f"{p}^{g}"
+
+    G = (0, 1)
+    return OperadPresentation(
+        P.name + "xZ2",
+        P.flavor,
+        P.colors,
+        P.dagger,
+        {prof: tuple(nm(p, g) for p in names for g in G) for prof, names in P.ops.items()},
+        {nm(p, g): prof for p, prof in P.op_profile.items() for g in G},
+        {
+            (nm(p, g), i, j, nm(q, h)): nm(r, (g + h) % 2)
+            for (p, i, j, q), r in P.compositions.items()
+            for g in G
+            for h in G
+        },
+        {(nm(p, g), i, j): nm(r, g) for (p, i, j), r in P.contractions.items() for g in G},
+        {(nm(p, g), perm): nm(q, g) for (p, perm), q in P.actions.items() for g in G},
+        {c: nm(p, 0) for c, p in P.identities.items()},
+        P.caps,
+    )
+
+
+_REMOVE = object()
+
+
+def _mutation_codes(P, table):
+    """validate_presentation's error code (None: accepted) for every
+    mutation of one table: each entry replaced by another op of the same
+    profile, by an op of another profile, and removed."""
+    codes = collections.Counter()
+    for key, cur in getattr(P, table).items():
+        others = [q for q in P.op_profile if q != cur]
+        same = [q for q in others if P.op_profile[q] == P.op_profile[cur]]
+        moved = [q for q in others if P.op_profile[q] != P.op_profile[cur]]
+        for alt in same[:1] + moved[:1] + [_REMOVE]:
+            entries = dict(getattr(P, table))
+            if alt is _REMOVE:
+                del entries[key]
+            else:
+                entries[key] = alt
+            try:
+                validate_presentation(dataclasses.replace(P, **{table: entries}))
+                codes[None] += 1
+            except LooseEndsError as e:
+                codes[e.code] += 1
+    return dict(codes)
+
+
+def _sweep_presentations():
+    path2 = validate_ugraph(
+        "path2",
+        [("a", "a*"), ("b", "b*"), ("c", "c*")],
+        [("x", ["a*", "b"]), ("y", ["b*", "c"])],
+    )
+    z3 = {
+        ("1", "1"): "1", ("1", "a"): "a", ("1", "b"): "b",
+        ("a", "1"): "a", ("a", "a"): "b", ("a", "b"): "1",
+        ("b", "1"): "b", ("b", "a"): "1", ("b", "b"): "a",
+    }
+    c2, c3 = OperadCaps(2, 16), OperadCaps(3, 16)
+    return {
+        "flip": monoid_dioperad(),
+        "z3": monoid_dioperad(name="z3", elements=("1", "a", "b"), table=z3),
+        "free_cyclic": free_cyclic(path2, caps=c3),
+        "modular": terminal_presentation("modular", caps=c3),
+        "dioperad": terminal_presentation("dioperad", caps=c3),
+        "wheeledProperad": terminal_presentation("wheeledProperad", caps=c3),
+        "modularxZ2": _graded(terminal_presentation("modular", caps=c3)),
+        "wheeledProperadxZ2": _graded(terminal_presentation("wheeledProperad", caps=c2)),
+    }
+
+
+# Error codes of the mutation sweep, per presentation and table.
+MUTATION_CODES = {
+    "flip": {
+        "identities": {"IdentityLawViolated": 2},
+        "actions": {"ActionLawViolated": 4},
+        "compositions": {"IdentityLawViolated": 3, "TableIncomplete": 4, None: 1},
+        "contractions": {},
+    },
+    "z3": {
+        "identities": {"IdentityLawViolated": 2},
+        "actions": {"ActionLawViolated": 6},
+        "compositions": {
+            "AssociativityViolated": 4,
+            "IdentityLawViolated": 5,
+            "TableIncomplete": 9,
+        },
+        "contractions": {},
+    },
+    "free_cyclic": {
+        "identities": {"IdentityLawViolated": 12},
+        "actions": {"ActionLawViolated": 48},
+        "compositions": {"AssociativityViolated": 80, "TableIncomplete": 80},
+        "contractions": {},
+    },
+    "modular": {
+        "identities": {"IdentityLawViolated": 2},
+        "actions": {"ActionLawViolated": 20},
+        "compositions": {"AssociativityViolated": 27, "TableIncomplete": 27},
+        "contractions": {"EquivarianceViolated": 4, "TableIncomplete": 4},
+    },
+    "dioperad": {
+        "identities": {"IdentityLawViolated": 2},
+        "actions": {"ActionLawViolated": 48},
+        "compositions": {"AssociativityViolated": 64, "TableIncomplete": 64},
+        "contractions": {},
+    },
+    "wheeledProperad": {
+        "identities": {"IdentityLawViolated": 2},
+        "actions": {"ActionLawViolated": 48},
+        "compositions": {"AssociativityViolated": 64, "TableIncomplete": 64},
+        "contractions": {"EquivarianceViolated": 5, "TableIncomplete": 5},
+    },
+    "modularxZ2": {
+        "identities": {"IdentityLawViolated": 3},
+        "actions": {"ActionLawViolated": 60},
+        "compositions": {
+            "AssociativityViolated": 112,
+            "EquivarianceViolated": 81,
+            "IdentityLawViolated": 23,
+            "TableIncomplete": 108,
+        },
+        "contractions": {"EquivarianceViolated": 16, "TableIncomplete": 8},
+    },
+    "wheeledProperadxZ2": {
+        "identities": {"IdentityLawViolated": 3},
+        "actions": {"ActionLawViolated": 48},
+        "compositions": {
+            "AssociativityViolated": 73,
+            "EquivarianceViolated": 40,
+            "IdentityLawViolated": 15,
+            "TableIncomplete": 64,
+        },
+        "contractions": {"EquivarianceViolated": 2, "TableIncomplete": 2, None: 2},
+    },
+}
+
+
+def test_mutation_sweep_pins_error_codes():
+    """Every corruption of a valid table is caught with the pinned code:
+    a guard on the law checks themselves, over both flavors."""
+    presentations = _sweep_presentations()
+    for P in presentations.values():
+        validate_presentation(P)
+    got = {
+        name: {
+            table: _mutation_codes(P, table)
+            for table in ("identities", "actions", "compositions", "contractions")
+        }
+        for name, P in presentations.items()
+    }
+    assert got == MUTATION_CODES
