@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -365,3 +366,69 @@ class TestVertexDataDeterminacy:
                     )
                     groups[key].append(m)
                 assert all(len(grp) == 1 for grp in groups.values())
+
+
+# Error codes of the mutation sweep, per family of maps.
+VALIDATE_CODES = {
+    "trees": {"BoundaryIncompatible": 1544, "EdgesNotPreserved": 492},
+    "U": {
+        "BoundaryIncompatible": 19661,
+        "DisjointnessViolated": 110,
+        "EdgesNotPreserved": 11632,
+        "UnionNotPreserved": 348,
+        None: 36,
+    },
+    "G": {
+        "BoundaryIncompatible": 6501,
+        "DisjointnessViolated": 4,
+        "EdgesNotPreserved": 3789,
+        "UnionNotPreserved": 37,
+        None: 5,
+    },
+    "Delta": {"BoundaryIncompatible": 4162, "EdgesNotPreserved": 1699},
+}
+
+
+def _validate_codes(maps):
+    """validate_graph_map's code for every map with one phi_hat entry
+    replaced by another element of the target's Emb (None: still valid)."""
+    codes = Counter()
+    for m in maps:
+        for x in enumerate_emb(m.source):
+            for y in enumerate_emb(m.target):
+                if y == m.phi_hat[x]:
+                    continue
+                table = dict(m.phi_hat)
+                table[x] = y
+                try:
+                    GraphMap(m.source, m.target, m.phi0, table, check=True)
+                    codes[None] += 1
+                except LooseEndsError as err:
+                    codes[err.code] += 1
+    return dict(codes)
+
+
+def test_mutation_sweep_pins_validate_codes():
+    """Every single-entry corruption of a valid phi_hat is caught with the
+    pinned code: a guard on validate_graph_map over tree maps, the cyclic
+    site U and the directed sites G and Delta."""
+    from looseends.config import SiteBounds
+    from looseends.sites import build_site
+
+    trees = gen_trees_u(SiteBounds(4, 6, 3))
+    families = {
+        "trees": [
+            m
+            for i, j in ((6, 12), (11, 22), (9, 9))
+            for m in enumerate_graph_maps(trees[i], trees[j])
+        ]
+    }
+    for tag, bounds in (
+        ("U", SiteBounds(2, 3, 3)),
+        ("G", SiteBounds(2, 3, 3)),
+        ("Delta", SiteBounds(3, 4, 2)),
+    ):
+        site = build_site(tag, bounds)
+        families[tag] = [site.morph(ref) for ref in site.all_refs()]
+    got = {name: _validate_codes(maps) for name, maps in families.items()}
+    assert got == VALIDATE_CODES
