@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import fail
 from .etale import EtaleMap, enumerate_etale
@@ -77,34 +77,17 @@ def incident_edges(g, vertex_set):
     return frozenset(out)
 
 
-def region_connected(g, vertices, glued):
-    verts = sorted(vertices)
-    if len(verts) <= 1:
-        return True
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in glued:
-        x, y = g.ends(e)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-    return len({find(v) for v in verts}) == 1
-
-
 def region(g, vertices, glued):
     vertices = frozenset(vertices)
     glued = frozenset(glued)
+    ix = index(g)
     if not vertices:
         fail("EmptySubgraph", "a region needs at least one vertex")
+    if not vertices <= ix.vbit.keys():
+        fail("UnknownVertex", "region vertices must be host vertices")
     if not glued <= internal_edges_of(g, vertices):
         fail("UnknownEdge", "glued edges must be internal to the region")
-    if not region_connected(g, vertices, glued):
+    if not ix.connected(ix.vertex_mask(vertices), ix.edge_mask(glued)):
         fail("NotClosed", "region does not realize a connected graph")
     return EmbRegion(g, vertices, glued)
 
@@ -129,7 +112,7 @@ def id_element(g):
 def enumerate_emb_pieces(g):
     """Edge and connected-region classes without the host connectivity
     check; the CLI uses this to report on disconnected inputs."""
-    return _enumerate_pieces(g)
+    return index(g).emb
 
 
 @lru_cache(maxsize=None)
@@ -137,22 +120,7 @@ def enumerate_emb(g):
     """All of Emb(G) in the deterministic (kind, |S|, S, Z) order."""
     if not is_connected(g):
         fail("NotConnected", "Emb is defined for connected hosts")
-    return _enumerate_pieces(g)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_pieces(g):
-    out = [EmbEdge(g, e) for e in g.edge_keys]
-    verts = sorted(g.vertices)
-    for k in range(1, len(verts) + 1):
-        for s in itertools.combinations(verts, k):
-            sset = frozenset(s)
-            internal = internal_edges_of(g, sset)
-            for z in _subsets(internal):
-                if region_connected(g, sset, z):
-                    out.append(EmbRegion(g, sset, frozenset(z)))
-    out.sort(key=lambda x: x.sort_key())
-    return tuple(out)
+    return index(g).emb
 
 
 def _subsets(items):
@@ -161,8 +129,163 @@ def _subsets(items):
         yield from itertools.combinations(items, r)
 
 
+# ---------------------------------------------------------------------------
+# the host index: Emb(G) compiled to bitmasks
+
+
+def index(g):
+    """The HostIndex of g, built on first use and kept on the graph, so it
+    lives and dies with its host."""
+    ix = g.__dict__.get("_emb_index")
+    if ix is None:
+        ix = g._emb_index = HostIndex(g)
+    return ix
+
+
+class HostIndex:
+    """Emb(G) of one host as bitmasks.
+
+    Vertex i of ``g.vertices`` is bit i of a vertex mask, edge j of
+    ``g.edge_keys`` bit j of an edge mask.  ``code(x)`` is (V, Z, T, C): the
+    vertex mask of x, its glued-edge mask, the vertices it touches (the ends
+    of an edge, V for a region) and the edges it covers (itself, or the
+    edges incident to V).  The regions of Emb(G) are exactly the connected
+    (S, Z) with Z among the internal edges of S, so the classes above a
+    pair whose vertex sets join to S are a filter of ``by_v[S]``, the
+    regions on S in Emb order.
+    """
+
+    def __init__(self, g):
+        self.host = g
+        self.vbit = {v: 1 << i for i, v in enumerate(g.vertices)}
+        self.ebit = {e: 1 << j for j, e in enumerate(g.edge_keys)}
+        # per edge: (edge bit, end mask, both ends attached)
+        self.edge_ends = [
+            (self.ebit[e], self.vertex_mask(set(g.ends(e)) - {None}), None not in g.ends(e))
+            for e in g.edge_keys
+        ]
+        pieces = [EmbEdge(g, e) for e in g.edge_keys]
+        for k in range(1, len(g.vertices) + 1):
+            for s in itertools.combinations(g.vertices, k):
+                vmask = self.vertex_mask(s)
+                internal = self.edges_in(self.internal(vmask))
+                for z in _subsets(internal):
+                    if self.connected(vmask, self.edge_mask(z)):
+                        pieces.append(EmbRegion(g, frozenset(s), frozenset(z)))
+        pieces.sort(key=lambda x: x.sort_key())
+        self.emb = tuple(pieces)
+
+    # the tables below are built on first use: many hosts only list their
+    # classes, or are only the target of a map check, which reads codes
+    @cached_property
+    def codes(self):
+        return {x: self._encode(x) for x in self.emb}
+
+    @cached_property
+    def by_v(self):
+        out = {}
+        for x, c in self.codes.items():
+            if c[0]:
+                out.setdefault(c[0], []).append((c, x))
+        return out
+
+    def vertex_mask(self, vertices):
+        return sum(self.vbit[v] for v in vertices)
+
+    def edge_mask(self, edges):
+        return sum(self.ebit[e] for e in edges)
+
+    def edges_in(self, emask):
+        return [e for e in self.host.edge_keys if self.ebit[e] & emask]
+
+    def internal(self, vmask):
+        """Mask of the edges with both ends attached inside vmask."""
+        return sum(bit for bit, ends, both in self.edge_ends if both and not ends & ~vmask)
+
+    def incident(self, vmask):
+        """Mask of the edges with an end in vmask."""
+        return sum(bit for bit, ends, _ in self.edge_ends if ends & vmask)
+
+    def connected(self, vmask, zmask):
+        """Do the glued edges zmask join the vertices vmask into one piece?"""
+        links = [ends for bit, ends, _ in self.edge_ends if bit & zmask]
+        reached, grown = vmask & -vmask, True
+        while grown:
+            grown = False
+            for ends in links:
+                if ends & reached and ends & ~reached:
+                    reached |= ends
+                    grown = True
+        return reached == vmask
+
+    def code(self, x):
+        """The masks (V, Z, T, C) of x, looked up for the classes of Emb."""
+        c = self.codes.get(x)
+        return self._encode(x) if c is None else c
+
+    def _encode(self, x):
+        if isinstance(x, EmbEdge):
+            bit = self.ebit[x.edge]
+            return 0, 0, self.edge_ends[bit.bit_length() - 1][1], bit
+        v = self.vertex_mask(x.vertices)
+        return v, self.edge_mask(x.glued), v, self.incident(v)
+
+    def region(self, vmask, zmask):
+        """The region with masks (vmask, zmask)."""
+        for c, x in self.by_v.get(vmask, ()):
+            if c[1] == zmask:
+                return x
+        g = self.host
+        return EmbRegion(
+            g,
+            frozenset(v for v in g.vertices if self.vbit[v] & vmask),
+            frozenset(self.edges_in(zmask)),
+        )
+
+    @cached_property
+    def disjoint_pairs(self):
+        """Positions (i, j), i < j, of the classes of Emb with disjoint
+        vertex sets, in the order of itertools.combinations, as two columns."""
+        vs = [self.codes[x][0] for x in self.emb]
+        pairs = [
+            (i, j) for i, j in itertools.combinations(range(len(vs)), 2) if not vs[i] & vs[j]
+        ]
+        return _columns(pairs, 2)
+
+    @cached_property
+    def union_triples(self):
+        """Positions (i, j, k) in Emb with emb[k] among unions(emb[i],
+        emb[j]), in the order of a loop over i, then j, then the unions, as
+        three columns."""
+        pos = {x: k for k, x in enumerate(self.emb)}
+        triples = [
+            (i, j, pos[z])
+            for i, x in enumerate(self.emb)
+            for j, y in enumerate(self.emb)
+            for z in unions(x, y)
+        ]
+        return _columns(triples, 3)
+
+
+def _columns(rows, width):
+    """Rows as one tuple per column: a third of the memory of the rows."""
+    return tuple(zip(*rows)) or ((),) * width
+
+
+def is_union_code(cx, cy, cz):
+    """Is the class coded cz a union of the classes coded cx and cy?"""
+    vx, zx, tx, ex = cx
+    vy, zy, ty, ey = cy
+    vz, zz, _, ez = cz
+    s = vx | vy
+    if not s:  # two edges: their union is the edge, if they are one
+        return not vz and ex == ey == ez
+    z = zx | zy
+    return vz == s and zz & z == z and bool(tx & s and ty & s)
+
+
 def check_host(x, y):
-    if x.host != y.host:
+    if x.host is not y.host and x.host != y.host:
         fail("HostMismatch", f"{x!r} vs {y!r}")
 
 
@@ -246,47 +369,29 @@ def _realize_d(x):
 def leq(x, y) -> bool:
     """x <= y iff realize(x) factors through realize(y)."""
     check_host(x, y)
-    if isinstance(x, EmbEdge):
-        if isinstance(y, EmbEdge):
-            return x.edge == y.edge
-        if x.edge in y.glued:
-            return True
-        a, b = y.host.ends(x.edge)
-        return (a in y.vertices) or (b in y.vertices)
     if isinstance(y, EmbEdge):
-        return False
-    return x.vertices <= y.vertices and x.glued <= y.glued
+        return x == y
+    ix = index(y.host)
+    vx, zx, tx, _ = ix.code(x)
+    vy, zy, _, _ = ix.code(y)
+    return not (vx & ~vy or zx & ~zy) and bool(tx & vy)
 
 
 def vertex_disjoint(x, y) -> bool:
     check_host(x, y)
-    return not (x.vertex_set & y.vertex_set)
+    ix = index(x.host)
+    return not ix.code(x)[0] & ix.code(y)[0]
 
 
 def unions(x, y):
     """All unions of x and y: common upper bounds whose vertex set is the
     union of the two vertex sets.  May be empty or contain several elements."""
     check_host(x, y)
-    g = x.host
-    s = x.vertex_set | y.vertex_set
-    if not s:
-        return (x,) if x.edge == y.edge else ()
-    base = set()
-    for z in (x, y):
-        if isinstance(z, EmbRegion):
-            base |= z.glued
-    internal = internal_edges_of(g, s)
-    out = []
-    extra = sorted(internal - base)
-    for addition in _subsets(extra):
-        glued = frozenset(base | set(addition))
-        if not region_connected(g, s, glued):
-            continue
-        cand = EmbRegion(g, s, glued)
-        if leq(x, cand) and leq(y, cand):
-            out.append(cand)
-    out.sort(key=lambda z: z.sort_key())
-    return tuple(out)
+    ix = index(x.host)
+    cx, cy = ix.code(x), ix.code(y)
+    s = cx[0] | cy[0]
+    pool = ix.by_v.get(s, ()) if s else ((cx, x),)
+    return tuple(z for cz, z in pool if is_union_code(cx, cy, cz))
 
 
 # ---------------------------------------------------------------------------
@@ -448,32 +553,26 @@ def enumerate_ssb(g):
 def intersect_subtrees(x, y):
     """Intersection of two subtree classes in a tree host; None if disjoint."""
     check_host(x, y)
-    g = x.host
-    ex = _covered_edges(x)
-    ey = _covered_edges(y)
-    common_v = x.vertex_set & y.vertex_set
-    common_e = ex & ey
+    ix = index(x.host)
+    vx, _, _, cx = ix.code(x)
+    vy, _, _, cy = ix.code(y)
+    common_v = vx & vy
     if common_v:
-        return EmbRegion(g, frozenset(common_v), internal_edges_of(g, common_v))
-    if len(common_e) == 1:
-        (e,) = common_e
-        return EmbEdge(g, e)
+        return ix.region(common_v, ix.internal(common_v))
+    common_e = cx & cy
     if not common_e:
         return None
-    fail("NotTrees", "multiple common edges without common vertices")
-
-
-def _covered_edges(x):
-    if isinstance(x, EmbEdge):
-        return frozenset({x.edge})
-    return incident_edges(x.host, x.vertex_set)
+    if common_e & (common_e - 1):
+        fail("NotTrees", "multiple common edges without common vertices")
+    return EmbEdge(x.host, x.host.edge_keys[common_e.bit_length() - 1])
 
 
 def overlap(x, y) -> bool:
     check_host(x, y)
-    return bool(_covered_edges(x) & _covered_edges(y)) or bool(
-        x.vertex_set & y.vertex_set
-    )
+    ix = index(x.host)
+    vx, _, _, cx = ix.code(x)
+    vy, _, _, cy = ix.code(y)
+    return bool(cx & cy or vx & vy)
 
 
 # ---------------------------------------------------------------------------

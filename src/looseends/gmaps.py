@@ -20,12 +20,13 @@ from .emb import (
     edge_element,
     enumerate_emb,
     id_element,
+    index,
     internal_edges_of,
     is_structured,
+    is_union_code,
     pushforward,
     realize,
     unions,
-    vertex_disjoint,
     vertex_element,
 )
 from .errors import LooseEndsError, fail
@@ -91,36 +92,37 @@ def validate_graph_map(m: GraphMap):
         if m.phi0[g.partner(s)] != gp.partner(m.phi0[s]):
             fail("NotInvolutive", f"phi0 at arc {s!r}")
     elems = enumerate_emb(g)
-    target_elems = set(enumerate_emb(gp))
+    enumerate_emb(gp)  # the target must be connected too
+    target_codes = index(gp).codes
     for x in elems:
         if x not in m.phi_hat:
             fail("BoundaryIncompatible", f"phi_hat not total at {x!r}")
-        if m.phi_hat[x] not in target_elems:
+        if m.phi_hat[x] not in target_codes:
             fail("BoundaryIncompatible", f"phi_hat lands outside Emb at {x!r}")
+    images = [m.phi_hat[x] for x in elems]
     # (i) edges to edges, matching phi0
-    for x in elems:
+    for x, y in zip(elems, images):
         if isinstance(x, EmbEdge):
-            y = m.phi_hat[x]
             if not isinstance(y, EmbEdge):
                 fail("EdgesNotPreserved", f"{x!r} maps to {y!r}")
             if y.edge != m.edge_image(x.edge):
                 fail("BoundaryIncompatible", f"edge image of {x!r} disagrees with phi0")
     # (iv) boundary compatibility
-    for x in elems:
+    for x, y in zip(elems, images):
         want = m.push_boundary(boundary_profile(x))
-        got = boundary_profile(m.phi_hat[x])
+        got = boundary_profile(y)
         if want != got:
             fail("BoundaryIncompatible", f"at {x!r}: {want} vs {got}")
-    # (iii) vertex-disjointness
-    for x, y in itertools.combinations(elems, 2):
-        if vertex_disjoint(x, y) and not vertex_disjoint(m.phi_hat[x], m.phi_hat[y]):
-            fail("DisjointnessViolated", f"{x!r}, {y!r}")
-    # (ii) unions
-    for x in elems:
-        for y in elems:
-            for z in unions(x, y):
-                if m.phi_hat[z] not in unions(m.phi_hat[x], m.phi_hat[y]):
-                    fail("UnionNotPreserved", f"{x!r} u {y!r} -> {z!r}")
+    # (iii) vertex-disjointness and (ii) unions, as mask tests on the codes
+    # of the images, over the source's precomputed pairs and triples
+    ix = index(g)
+    codes = [target_codes[y] for y in images]
+    for i, j in zip(*ix.disjoint_pairs):
+        if codes[i][0] & codes[j][0]:
+            fail("DisjointnessViolated", f"{elems[i]!r}, {elems[j]!r}")
+    for i, j, k in zip(*ix.union_triples):
+        if not is_union_code(codes[i], codes[j], codes[k]):
+            fail("UnionNotPreserved", f"{elems[i]!r} u {elems[j]!r} -> {elems[k]!r}")
     return m
 
 

@@ -71,10 +71,14 @@ class UGraph:
         self._nbhd = {v: frozenset(a for a, w in t.items() if w == v) for v in self.vertices}
 
     def __eq__(self, other):
-        return isinstance(other, UGraph) and self._key == other._key
+        return self is other or (isinstance(other, UGraph) and self._key == other._key)
+
+    @cached_property
+    def _hash(self):
+        return hash(self._key)
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"UGraph({self.name!r}, {len(self.arcs)} arcs, {len(self.vertices)} vertices)"
@@ -158,10 +162,14 @@ class DGraph:
         self._out = {v: frozenset(e for e, w in outputs.items() if w == v) for v in self.vertices}
 
     def __eq__(self, other):
-        return isinstance(other, DGraph) and self._key == other._key
+        return self is other or (isinstance(other, DGraph) and self._key == other._key)
+
+    @cached_property
+    def _hash(self):
+        return hash(self._key)
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"DGraph({self.name!r}, {len(self.edges)} edges, {len(self.vertices)} vertices)"

@@ -10,10 +10,12 @@ from .emb import EmbEdge, enumerate_emb
 from .errors import fail
 from .gmaps import GraphMap
 from .graphs import UGraph
-from .operads import OperadPresentation
+from .operads import DecoratedGraph, OperadPresentation
 from .sites import Site
 
-TOKEN = re.compile(r"^[A-Za-z0-9_.*+'\-]+$")
+# "~" names the cut tips of a realized class (emb.realize), which site
+# manifests of U carry in their object names
+TOKEN = re.compile(r"^[A-Za-z0-9_.*+'~\-]+$")
 
 
 def check_token(tok):
@@ -69,7 +71,7 @@ def parse_graphs(text):
             block = {"name": check_token(words[1]), "directed": words[2] == "directed",
                      "pairs": [], "edges": [], "vertices": []}
         elif block is None:
-            fail("UnknownArc", f"line {lineno}: content before any graph header")
+            fail("MissingGraphHeader", f"line {lineno}: content before any graph header")
         elif words[0] == "pair":
             if block["directed"] or len(words) != 3:
                 fail("UnknownArc", f"line {lineno}: bad pair line")
@@ -451,6 +453,8 @@ def _jsonable(e):
         return ["t"] + [_jsonable(x) for x in e]
     if isinstance(e, frozenset):
         return ["f"] + sorted(_jsonable(x) for x in e)
+    if isinstance(e, DecoratedGraph):  # a nerve value; its host is the object
+        return {"coloring": _jsonable(e.coloring), "decoration": _jsonable(e.decoration)}
     return e
 
 
@@ -468,13 +472,15 @@ def parse_presheaf(text, site: Site):
         elif line.startswith("at "):
             mm = re.match(r"at\s+(\S+)\s*:\s*(.*)", line)
             i = int(mm.group(1))
-            values[i] = tuple(_from_token(tok) for tok in mm.group(2).split())
+            if not 0 <= i < len(site.objects):
+                fail("SiteTooSmall", f"line {lineno}: no object {i} in the site")
+            values[i] = tuple(_from_token(tok, site.objects[i]) for tok in mm.group(2).split())
         elif line.startswith("along "):
             mm = re.match(r"along\s+(\S+)\s*:\s*(\S+)\s*\|->\s*(\S+)", line)
             ref = names[mm.group(1)]
-            action.setdefault(ref, {})[_from_token(mm.group(2))] = _from_token(
-                mm.group(3)
-            )
+            i, j, _ = ref
+            elem = _from_token(mm.group(2), site.objects[j])
+            action.setdefault(ref, {})[elem] = _from_token(mm.group(3), site.objects[i])
         else:
             fail("SiteTooSmall", f"line {lineno}: unknown directive")
     from .presheaves import Presheaf
@@ -482,16 +488,19 @@ def parse_presheaf(text, site: Site):
     return Presheaf(site, values, action, name=name or "X")
 
 
-def _from_token(tok):
-    return _unjson(json.loads(tok))
+def _from_token(tok, host):
+    """The value written as tok, at an object whose graph is host."""
+    return _unjson(json.loads(tok), host)
 
 
-def _unjson(v):
+def _unjson(v, host):
     if isinstance(v, list):
         if v and v[0] == "t":
-            return tuple(_unjson(x) for x in v[1:])
+            return tuple(_unjson(x, host) for x in v[1:])
         if v and v[0] == "f":
-            return frozenset(_unjson(x) for x in v[1:])
+            return frozenset(_unjson(x, host) for x in v[1:])
+    if isinstance(v, dict):
+        return DecoratedGraph(host, _unjson(v["coloring"], host), _unjson(v["decoration"], host))
     return v
 
 

@@ -250,3 +250,53 @@ def test_graph_choice_error_codes(argv, code, capsys):
     status, out = run(capsys, *argv, "--json")
     assert status == 1
     assert json.loads(out)["error"] == code
+
+
+def test_nerve_written_for_segal(tmp_path, capsys):
+    """A nerve written with -o is a presheaf file that segal reads back."""
+    manifest, nerve = tmp_path / "delta.json", tmp_path / "flip.psh"
+    code, _ = run(capsys, "site-build", "--category", "Delta", "-o", str(manifest))
+    assert code == 0
+    code, out = run(
+        capsys, "nerve", fx("flip.operad"), "--site", str(manifest), "-o", str(nerve), "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["data"]["values"] == {"0": 1, "1": 2, "2": 4}
+    code, out = run(capsys, "segal", str(nerve), "--site", str(manifest), "--json")
+    assert code == 0
+    assert json.loads(out)["data"] == {"presheaf": "N(flip)", "segal": True}
+
+
+def test_u_manifest_round_trip(tmp_path, capsys):
+    """A U manifest names realized cut tips with "~"; it reads back, and the
+    nerve written on it is the nerve of the site built in memory."""
+    from looseends.config import OperadCaps, SiteBounds
+    from looseends.operads import terminal_presentation
+    from looseends.presheaves import nerve_presheaf
+    from looseends.sites import build_site
+    from looseends.textio import (
+        operad_to_text,
+        parse_presheaf,
+        site_from_manifest,
+        site_to_manifest,
+    )
+
+    manifest, operad, nerve = tmp_path / "u.json", tmp_path / "mod.operad", tmp_path / "n.psh"
+    P = terminal_presentation("modular", caps=OperadCaps(4, 16))
+    operad.write_text(operad_to_text(P))
+    argv = ["site-build", "--category", "U", "--vertices", "2", "--edges", "2"]
+    code, _ = run(capsys, *argv, "-o", str(manifest))
+    assert code == 0
+    text = manifest.read_text()
+    assert "~" in text
+    site = site_from_manifest(text)
+    assert site_to_manifest(site) == text
+    code, out = run(
+        capsys, "nerve", str(operad), "--site", str(manifest), "-o", str(nerve), "--json"
+    )
+    assert code == 0
+    X = parse_presheaf(nerve.read_text(), site)
+    X.validate()
+    built = nerve_presheaf(P, build_site("U", SiteBounds(2, 2, 3)))
+    assert [len(v) for v in X.values.values()] == [len(v) for v in built.values.values()]
+    assert X.values == nerve_presheaf(P, site).values

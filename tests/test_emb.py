@@ -167,6 +167,13 @@ class TestUnions:
                         assert z.vertex_set == x.vertex_set | y.vertex_set
 
 
+    def test_region_on_unknown_vertex_is_rejected(self, theta):
+        # the host index codes classes by vertex bits
+        with pytest.raises(LooseEndsError) as ei:
+            region(theta, ["u", "zz"], [])
+        assert ei.value.code == "UnknownVertex"
+
+
 class TestVertexDisjoint:
     def test_edges_always(self, theta):
         e1 = edge_element(theta, theta.edge_key("e"))
@@ -359,3 +366,79 @@ class TestPushforward:
 
                     composite = EtaleMap(hx, host, comp, vmap)
                     assert class_of_embedding(composite) == pushed
+
+
+class TestKernelAgainstSets:
+    """The bitmask kernel against set-based definitions, on every host of
+    A03's domain; the references read only the classes' fields and the
+    host's edge ends."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_every_pair_of_every_host(self, directed):
+        bounds = SiteBounds(3, 6, 3)
+        hosts = gen_connected_dgraphs(bounds) if directed else gen_connected_ugraphs(bounds)
+        assert len(hosts) == (538 if directed else 54)
+        trees = 0
+        for g in hosts:
+            elems = enumerate_emb(g)
+            on_vertices = {}
+            for z in elems:
+                if isinstance(z, EmbRegion):
+                    on_vertices.setdefault(z.vertices, []).append(z)
+            tree = shape(g).is_tree
+            trees += tree
+            for x in elems:
+                for y in elems:
+                    assert leq(x, y) == _leq_ref(x, y)
+                    assert unions(x, y) == _unions_ref(x, y, on_vertices)
+                    assert vertex_disjoint(x, y) == (not x.vertex_set & y.vertex_set)
+                    assert overlap(x, y) == bool(
+                        _covered_ref(x) & _covered_ref(y) or x.vertex_set & y.vertex_set
+                    )
+                    if tree:
+                        assert intersect_subtrees(x, y) == _intersect_ref(x, y)
+        assert trees == (239 if directed else 22)
+
+
+def _ends_ref(g, e):
+    return {v for v in g.ends(e) if v is not None}
+
+
+def _leq_ref(x, y):
+    """An edge lies below the edges it is and below the regions with a
+    vertex at one of its ends; a region below the regions whose vertices
+    and uncut edges contain its own."""
+    if isinstance(y, EmbEdge):
+        return x == y
+    if isinstance(x, EmbEdge):
+        return bool(_ends_ref(x.host, x.edge) & y.vertices)
+    return x.vertices <= y.vertices and x.glued <= y.glued
+
+
+def _unions_ref(x, y, on_vertices):
+    """The classes above x and y on the union of their vertex sets."""
+    s = x.vertex_set | y.vertex_set
+    if not s:
+        return (x,) if x == y else ()
+    return tuple(z for z in on_vertices.get(s, ()) if _leq_ref(x, z) and _leq_ref(y, z))
+
+
+def _covered_ref(x):
+    """The host edges over which x's realization has an arc or edge."""
+    if isinstance(x, EmbEdge):
+        return {x.edge}
+    g = x.host
+    return {e for e in g.edge_keys if _ends_ref(g, e) & x.vertices}
+
+
+def _intersect_ref(x, y):
+    g = x.host
+    common_v = x.vertex_set & y.vertex_set
+    if common_v:
+        inside = {e for e in g.edge_keys if None not in g.ends(e) and set(g.ends(e)) <= common_v}
+        return EmbRegion(g, common_v, frozenset(inside))
+    common_e = _covered_ref(x) & _covered_ref(y)
+    if not common_e:
+        return None
+    (e,) = common_e
+    return EmbEdge(g, e)

@@ -55,6 +55,11 @@ class TestGraphRoundTrip:
         with pytest.raises(LooseEndsError):
             parse_graphs("graph g undirected\nnonsense a b\n")
 
+    def test_content_before_header_has_its_own_code(self):
+        with pytest.raises(LooseEndsError) as ei:
+            parse_graphs("pair a a*\ngraph g undirected\n")
+        assert ei.value.code == "MissingGraphHeader"
+
 
 class TestEmbRoundTrip:
     def test_all_elements(self, theta, diamond):
@@ -120,6 +125,9 @@ class TestSiteManifest:
             X2 = parse_presheaf(text, site)
             assert X2.values == X.values
             assert X2.action == X.action
+        with pytest.raises(LooseEndsError) as ei:
+            parse_presheaf(f"presheaf X on site\nat {len(site.objects)}: 1\n", site)
+        assert ei.value.code == "SiteTooSmall"
 
 
 class TestDot:
