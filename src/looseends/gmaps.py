@@ -47,20 +47,20 @@ class GraphMap:
         self.target = target
         self.phi0 = dict(phi0)
         self.phi_hat = dict(phi_hat)
-        self._key = (
-            source._key,
-            target._key,
-            tuple(sorted(self.phi0.items())),
-            tuple(sorted((repr(k), repr(v)) for k, v in self.phi_hat.items())),
-        )
         if check:
             validate_graph_map(self)
 
     def __eq__(self, other):
-        return isinstance(other, GraphMap) and self._key == other._key
+        return isinstance(other, GraphMap) and (
+            self.source == other.source
+            and self.target == other.target
+            and self.phi0 == other.phi0
+            and self.phi_hat == other.phi_hat
+        )
 
     def __hash__(self):
-        return hash(self._key)
+        # phi0 and the hosts tell most maps apart; equal maps agree on them
+        return hash((self.source, self.target, frozenset(self.phi0.items())))
 
     def __repr__(self):
         return f"GraphMap({self.source.name} -> {self.target.name})"
@@ -480,8 +480,18 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
         rec(0)
 
     vertex_assignments(0, {}, {})
-    out.sort(key=lambda m: m._key)
+    out.sort(key=_sort_key)
     return out
+
+
+def _sort_key(m):
+    """The order of a hom-set: hosts, then phi0, then phi_hat by repr."""
+    return (
+        m.source._key,
+        m.target._key,
+        tuple(sorted(m.phi0.items())),
+        tuple(sorted((repr(k), repr(v)) for k, v in m.phi_hat.items())),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .emb import EmbRegion, enumerate_emb, realize
+from .emb import realize
 from .errors import LooseEndsError, fail
 from .etale import EtaleMap, compose_etale
 from .gmaps import is_inert, map_from_embedding
@@ -18,6 +18,7 @@ from .graphs import UGraph, iso
 from .sites import (
     ElementsSite,
     Site,
+    elementary_classes,
     orientations,
     restrict_orientation,
 )
@@ -150,9 +151,7 @@ def elementary_over(site: Site, i):
     """
     g = site.objects[i]
     covers = {}
-    for x in enumerate_emb(g):
-        if isinstance(x, EmbRegion) and (len(x.vertices) != 1 or x.glued):
-            continue
+    for x in elementary_classes(g):
         h, incl = realize(x)
         k = site.find_object(h)
         if k is None:
@@ -202,34 +201,27 @@ def segal_map(X: Presheaf, i):
 
 def _limit_families(X, covers, arrows, keys):
     """Backtracking construction of all compatible families."""
+    where = {x: n for n, x in enumerate(keys)}
     by_target = {}
     for x, y, ref in arrows:
-        by_target.setdefault(y, []).append((x, ref))
+        by_target.setdefault(y, []).append((where[x], ref))
     families = [()]
     for pos, y in enumerate(keys):
+        # arrows from covers already placed in the family
+        earlier = [(n, ref) for n, ref in by_target.get(y, []) if n < pos]
         new = []
         for fam in families:
             for val in X.value(covers[y][0]):
-                ok = True
-                for x, ref in by_target.get(y, []):
-                    if x in keys[:pos]:
-                        if fam[keys.index(x)] != X.act(ref, val):
-                            ok = False
-                            break
-                if ok:
+                if all(fam[n] == X.act(ref, val) for n, ref in earlier):
                     new.append(fam + (val,))
         families = new
     # filter by arrows pointing at earlier keys
-    out = []
-    for fam in families:
-        ok = True
-        for x, y, ref in arrows:
-            if fam[keys.index(x)] != X.act(ref, fam[keys.index(y)]):
-                ok = False
-                break
-        if ok:
-            out.append(fam)
-    return out
+    checks = [(where[x], where[y], ref) for x, y, ref in arrows]
+    return [
+        fam
+        for fam in families
+        if all(fam[nx] == X.act(ref, fam[ny]) for nx, ny, ref in checks)
+    ]
 
 
 def limit_families_bruteforce(X: Presheaf, i):

@@ -1,9 +1,13 @@
 """Finite truncations of the graph categories.
 
-A site holds iso-class representatives within size bounds, complete hom-sets
-between them, and composition by lookup.  Sites are closed under the middle
-objects of active-inert factorizations (those can exceed the edge bound) and
-always contain the elementary objects their stars need.
+A site holds iso-class representatives within size bounds and complete
+hom-sets between them.  Composition is a lookup: on first use every morphism
+compiles to a code, the target positions of the images of its source's slots
+and of its source's Emb classes, in the source's order.  Codes compose index
+by index, and one dict per site maps a code back to the morphism's position
+in its hom-set.  Sites are closed under the middle objects of active-inert
+factorizations and under the elementary covers (vertex stars and the edge)
+that the Segal condition needs; both can exceed the edge bound.
 
 The category of elements of the orientation presheaf is materialized as a
 directed site whose objects are (undirected object, orientation) pairs; that
@@ -13,14 +17,14 @@ construction is the bridge for the restriction / left Kan extension tests.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .config import DEFAULT_BOUNDS, DEFAULT_BUDGET
-from .emb import EmbEdge, EmbRegion, id_element, realize
+from .emb import EmbEdge, EmbRegion, enumerate_emb, id_element, realize
 from .errors import fail
 from .gen import gen_connected_dgraphs, gen_connected_ugraphs
 from .gmaps import (
     GraphMap,
-    compose,
     enumerate_graph_maps,
     identity_map,
     object_in_category,
@@ -42,10 +46,6 @@ class Site:
         self.tag = tag
         self.objects = list(objects)
         self.homs = dict(homs)
-        self._locate = {}
-        for (i, j), maps in self.homs.items():
-            for pos, m in enumerate(maps):
-                self._locate[(i, j, m._key)] = pos
         self._sig_index = {}
         for i, g in enumerate(self.objects):
             self._sig_index.setdefault(canonical_signature(g)[0], []).append(i)
@@ -66,8 +66,43 @@ class Site:
             for pos in range(len(maps)):
                 yield (i, j, pos)
 
+    @cached_property
+    def _positions(self):
+        """Per object: the position of each slot, and of each Emb class."""
+        return [
+            (
+                {s: p for p, s in enumerate(g.slots)},
+                {x: p for p, x in enumerate(enumerate_emb(g))},
+            )
+            for g in self.objects
+        ]
+
+    @cached_property
+    def _codes(self):
+        """The code of every morphism by ref, and its inverse."""
+        codes, where = {}, {}
+        for (i, j), maps in self.homs.items():
+            for pos, m in enumerate(maps):
+                code = codes[(i, j, pos)] = self._encode(i, j, m)
+                if code is not None:
+                    where[(i, j, code)] = pos
+        return codes, where
+
+    def _encode(self, i, j, m):
+        """The code of m : objects[i] -> objects[j], or None when m is no
+        total map between them."""
+        if m.source != self.objects[i] or m.target != self.objects[j]:
+            return None
+        (slots_i, emb_i), (slots_j, emb_j) = self._positions[i], self._positions[j]
+        code = (
+            _image_positions(m.phi0, slots_i, slots_j),
+            _image_positions(m.phi_hat, emb_i, emb_j),
+        )
+        return None if None in code else code
+
     def locate(self, i, j, m: GraphMap):
-        pos = self._locate.get((i, j, m._key))
+        _, where = self._codes
+        pos = where.get((i, j, self._encode(i, j, m)))
         if pos is None:
             fail("SiteTooSmall", f"morphism {m!r} missing from hom({i},{j})")
         return (i, j, pos)
@@ -77,12 +112,18 @@ class Site:
 
     def compose_refs(self, ref2, ref1):
         """ref1 : i -> j then ref2 : j -> k, as a located reference."""
-        i, j, pos1 = ref1
-        j2, k, pos2 = ref2
+        i, j, _ = ref1
+        j2, k, _ = ref2
         if j != j2:
             fail("SourceTargetMismatch", "composition of non-adjacent refs")
-        m = compose(self.morph(ref2), self.morph(ref1))
-        return self.locate(i, k, m)
+        codes, where = self._codes
+        a0, a1 = codes[ref1]
+        b0, b1 = codes[ref2]
+        code = tuple(map(b0.__getitem__, a0)), tuple(map(b1.__getitem__, a1))
+        pos = where.get((i, k, code))
+        if pos is None:
+            fail("SiteTooSmall", f"composite of {ref1} and {ref2} missing from hom({i},{k})")
+        return (i, k, pos)
 
     def find_object(self, g):
         """Index of the object isomorphic to g, or None."""
@@ -90,6 +131,30 @@ class Site:
             if isomorphic(self.objects[i], g):
                 return i
         return None
+
+
+def _image_positions(table, source, target):
+    """The target position of table[x] for each x in source's order, or None
+    when table is not a total function from source to target."""
+    if len(table) != len(source):
+        return None
+    out = [None] * len(source)
+    for x, y in table.items():
+        p, q = source.get(x), target.get(y)
+        if p is None or q is None:
+            return None
+        out[p] = q
+    return tuple(out)
+
+
+def elementary_classes(g):
+    """The classes of Emb(g) that elementary covers realize: the edges and
+    the vertex stars."""
+    return [
+        x
+        for x in enumerate_emb(g)
+        if isinstance(x, EmbEdge) or (len(x.vertices) == 1 and not x.glued)
+    ]
 
 
 def _object_pool(tag, bounds):
@@ -102,13 +167,13 @@ def _object_pool(tag, bounds):
 
 def build_site(tag, bounds=DEFAULT_BOUNDS, budget=DEFAULT_BUDGET, close=True):
     """Site with one object per iso class within bounds, full hom-sets, and
-    factorization-middle closure."""
+    closure under factorization middles and elementary covers."""
     objects = _object_pool(tag, bounds)
     objects = [_rename(g, f"{tag}{i}") for i, g in enumerate(objects)]
     homs = {}
     _fill_homs(tag, objects, homs, budget)
     if close:
-        _close_under_middles(tag, objects, homs, budget)
+        _close(tag, objects, homs, budget)
     return Site(tag, objects, homs)
 
 
@@ -125,24 +190,37 @@ def _fill_homs(tag, objects, homs, budget):
                 homs[(i, j)] = tuple(enumerate_graph_maps(g, h, tag=tag, budget=budget))
 
 
-def _close_under_middles(tag, objects, homs, budget):
-    from .gmaps import factorize
-
+def _close(tag, objects, homs, budget):
+    """Add the missing middle objects of active-inert factorizations, then
+    the missing elementary covers, one at a time, until none is missing."""
     while True:
-        missing = None
-        for (i, j), maps in sorted(homs.items()):
-            for m in maps:
-                mid, _ = realize(m.phi_hat[id_element(m.source)])
-                if any(isomorphic(g, mid) for g in objects):
-                    continue
-                missing = mid
-                break
-            if missing is not None:
-                break
+        missing = _missing_middle(objects, homs)
+        if missing is None:
+            missing = _missing_cover(tag, objects)
         if missing is None:
             return
         objects.append(_rename(missing, f"{tag}{len(objects)}"))
         _fill_homs(tag, objects, homs, budget)
+
+
+def _missing_middle(objects, homs):
+    for _, maps in sorted(homs.items()):
+        for m in maps:
+            mid, _ = realize(m.phi_hat[id_element(m.source)])
+            if not any(isomorphic(g, mid) for g in objects):
+                return mid
+    return None
+
+
+def _missing_cover(tag, objects):
+    """An elementary cover (a vertex star or the edge) of some object that
+    no object is isomorphic to and that lies in the category."""
+    for g in objects:
+        for x in elementary_classes(g):
+            h, _ = realize(x)
+            if object_in_category(h, tag) and not any(isomorphic(o, h) for o in objects):
+                return h
+    return None
 
 
 # ---------------------------------------------------------------------------

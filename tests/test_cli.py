@@ -268,8 +268,9 @@ def test_nerve_written_for_segal(tmp_path, capsys):
 
 
 def test_u_manifest_round_trip(tmp_path, capsys):
-    """A U manifest names realized cut tips with "~"; it reads back, and the
-    nerve written on it is the nerve of the site built in memory."""
+    """A U manifest names realized cut tips with "~"; it reads back, the
+    nerve written on it is the nerve of the site built in memory, and segal
+    finds every elementary cover in it."""
     from looseends.config import OperadCaps, SiteBounds
     from looseends.operads import terminal_presentation
     from looseends.presheaves import nerve_presheaf
@@ -300,3 +301,6 @@ def test_u_manifest_round_trip(tmp_path, capsys):
     built = nerve_presheaf(P, build_site("U", SiteBounds(2, 2, 3)))
     assert [len(v) for v in X.values.values()] == [len(v) for v in built.values.values()]
     assert X.values == nerve_presheaf(P, site).values
+    code, out = run(capsys, "segal", str(nerve), "--site", str(manifest), "--json")
+    assert code == 0
+    assert json.loads(out)["data"] == {"presheaf": "N(terminal-modular)", "segal": True}

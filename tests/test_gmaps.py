@@ -114,6 +114,34 @@ class TestCompose:
                     assert is_active(h)
 
 
+class TestIdentity:
+    def test_insertion_order_does_not_matter(self, theta):
+        for m in enumerate_graph_maps(theta, theta)[:6]:
+            flipped = GraphMap(
+                m.source,
+                m.target,
+                dict(reversed(list(m.phi0.items()))),
+                dict(reversed(list(m.phi_hat.items()))),
+                check=False,
+            )
+            assert flipped == m and hash(flipped) == hash(m)
+
+    def test_edge_flip_differs_only_in_phi0(self):
+        e = make_edge()
+        ident = identity_map(e)
+        flip = GraphMap(e, e, {"a": "a*", "a*": "a"}, ident.phi_hat)
+        assert ident == GraphMap(e, e, {"a": "a", "a*": "a*"}, ident.phi_hat)
+        assert flip != ident
+        assert set(enumerate_graph_maps(e, e)) == {flip, ident}
+
+    def test_probe_with_empty_phi_hat(self, theta):
+        m = identity_map(theta)
+        probe = GraphMap(theta, theta, m.phi0, {}, check=False)
+        assert probe == GraphMap(theta, theta, dict(m.phi0), {}, check=False)
+        assert probe != m
+        assert len({probe, m}) == 2
+
+
 class TestTreeMaps:
     def test_identity_extension(self, path2):
         phi0, phi1 = restrict_tree_map(identity_map(path2))
