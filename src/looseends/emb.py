@@ -99,12 +99,16 @@ def edge_element(g, e):
 
 
 def vertex_element(g, v):
-    return region(g, [v], [])
+    """The class of the vertex v alone.  A host vertex's class is read from
+    the host index; anything else fails as region() does."""
+    x = index(g).stars.get(v)
+    return region(g, [v], []) if x is None else x
 
 
 def id_element(g):
+    """The class of the whole host."""
     if g.vertices:
-        return EmbRegion(g, frozenset(g.vertices), internal_edges_of(g, set(g.vertices)))
+        return index(g).top
     (e,) = g.edge_keys
     return EmbEdge(g, e)
 
@@ -174,6 +178,9 @@ class HostIndex:
                         pieces.append(EmbRegion(g, frozenset(s), frozenset(z)))
         pieces.sort(key=lambda x: x.sort_key())
         self.emb = tuple(pieces)
+        # factorize() keeps the middle it realizes for a class here, so an
+        # equal middle is one graph, whose own index is built once
+        self.middles = {}
 
     # the tables below are built on first use: many hosts only list their
     # classes, or are only the target of a map check, which reads codes
@@ -188,6 +195,21 @@ class HostIndex:
             if c[0]:
                 out.setdefault(c[0], []).append((c, x))
         return out
+
+    @cached_property
+    def stars(self):
+        """The class of each vertex alone, with no glued edge, by vertex."""
+        return {
+            next(iter(x.vertices)): x
+            for x in self.emb
+            if isinstance(x, EmbRegion) and len(x.vertices) == 1 and not x.glued
+        }
+
+    @cached_property
+    def top(self):
+        """The class of the whole host, which has vertices."""
+        full = self.vertex_mask(self.host.vertices)
+        return self.region(full, self.internal(full))
 
     def vertex_mask(self, vertices):
         return sum(self.vbit[v] for v in vertices)

@@ -148,15 +148,16 @@ def map_from_embedding(m: EtaleMap) -> GraphMap:
 
 
 def is_active(m: GraphMap) -> bool:
+    """The whole source goes to the whole target."""
     return m.phi_hat[id_element(m.source)] == id_element(m.target)
 
 
 def is_inert(m: GraphMap) -> bool:
+    """Each vertex goes to one vertex: the class of every source vertex maps
+    to the class of a single target vertex with no glued edge."""
     return all(
-        isinstance(m.phi_hat[vertex_element(m.source, v)], EmbRegion)
-        and len(m.phi_hat[vertex_element(m.source, v)].vertices) == 1
-        and not m.phi_hat[vertex_element(m.source, v)].glued
-        for v in m.source.vertices
+        isinstance(y, EmbRegion) and len(y.vertices) == 1 and not y.glued
+        for y in map(m.phi_hat.__getitem__, index(m.source).stars.values())
     )
 
 
@@ -238,9 +239,14 @@ def restrict_tree_map(m: GraphMap):
 
 
 def factorize(m: GraphMap):
-    """Factor as an active map followed by an inert map, phi = iota . alpha."""
+    """Factor as an active map followed by an inert map, phi = iota . alpha.
+    The middle is realized once per class of the target's Emb and kept on
+    the target's host index."""
     top = m.phi_hat[id_element(m.source)]
-    h, incl = realize(top)
+    middles = index(top.host).middles
+    if top not in middles:
+        middles[top] = realize(top)
+    h, incl = middles[top]
     iota = map_from_embedding(incl)
     alpha = _lift_through_embedding(m, incl)
     if alpha is None:

@@ -177,14 +177,20 @@ def op_term(P, p, tag):
     return Term(p, joined(P, (tuple((tag, x, k) for k in range(len(s))) for x, s in parts)))
 
 
-def act_to(P, t: Term, new_ports):
-    """The same abstract operation with ports listed in a different order."""
+def _relisting(P, ports, new_ports):
+    """The permutation, side by side, that lists ports as new_ports; None if
+    they hold different ports."""
     perm = []
-    for a, b in zip(sides(P, t.ports), sides(P, new_ports)):
+    for a, b in zip(sides(P, ports), sides(P, new_ports)):
         if sorted(a) != sorted(b):
             return None
         perm.append(tuple(map(a.index, b)))
-    q = P.actions.get((t.op, joined(P, perm)))
+    return joined(P, perm)
+
+
+def act_to(P, t: Term, new_ports):
+    """The same abstract operation with ports listed in a different order."""
+    q = P.actions.get((t.op, _relisting(P, t.ports, new_ports)))
     if q is None:
         return None
     return Term(q, new_ports)
@@ -194,6 +200,18 @@ def _relistings(P, t: Term):
     """t under every permutation of its ports, side by side."""
     orders = itertools.product(*map(itertools.permutations, sides(P, t.ports)))
     return [act_to(P, t, joined(P, order)) for order in orders]
+
+
+def _adjacent_swaps(P, t: Term):
+    """t under each adjacent transposition within one side: the generators
+    of its relistings."""
+    parts = sides(P, t.ports)
+    out = []
+    for n, part in enumerate(parts):
+        for k in range(len(part) - 1):
+            swapped = part[:k] + (part[k + 1], part[k]) + part[k + 2 :]
+            out.append(act_to(P, t, joined(P, parts[:n] + (swapped,) + parts[n + 1 :])))
+    return out
 
 
 def term_eq(P, t1: Term, t2: Term) -> bool:
@@ -230,17 +248,24 @@ def _port(P, t: Term, side, k):
     return sides(P, t.ports)[side][k]
 
 
-def compose_at(P, t1: Term, port1, t2: Term, port2):
-    """t1 and t2 composed along port1 of t1 and port2 of t2; None if the
-    ports do not compose or the table lacks the entry.  The term whose port
-    lies on its first side supplies entry i of the key."""
+def _joint(P, t1: Term, port1, t2: Term, port2):
+    """The arguments (ta, i, tb, j) of compose_terms that join port1 of t1
+    to port2 of t2: the term whose port lies on its first side comes first.
+    None if the ports do not compose."""
     (s1, i), (s2, j) = port_index(P, t1, port1), port_index(P, t2, port2)
     last = len(sides(P, t1.ports)) - 1
     if s1 == 0 and s2 == last:
-        return compose_terms(P, t1, i, t2, j)
+        return t1, i, t2, j
     if s2 == 0 and s1 == last:
-        return compose_terms(P, t2, j, t1, i)
+        return t2, j, t1, i
     return None
+
+
+def compose_at(P, t1: Term, port1, t2: Term, port2):
+    """t1 and t2 composed along port1 of t1 and port2 of t2; None if the
+    ports do not compose or the table lacks the entry."""
+    joint = _joint(P, t1, port1, t2, port2)
+    return None if joint is None else compose_terms(P, *joint)
 
 
 def contract_at(P, t: Term, port1, port2):
@@ -257,10 +282,30 @@ def contract_at(P, t: Term, port1, port2):
 
 
 def validate_presentation(P: OperadPresentation):
+    """P, if its tables are total and satisfy the laws of its flavor; fails
+    with the code of the first violation found otherwise.  The group-action
+    law and equivariance are checked on generators (adjacent
+    transpositions), as ``_check_actions`` and ``_check_equivariance``
+    argue."""
+    return _validate(P, _adjacent_swaps, _check_associativity)
+
+
+def validate_presentation_reference(P: OperadPresentation):
+    """validate_presentation with the laws checked as first written: the
+    group-action law on every pair of relistings, equivariance of
+    composition and contraction on every relisting, and associativity term
+    by term at every attachment.  A reference for differential tests: it
+    must answer every presentation with the same error code."""
+    return _validate(P, _relistings, _check_associativity_by_terms)
+
+
+def _validate(P, relist, check_associativity):
+    """The checks in order; relist(P, t) lists the relistings of a term t
+    that the action law and both equivariance laws are checked against."""
     if P.flavor not in FLAVORS:
         fail("FlavorMismatch", f"unknown flavor {P.flavor!r}")
     _check_shapes(P)
-    _check_actions(P)
+    _check_actions(P, relist)
     _check_identity_shapes(P)
     _check_composition_totality(P)
     if P.contractions and not flavor_has_contraction(P.flavor):
@@ -268,10 +313,10 @@ def validate_presentation(P: OperadPresentation):
     if flavor_has_contraction(P.flavor):
         _check_contraction_totality(P)
     _check_identity_laws(P)
-    _check_equivariance(P)
-    _check_associativity(P)
+    _check_equivariance(P, relist)
+    check_associativity(P)
     if flavor_has_contraction(P.flavor):
-        _check_contraction_laws(P)
+        _check_contraction_laws(P, relist)
     return P
 
 
@@ -294,7 +339,16 @@ def _check_shapes(P):
         fail("FlavorMismatch", "cyclic flavor forbids the empty profile")
 
 
-def _check_actions(P):
+def _check_actions(P, relist):
+    """The action table is total, keeps profiles, fixes every op under the
+    identity, and is a group action: a(a(p, s), t) = a(p, st).
+
+    Checking the last law for every relisting s and every t in relist(P,
+    -) suffices when relist gives the adjacent transpositions of one side.
+    Any t is a word t' u in them, and by induction on its length
+    a(a(p, s), t' u) = a(a(a(p, s), t'), u) = a(a(p, st'), u) = a(p, st' u),
+    where the outer steps are the law at the ops a(p, s) and p, which are
+    checked too.  So n!(n - 1) pairs replace (n!)^2."""
     for p in P.op_profile:
         for perm in _perms_for(P, p):
             q = P.actions.get((p, perm))
@@ -308,7 +362,7 @@ def _check_actions(P):
             fail("ActionLawViolated", f"identity permutation moves {p!r}")
         # group action: two successive relistings equal one relisting
         for t1 in _relistings(P, t):
-            for t2 in _relistings(P, t1):
+            for t2 in relist(P, t1):
                 if t2.op != act_to(P, t, t2.ports).op:
                     fail("ActionLawViolated", f"not a group action at {p!r}")
 
@@ -369,14 +423,26 @@ def _check_identity_laws(P):
                         fail("IdentityLawViolated", f"{p!r} entry {(side, k)!r}{label}")
 
 
-def _check_equivariance(P):
+def _check_equivariance(P, relist):
+    """Composing along the same two ports gives the same term, however p and
+    q list them: compose(p.s, q) = compose(p, q) for each s in relist(P, p),
+    and likewise for q.
+
+    Adjacent transpositions suffice once the action law holds.  Write a
+    relisting as a word s1 ... sk in them; then p.(s1 ... sk) is the term
+    (p.(s1 ... sk-1)).sk, and the check at that term's key gives
+    compose(p.(s1 ... sk), q) = compose(p.(s1 ... sk-1), q) = ... =
+    compose(p, q).  Each step is an equality of terms up to relisting,
+    which the group action makes transitive.  Every key such a word passes
+    through is in the table: a missing one is a generator's step away from
+    a present key, whose check reports the gap."""
     for p, i, j, q in P.compositions:
         tp, tq = op_term(P, p, "p"), op_term(P, q, "q")
         base = compose_terms(P, tp, i, tq, j)
         x, y = _port(P, tp, 0, i), _port(P, tq, -1, j)
         for label, others in (
-            ("p", (compose_at(P, tp2, x, tq, y) for tp2 in _relistings(P, tp))),
-            ("q", (compose_at(P, tp, x, tq2, y) for tq2 in _relistings(P, tq))),
+            ("p", (compose_at(P, tp2, x, tq, y) for tp2 in relist(P, tp))),
+            ("q", (compose_at(P, tp, x, tq2, y) for tq2 in relist(P, tq))),
         ):
             for other in others:
                 if other is None:
@@ -393,7 +459,84 @@ def _recompose(P, tp, tq, x, y, inner, owner):
     return compose_at(P, tp, x, inner, y) if owner is tq else compose_at(P, inner, x, tq, y)
 
 
+def _attachments(P):
+    """Per op m: the (s, k, l) with (m, k, l, s) in the composition table
+    and (k, l) among the matching pairs of m and s, ordered by s as in
+    op_profile, then by k and l."""
+    rank = {s: n for n, s in enumerate(P.op_profile)}
+    pairs = {}
+    out = {}
+    for m, k, l, s in P.compositions:
+        if m not in rank or s not in rank:
+            continue
+        if (m, s) not in pairs:
+            pairs[m, s] = set(_matching_pairs(P, m, s))
+        if (k, l) in pairs[m, s]:
+            out.setdefault(m, []).append((s, k, l))
+    for attach in out.values():
+        attach.sort(key=lambda skl: (rank[skl[0]], skl[1], skl[2]))
+    return out
+
+
 def _check_associativity(P):
+    """Composing p and q, then attaching s, equals attaching s to whichever
+    of p and q owns the port first.  Only attachments present in the table
+    are visited, in the order of s, then of the port pair.  Which entries
+    the right-hand side is built from, and how it relists the left-hand
+    side, depends only on the side lengths of p, q and s and on the four
+    entries; _associativity_plan works it out once per such shape."""
+    attachments = _attachments(P)
+    shapes = {p: tuple(map(len, sides(P, prof))) for p, prof in P.op_profile.items()}
+    # each op's term once per role, the op name replaced by the role
+    roles = {p: {r: Term(r, op_term(P, p, r).ports) for r in "pqs"} for p in P.op_profile}
+    comp, act = P.compositions, P.actions
+    plans = {}
+    for (p, i, j, q), mid in comp.items():
+        for s, k, l in attachments.get(mid, ()):
+            shape = (shapes[p], shapes[q], shapes[s], i, j, k, l)
+            if shape not in plans:
+                tp, tq, ts = roles[p]["p"], roles[q]["q"], roles[s]["s"]
+                plans[shape] = _associativity_plan(P, tp, tq, ts, i, j, k, l)
+            if plans[shape] is None:
+                continue
+            (a1, i1, j1, b1), (a2, i2, j2, b2), perm = plans[shape]
+            ops = {"p": p, "q": q, "s": s}
+            ops["r"] = comp.get((ops[a1], i1, j1, ops[b1]))
+            rhs = None if ops["r"] is None else comp.get((ops[a2], i2, j2, ops[b2]))
+            if rhs is not None and act.get((comp[mid, k, l, s], perm)) != rhs:
+                fail(
+                    "AssociativityViolated",
+                    f"{(p, i, j, q)!r} then attach {s!r} at {(k, l)!r}",
+                )
+
+
+def _associativity_plan(P, tp, tq, ts, i, j, k, l):
+    """The right-hand side of associativity for terms shaped like tp, tq
+    and ts, whose ops are their roles "p", "q" and "s": the keys of its
+    inner and outer composition, with "r" for the inner composite, and the
+    relisting that turns the left-hand side's ports into its ports.  None
+    if it does not compose."""
+    mid = Term("mid", _splice(P, tp.ports, i, tq.ports, j))
+    x, y = _port(P, tp, 0, i), _port(P, tq, -1, j)
+    z, w = _port(P, mid, 0, k), _port(P, ts, -1, l)
+    owner = tq if z[0] == "q" else tp
+    inner = _joint(P, owner, z, ts, w)
+    if inner is None:
+        return None
+    ta, i1, tb, j1 = inner
+    tr = Term("r", _splice(P, ta.ports, i1, tb.ports, j1))
+    outer = _joint(P, tp, x, tr, y) if owner is tq else _joint(P, tr, x, tq, y)
+    if outer is None:
+        return None
+    tc, i2, td, j2 = outer
+    lhs = _splice(P, mid.ports, k, ts.ports, l)
+    rhs = _splice(P, tc.ports, i2, td.ports, j2)
+    return (ta.op, i1, j1, tb.op), (tc.op, i2, j2, td.op), _relisting(P, lhs, rhs)
+
+
+def _check_associativity_by_terms(P):
+    """_check_associativity as first written, for the reference: every
+    attachment of every op, composed term by term."""
     pairs = {(p, q): _matching_pairs(P, p, q) for p in P.op_profile for q in P.op_profile}
     terms = {s: op_term(P, s, "s") for s in P.op_profile}
     for p, i, j, q in P.compositions:
@@ -415,7 +558,10 @@ def _check_associativity(P):
                     )
 
 
-def _check_contraction_laws(P):
+def _check_contraction_laws(P, relist):
+    """Contractions commute among themselves, are equivariant (checked
+    against relist(P, p), as in _check_equivariance), and interchange with
+    composition."""
     # contractions commute among themselves
     for p, i, j in P.contractions:
         tp = op_term(P, p, "p")
@@ -434,7 +580,7 @@ def _check_contraction_laws(P):
         tp = op_term(P, p, "p")
         base = contract_term(P, tp, i, j)
         x, y = _port(P, tp, 0, i), _port(P, tp, -1, j)
-        for tp2 in _relistings(P, tp):
+        for tp2 in relist(P, tp):
             other = contract_at(P, tp2, x, y)
             if other is None:
                 fail("TableIncomplete", f"contraction gap at {(p, i, j)!r}")
@@ -833,9 +979,13 @@ def evaluate_region(P, d: DecoratedGraph, x):
     return Term(t.op, _ports(k, t.ports, lambda port: incl.component[_slot(k, port)]))
 
 
-def nerve_action(P, m, d: DecoratedGraph) -> DecoratedGraph:
+def nerve_action(P, m, d: DecoratedGraph, regions=None) -> DecoratedGraph:
     """Contravariant action of a graph map on decorations: color through
-    phi0 and decorate each source vertex by evaluating its image region."""
+    phi0 and decorate each source vertex by evaluating its image region.
+
+    regions, when given, is a dict that keeps the term of each evaluated
+    (decoration, class) pair for the next call; whoever passes it sets how
+    long it lives."""
     from .emb import vertex_element
 
     g = m.source
@@ -843,7 +993,13 @@ def nerve_action(P, m, d: DecoratedGraph) -> DecoratedGraph:
     col = {s: col_t[m.phi0[s]] for s in g.slots}
     dec = {}
     for v in g.vertices:
-        t = evaluate_region(P, d, m.phi_hat[vertex_element(g, v)])
+        x = m.phi_hat[vertex_element(g, v)]
+        if regions is None:
+            t = evaluate_region(P, d, x)
+        else:
+            t = regions.get((d, x))
+            if t is None:
+                t = regions[d, x] = evaluate_region(P, d, x)
         moved = act_to(P, t, _ports(g, star_boundary_order(g, v), m.phi0.__getitem__))
         if moved is None:
             fail("FlavorMismatch", f"region term does not match star of {v!r}")

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import itertools
 
-from .emb import realize
 from .errors import LooseEndsError, fail
-from .etale import EtaleMap, compose_etale
-from .gmaps import is_inert, map_from_embedding
-from .graphs import UGraph, iso
+from .graphs import UGraph
 from .sites import (
     ElementsSite,
     Site,
-    elementary_classes,
+    elementary_over,
     orientations,
     restrict_orientation,
 )
@@ -121,70 +118,36 @@ def orientation_presheaf(site):
 
 
 def nerve_presheaf(P, site):
-    """The nerve of an operad presentation on a matching site."""
+    """The nerve of an operad presentation on a matching site.  Each
+    (decoration, target class) region is evaluated once, through a memo that
+    lives for this call only."""
     from .operads import enumerate_decorations, nerve_action
 
     directed_site = not isinstance(site.objects[0], UGraph)
     if directed_site != P.directed:
         fail("FlavorMismatch", f"{P.flavor} against a {site.tag} site")
+    regions = {}
 
     def values(i):
         return enumerate_decorations(P, site.objects[i])
 
     def action(ref, d):
-        return nerve_action(P, site.morph(ref), d)
+        return nerve_action(P, site.morph(ref), d, regions)
 
     return presheaf_from_values(site, values, action, name=f"N({P.name})")
 
 
 # ---------------------------------------------------------------------------
-# elementary covers and the Segal condition
-
-
-def elementary_over(site: Site, i):
-    """The category of elementary inert covers of object i.
-
-    Objects: one canonical inert cover per edge / vertex class of Emb(G_i),
-    located in the site.  Morphisms: inert site morphisms commuting over G_i.
-    Returns (covers, arrows): covers maps x -> (k, cover_ref); arrows lists
-    (x, y, connecting_ref).
-    """
-    g = site.objects[i]
-    covers = {}
-    for x in elementary_classes(g):
-        h, incl = realize(x)
-        k = site.find_object(h)
-        if k is None:
-            fail("SiteTooSmall", f"no site object for an elementary cover of {g.name}")
-        rep = site.objects[k]
-        w = iso(rep, h)
-        if w is None:
-            fail("SiteTooSmall", "iso lookup failed")
-        comp_map, vmap = w
-        rho = EtaleMap(rep, h, comp_map, vmap, check=False)
-        cover = map_from_embedding(compose_etale(incl, rho))
-        covers[x] = site.locate(k, i, cover)
-    arrows = []
-    for x, ref_x in covers.items():
-        for y, ref_y in covers.items():
-            if x == y:
-                continue
-            kx, ky = ref_x[0], ref_y[0]
-            for pos in range(len(site.hom(kx, ky))):
-                m = site.morph((kx, ky, pos))
-                if not is_inert(m):
-                    continue
-                if site.compose_refs(ref_y, (kx, ky, pos)) == ref_x:
-                    arrows.append((x, y, (kx, ky, pos)))
-    return covers, arrows
+# the Segal condition
 
 
 def segal_map(X: Presheaf, i):
     """(the Segal map as a dict, whether it is a bijection).
 
     The limit is computed as compatible families over the elementary cover
-    category; an independent brute-force product filter cross-checks it."""
-    covers, arrows = elementary_over(X.site, i)
+    category, which the site builds once per object; an independent
+    brute-force product filter cross-checks it."""
+    covers, arrows = X.site.covers(i)
     keys = sorted(covers, key=lambda x: x.sort_key())
     limit = _limit_families(X, covers, arrows, keys)
     mapping = {}
@@ -225,7 +188,9 @@ def _limit_families(X, covers, arrows, keys):
 
 
 def limit_families_bruteforce(X: Presheaf, i):
-    """Independent generic-limit computation: full product, then filter."""
+    """Independent generic-limit computation: full product, then filter.
+    It builds the cover category afresh rather than reading the site's
+    copy, so a stale copy cannot mislead both this and segal_map."""
     covers, arrows = elementary_over(X.site, i)
     keys = sorted(covers, key=lambda x: x.sort_key())
     pools = [X.value(covers[y][0]) for y in keys]

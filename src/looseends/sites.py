@@ -7,7 +7,8 @@ and of its source's Emb classes, in the source's order.  Codes compose index
 by index, and one dict per site maps a code back to the morphism's position
 in its hom-set.  Sites are closed under the middle objects of active-inert
 factorizations and under the elementary covers (vertex stars and the edge)
-that the Segal condition needs; both can exceed the edge bound.
+that the Segal condition needs; both can exceed the edge bound.  The
+category of elementary covers of each object is built once, on first use.
 
 The category of elements of the orientation presheaf is materialized as a
 directed site whose objects are (undirected object, orientation) pairs; that
@@ -22,17 +23,21 @@ from functools import cached_property
 from .config import DEFAULT_BOUNDS, DEFAULT_BUDGET
 from .emb import EmbEdge, EmbRegion, enumerate_emb, id_element, realize
 from .errors import fail
+from .etale import EtaleMap, compose_etale
 from .gen import gen_connected_dgraphs, gen_connected_ugraphs
 from .gmaps import (
     GraphMap,
     enumerate_graph_maps,
     identity_map,
+    is_inert,
+    map_from_embedding,
     object_in_category,
 )
 from .graphs import (
     DGraph,
     UGraph,
     canonical_signature,
+    iso,
     isomorphic,
     shape,
 )
@@ -49,6 +54,7 @@ class Site:
         self._sig_index = {}
         for i, g in enumerate(self.objects):
             self._sig_index.setdefault(canonical_signature(g)[0], []).append(i)
+        self._covers = {}
 
     def __repr__(self):
         n_maps = sum(len(v) for v in self.homs.values())
@@ -125,6 +131,14 @@ class Site:
             fail("SiteTooSmall", f"composite of {ref1} and {ref2} missing from hom({i},{k})")
         return (i, k, pos)
 
+    def covers(self, i):
+        """elementary_over(self, i), built on first use and kept, like the
+        codes, for the life of the site."""
+        out = self._covers.get(i)
+        if out is None:
+            out = self._covers[i] = elementary_over(self, i)
+        return out
+
     def find_object(self, g):
         """Index of the object isomorphic to g, or None."""
         for i in self._sig_index.get(canonical_signature(g)[0], []):
@@ -155,6 +169,45 @@ def elementary_classes(g):
         for x in enumerate_emb(g)
         if isinstance(x, EmbEdge) or (len(x.vertices) == 1 and not x.glued)
     ]
+
+
+def elementary_over(site, i):
+    """The category of elementary inert covers of object i.
+
+    Objects: one canonical inert cover per edge / vertex class of Emb(G_i),
+    located in the site.  Morphisms: inert site morphisms commuting over G_i.
+    Returns (covers, arrows): covers maps x -> (k, cover_ref); arrows lists
+    (x, y, connecting_ref).  Built afresh on every call; Site.covers keeps
+    one per object.
+    """
+    g = site.objects[i]
+    covers = {}
+    for x in elementary_classes(g):
+        h, incl = realize(x)
+        k = site.find_object(h)
+        if k is None:
+            fail("SiteTooSmall", f"no site object for an elementary cover of {g.name}")
+        rep = site.objects[k]
+        w = iso(rep, h)
+        if w is None:
+            fail("SiteTooSmall", "iso lookup failed")
+        comp_map, vmap = w
+        rho = EtaleMap(rep, h, comp_map, vmap, check=False)
+        cover = map_from_embedding(compose_etale(incl, rho))
+        covers[x] = site.locate(k, i, cover)
+    arrows = []
+    for x, ref_x in covers.items():
+        for y, ref_y in covers.items():
+            if x == y:
+                continue
+            kx, ky = ref_x[0], ref_y[0]
+            for pos in range(len(site.hom(kx, ky))):
+                m = site.morph((kx, ky, pos))
+                if not is_inert(m):
+                    continue
+                if site.compose_refs(ref_y, (kx, ky, pos)) == ref_x:
+                    arrows.append((x, y, (kx, ky, pos)))
+    return covers, arrows
 
 
 def _object_pool(tag, bounds):

@@ -6,11 +6,14 @@ import pytest
 from looseends.config import SiteBounds
 from looseends.emb import (
     EmbEdge,
+    EmbRegion,
     enumerate_emb,
     id_element,
+    internal_edges_of,
     intersect_subtrees,
     overlap,
     realize,
+    region,
     vertex_element,
 )
 from looseends import gmaps
@@ -460,3 +463,81 @@ def test_mutation_sweep_pins_validate_codes():
         families[tag] = [site.morph(ref) for ref in site.all_refs()]
     got = {name: _validate_codes(maps) for name, maps in families.items()}
     assert got == VALIDATE_CODES
+
+
+# ---------------------------------------------------------------------------
+# inert and active maps, read from the host index
+
+
+@pytest.fixture(scope="module")
+def a05_sites():
+    """The sites of acceptance criterion A05; an elements site as its
+    directed part."""
+    from looseends.sites import build_elements_site, build_site
+
+    sites = {
+        "U": build_site("U", SiteBounds(2, 3, 3)),
+        "U0": build_site("U0", SiteBounds(2, 4, 3)),
+        "Ucyc": build_site("Ucyc", SiteBounds(2, 4, 3)),
+        "Delta": build_site("Delta", SiteBounds(4, 5, 2)),
+        "G": build_site("G", SiteBounds(2, 3, 3)),
+    }
+    for key, base, rooted in (("elsU", "U", False), ("elsU0", "U0", False), ("elsOmega", "Ucyc", True)):
+        sites[key] = build_elements_site(sites[base], rooted_only=rooted).directed
+    return sites
+
+
+def _whole(g):
+    """The class of the whole host, from the vertex and edge sets."""
+    if g.vertices:
+        return EmbRegion(g, frozenset(g.vertices), internal_edges_of(g, set(g.vertices)))
+    (e,) = g.edge_keys
+    return EmbEdge(g, e)
+
+
+def _inert_by_regions(m):
+    """Inert as first defined: every vertex's class, built and validated by
+    region(), goes to the class of one vertex with no glued edge."""
+    for v in m.source.vertices:
+        y = m.phi_hat[region(m.source, [v], [])]
+        if not (isinstance(y, EmbRegion) and len(y.vertices) == 1 and not y.glued):
+            return False
+    return True
+
+
+def test_inert_and_active_match_the_region_definitions(a05_sites):
+    counts = Counter()
+    for site in a05_sites.values():
+        for ref in site.all_refs():
+            m = site.morph(ref)
+            inert, active = is_inert(m), is_active(m)
+            assert inert == _inert_by_regions(m), (site.tag, ref)
+            assert active == (m.phi_hat[_whole(m.source)] == _whole(m.target)), (site.tag, ref)
+            counts[inert, active] += 1
+    assert sum(counts.values()) == 12241
+    assert len(counts) == 4  # both answers of both tests occur
+
+
+def test_factorize_builds_one_index_per_distinct_middle(monkeypatch):
+    """factorize realizes each middle class once, so equal middles share one
+    graph and one host index.  enumerate_emb's cache would hand out classes
+    whose host is an equal graph of an earlier test, so it starts empty."""
+    from looseends import emb
+    from looseends.sites import build_site
+
+    emb.enumerate_emb.cache_clear()
+    site = build_site("U", SiteBounds(2, 2, 3))
+    built = []
+    original = emb.HostIndex.__init__
+
+    def counting(ix, g):
+        built.append(g._key)
+        original(ix, g)
+
+    monkeypatch.setattr(emb.HostIndex, "__init__", counting)
+    middles = set()
+    for ref in site.all_refs():
+        alpha, iota = factorize(site.morph(ref))
+        assert alpha.target is iota.source
+        middles.add(alpha.target._key)
+    assert len(built) == len(set(built)) == len(middles) == 53

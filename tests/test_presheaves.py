@@ -5,7 +5,9 @@ from looseends.errors import LooseEndsError
 from looseends.graphs import make_linear, underlying
 from looseends.operads import (
     free_cyclic,
+    io_presentation,
     monoid_dioperad,
+    nerve_action,
     terminal_presentation,
 )
 from looseends.presheaves import (
@@ -358,3 +360,46 @@ class TestSegalSpans:
             assert len(mapping) == len(agreeing)
             return
         pytest.skip("no bare loop object in site")
+
+
+class TestCaches:
+    """The nerve's region memo and the site's cover categories give what an
+    unmemoized computation gives, and the Segal oracle reads neither."""
+
+    @pytest.fixture(scope="class")
+    def battery(self, u0_site, ucyc_site, els_u0):
+        cyc_tree = next(g for g in ucyc_site.objects if g.vertices)
+        cyclic = free_cyclic(cyc_tree, caps=OperadCaps(6, 24))
+        cyclic.flavor = "cyclic"
+        return {
+            "io/U0": (io_presentation(caps=OperadCaps(4, 16)), u0_site),
+            "flip/elsU0": (monoid_dioperad(), els_u0.directed),
+            "freeCyclic/U0": (free_cyclic(u0_site.objects[-1], caps=OperadCaps(6, 24)), u0_site),
+            "cyclic/Ucyc": (cyclic, ucyc_site),
+        }
+
+    def test_nerve_actions_match_unmemoized(self, battery):
+        for label, (P, site) in battery.items():
+            X = nerve_presheaf(P, site)
+            for ref in site.all_refs():
+                m = site.morph(ref)
+                for d in X.value(ref[1]):
+                    assert X.act(ref, d) == nerve_action(P, m, d), (label, ref)
+
+    def test_cached_covers_match_fresh(self, u0_site, ucyc_site, els_u0, els_omega):
+        for site in (u0_site, ucyc_site, els_u0.directed, els_omega.directed):
+            for i in range(len(site.objects)):
+                assert site.covers(i) == elementary_over(site, i), (site.tag, i)
+
+    def test_oracle_does_not_read_the_cover_cache(self):
+        site = build_site("U", SiteBounds(2, 2, 3))
+        X = orientation_presheaf(site)
+        i = next(i for i, g in enumerate(site.objects) if len(g.vertices) == 2)
+        mapping, bijective = segal_map(X, i)
+        assert bijective and set(mapping.values()) == set(limit_families_bruteforce(X, i))
+        covers, arrows = site.covers(i)
+        assert arrows
+        site._covers[i] = (covers, [])  # corrupt: forget the arrows between covers
+        mapping, bijective = segal_map(X, i)
+        assert not bijective
+        assert set(mapping.values()) == set(limit_families_bruteforce(X, i))
