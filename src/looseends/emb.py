@@ -10,18 +10,28 @@ a brute-force enumeration of embeddings elsewhere in the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import fail
 from .etale import EtaleMap, enumerate_etale
-from .graphs import DGraph, UGraph, is_connected
+from .graphs import DGraph, UGraph, is_connected, sides
+
+# Classes key the hot dicts of graph maps and host indexes, so each hashes
+# its fields once, at construction, into a slot that equality ignores.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmbEdge:
     host: object
     edge: object
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.host, self.edge)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def vertex_set(self):
@@ -34,11 +44,18 @@ class EmbEdge:
         return f"[edge {self.edge}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmbRegion:
     host: object
     vertices: frozenset
     glued: frozenset  # internal edges kept intact
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.host, self.vertices, self.glued)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def vertex_set(self):
@@ -93,9 +110,11 @@ def region(g, vertices, glued):
 
 
 def edge_element(g, e):
-    if e not in g.edge_keys:
+    """The class of the edge e, read from the host index."""
+    x = index(g).edge_class.get(e)
+    if x is None:
         fail("UnknownEdge", f"{e!r}")
-    return EmbEdge(g, e)
+    return x
 
 
 def vertex_element(g, v):
@@ -119,12 +138,12 @@ def enumerate_emb_pieces(g):
     return index(g).emb
 
 
-@lru_cache(maxsize=None)
 def enumerate_emb(g):
     """All of Emb(G) in the deterministic (kind, |S|, S, Z) order."""
-    if not is_connected(g):
+    ix = index(g)
+    if not ix.host_connected:
         fail("NotConnected", "Emb is defined for connected hosts")
-    return index(g).emb
+    return ix.emb
 
 
 def _subsets(items):
@@ -181,6 +200,8 @@ class HostIndex:
         # factorize() keeps the middle it realizes for a class here, so an
         # equal middle is one graph, whose own index is built once
         self.middles = {}
+        self._subtrees = {}
+        self.host_connected = is_connected(g)
 
     # the tables below are built on first use: many hosts only list their
     # classes, or are only the target of a map check, which reads codes
@@ -210,6 +231,87 @@ class HostIndex:
         """The class of the whole host, which has vertices."""
         full = self.vertex_mask(self.host.vertices)
         return self.region(full, self.internal(full))
+
+    @cached_property
+    def slot_bits(self):
+        return {s: 1 << i for i, s in enumerate(self.host.slots)}
+
+    @cached_property
+    def profiles(self):
+        """boundary_profile of each class."""
+        return {x: boundary_profile(x) for x in self.emb}
+
+    @cached_property
+    def edge_class(self):
+        """The class of each edge, by edge key."""
+        return {x.edge: x for x in self.emb if isinstance(x, EmbEdge)}
+
+    @cached_property
+    def by_arity(self):
+        """The images a graph map may give a vertex, by its arity: each
+        class with its boundary as the lists that the map matches up one to
+        one (the boundary, or the inputs and the outputs) and a mask of the
+        slots on each list, grouped by the lengths of the lists."""
+        bit, out = self.slot_bits, {}
+        for x, prof in self.profiles.items():
+            lists = sides(self.host, prof)
+            masks = tuple(sum(map(bit.__getitem__, side)) for side in lists)
+            out.setdefault(tuple(map(len, lists)), []).append((x, lists, masks))
+        return out
+
+    @cached_property
+    def adjacent(self):
+        """Per vertex bit, the mask of the other vertices that share an
+        edge with it."""
+        out = dict.fromkeys(self.vbit.values(), 0)
+        for _, ends, both in self.edge_ends:
+            if both:
+                for bit in mask_bits(ends):
+                    out[bit] |= ends & ~bit
+        return out
+
+    @cached_property
+    def breadth_first(self):
+        """The vertices in breadth-first order from the first one, so that
+        each later vertex shares an edge with an earlier one."""
+        order, seen = [1] if self.vbit else [], 1
+        for bit in order:
+            order.extend(mask_bits(self.adjacent[bit] & ~seen))
+            seen |= self.adjacent[bit]
+        return [self.host.vertices[bit.bit_length() - 1] for bit in order]
+
+    @cached_property
+    def splits(self):
+        """Each region with two or more vertices or a glued edge as a triple
+        (x, a, b) with x among unions(a, b): a is x without a vertex that
+        leaves it connected and b that vertex's star, or, on one vertex, a
+        is x without a glued edge and b that edge.  Listed by size, so that
+        a and b come before x."""
+        g, out = self.host, []
+        big = [(c[0], c[1], x) for x, c in self.codes.items() if c[0] & (c[0] - 1) or c[1]]
+        big.sort(key=lambda t: (t[0].bit_count(), t[1].bit_count()))
+        for v, z, x in big:
+            if not v & (v - 1):
+                bit = z & -z
+                edge = self.edge_class[g.edge_keys[bit.bit_length() - 1]]
+                out.append((x, self.region(v, z ^ bit), edge))
+                continue
+            for bit in mask_bits(v):
+                rest = v ^ bit
+                rz = z & self.internal(rest)
+                if self.connected(rest, rz):
+                    star = self.stars[g.vertices[bit.bit_length() - 1]]
+                    out.append((x, self.region(rest, rz), star))
+                    break
+        return out
+
+    def subtree(self, vmask):
+        """The region on vmask with all its internal edges glued (in a tree
+        host, the subtree on vmask), kept by mask."""
+        x = self._subtrees.get(vmask)
+        if x is None:
+            x = self._subtrees[vmask] = self.region(vmask, self.internal(vmask))
+        return x
 
     def vertex_mask(self, vertices):
         return sum(self.vbit[v] for v in vertices)
@@ -287,6 +389,14 @@ class HostIndex:
             for z in unions(x, y)
         ]
         return _columns(triples, 3)
+
+
+def mask_bits(mask):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def _columns(rows, width):
@@ -580,13 +690,13 @@ def intersect_subtrees(x, y):
     vy, _, _, cy = ix.code(y)
     common_v = vx & vy
     if common_v:
-        return ix.region(common_v, ix.internal(common_v))
+        return ix.subtree(common_v)
     common_e = cx & cy
     if not common_e:
         return None
     if common_e & (common_e - 1):
         fail("NotTrees", "multiple common edges without common vertices")
-    return EmbEdge(x.host, x.host.edge_keys[common_e.bit_length() - 1])
+    return ix.edge_class[x.host.edge_keys[common_e.bit_length() - 1]]
 
 
 def overlap(x, y) -> bool:

@@ -21,9 +21,9 @@ from .emb import (
     enumerate_emb,
     id_element,
     index,
-    internal_edges_of,
     is_structured,
     is_union_code,
+    mask_bits,
     pushforward,
     realize,
     unions,
@@ -38,6 +38,7 @@ from .graphs import (
     extend_slot_map,
     is_connected,
     shape,
+    sides,
 )
 
 
@@ -93,7 +94,8 @@ def validate_graph_map(m: GraphMap):
             fail("NotInvolutive", f"phi0 at arc {s!r}")
     elems = enumerate_emb(g)
     enumerate_emb(gp)  # the target must be connected too
-    target_codes = index(gp).codes
+    ix, tix = index(g), index(gp)
+    target_codes = tix.codes
     for x in elems:
         if x not in m.phi_hat:
             fail("BoundaryIncompatible", f"phi_hat not total at {x!r}")
@@ -108,14 +110,13 @@ def validate_graph_map(m: GraphMap):
             if y.edge != m.edge_image(x.edge):
                 fail("BoundaryIncompatible", f"edge image of {x!r} disagrees with phi0")
     # (iv) boundary compatibility
-    for x, y in zip(elems, images):
-        want = m.push_boundary(boundary_profile(x))
-        got = boundary_profile(y)
+    for x, y, prof in zip(elems, images, ix.profiles.values()):
+        want = m.push_boundary(prof)
+        got = tix.profiles[y]
         if want != got:
             fail("BoundaryIncompatible", f"at {x!r}: {want} vs {got}")
     # (iii) vertex-disjointness and (ii) unions, as mask tests on the codes
     # of the images, over the source's precomputed pairs and triples
-    ix = index(g)
     codes = [target_codes[y] for y in images]
     for i, j in zip(*ix.disjoint_pairs):
         if codes[i][0] & codes[j][0]:
@@ -165,68 +166,40 @@ def is_inert(m: GraphMap) -> bool:
 # tree maps
 
 
-def tree_boundary_of_vertex(g, v):
-    """Boundary profile of the star class at v."""
-    return boundary_profile(vertex_element(g, v))
-
-
-def check_tree_map_data(g, gp, phi0, phi1):
-    for v in g.vertices:
-        probe = GraphMap(g, gp, phi0, {}, check=False)
-        want = probe.push_boundary(tree_boundary_of_vertex(g, v))
-        got = boundary_profile(phi1[v])
-        if want != got:
-            fail("BoundaryIncompatible", f"vertex {v!r}: {want} vs {got}")
-
-
 def extend_tree_map(g, gp, phi0, phi1) -> GraphMap:
     """Unique full tree map restricting to the vertex data (phi0, phi1).
 
     Builds phi_hat by peeling stars: a subtree with n+1 vertices is the
     union of a subtree with n vertices and an extremal star, and unions of
-    subtrees in a tree are unique.
+    subtrees in a tree are unique.  The extremal vertex is the first one
+    with at most one neighbor in the subtree, read from vertex masks.
     """
     if not (shape(g).is_tree and shape(gp).is_tree):
         fail("NotTrees")
-    check_tree_map_data(g, gp, phi0, phi1)
     probe = GraphMap(g, gp, phi0, {}, check=False)
+    ix = index(g)
+    for v in g.vertices:
+        want = probe.push_boundary(ix.profiles[ix.stars[v]])
+        got = boundary_profile(phi1[v])
+        if want != got:
+            fail("BoundaryIncompatible", f"vertex {v!r}: {want} vs {got}")
     phi_hat = {}
-    for x in enumerate_emb(g):
-        if isinstance(x, EmbEdge):
+    # Emb order lists regions by vertex count, so smaller subtrees come first
+    for x in ix.emb:
+        vmask = ix.codes[x][0]
+        if not vmask:
             phi_hat[x] = edge_element(gp, probe.edge_image(x.edge))
-        elif len(x.vertices) == 1:
-            (v,) = x.vertices
-            phi_hat[x] = phi1[v]
-    for x in sorted(
-        (x for x in enumerate_emb(g) if isinstance(x, EmbRegion) and len(x.vertices) > 1),
-        key=lambda x: len(x.vertices),
-    ):
-        u = _extremal_vertex(g, x.vertices)
-        rest = x.vertices - {u}
-        smaller = EmbRegion(g, rest, internal_edges_of(g, rest))
-        opts = unions(phi_hat[smaller], phi_hat[vertex_element(g, u)])
-        if len(opts) != 1:
-            fail(
-                "BoundaryIncompatible",
-                f"no unique union while extending at {sorted(x.vertices)}",
-            )
-        phi_hat[x] = opts[0]
+        elif not vmask & (vmask - 1):
+            phi_hat[x] = phi1[next(iter(x.vertices))]
+        else:
+            u = next(b for b in mask_bits(vmask) if (ix.adjacent[b] & vmask).bit_count() < 2)
+            star = ix.stars[g.vertices[u.bit_length() - 1]]
+            opts = unions(phi_hat[ix.subtree(vmask ^ u)], phi_hat[star])
+            if len(opts) != 1:
+                where = sorted(x.vertices)
+                fail("BoundaryIncompatible", f"no unique union while extending at {where}")
+            phi_hat[x] = opts[0]
     return GraphMap(g, gp, phi0, phi_hat, check=True)
-
-
-def _extremal_vertex(g, vertex_set):
-    """A vertex adjacent to exactly one other vertex of the set (tree hosts)."""
-    for v in sorted(vertex_set):
-        neighbors = set()
-        for e in internal_edges_of(g, vertex_set):
-            x, y = g.ends(e)
-            if v == x and y != v:
-                neighbors.add(y)
-            if v == y and x != v:
-                neighbors.add(x)
-        if len(neighbors) <= 1:
-            return v
-    fail("NotTrees", "no extremal vertex; host is not a tree")
 
 
 def restrict_tree_map(m: GraphMap):
@@ -383,109 +356,99 @@ def morphism_in_category(m: GraphMap, tag) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# enumeration of graph maps (used as the brute-force oracle and site builder)
+# enumeration of graph maps (the site builder; A04 checks it against
+# extend_tree_map)
 
 
 def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
-    """All graph maps g -> gp, optionally filtered to a category tag.
+    """All graph maps g -> gp in hom-set order, optionally only those in
+    the category tag.
 
-    Search order: vertex classes get target classes with matching boundary
-    size together with a bijection of boundaries (fixing phi0 on the touched
-    arcs), then any untouched edges get images, then the remaining region
-    classes are filled in boundary-compatible ways; full validation runs on
-    each complete candidate.
+    The search propagates phi0.  Vertices are placed in breadth-first
+    order: each goes to a target class whose boundary holds the images
+    already fixed at its star, and its free star arcs are permuted over the
+    rest of that boundary.  Edge classes follow from phi0.  Each larger
+    region is a union of two classes placed before it (``HostIndex.splits``)
+    and a graph map preserves unions, so its image is among the unions of
+    their images, with the pushed boundary.  Every complete candidate is
+    validated in full, and the maps are sorted by ``_sort_key``.
     """
     if isinstance(g, UGraph) != isinstance(gp, UGraph):
         return []
-    if tag is not None and not (
-        object_in_category(g, tag) and object_in_category(gp, tag)
-    ):
+    if tag is not None and not (object_in_category(g, tag) and object_in_category(gp, tag)):
         return []
-    counter = itertools.count()
+    used = 0
 
     def tick():
-        if next(counter) > budget.nodes:
-            fail("SearchBudgetExceeded", "enumerate_graph_maps")
+        nonlocal used
+        used += 1
+        if used > budget.nodes:
+            where = f"enumerate_graph_maps {g.name} -> {gp.name}"
+            fail("SearchBudgetExceeded", f"{where}: {used} nodes used")
 
-    target_elems = enumerate_emb(gp)
-    by_boundary = {}
-    for y in target_elems:
-        by_boundary.setdefault(boundary_profile(y), []).append(y)
+    enumerate_emb(g)
+    enumerate_emb(gp)  # both hosts must be connected
+    ix, tix = index(g), index(gp)
+    verts = [ix.stars[v] for v in ix.breadth_first]
+    stars = [sides(g, ix.profiles[x]) for x in verts]
+    edges = [x for x in ix.emb if isinstance(x, EmbEdge)]
+    splits = ix.splits
+    bit = tix.slot_bits
+    phi0, phi1, out = {}, {}, []
 
-    undirected = isinstance(g, UGraph)
-
-    def sides(x):
-        """The boundary lists a map must match up bijectively: the boundary,
-        or the inputs and the outputs."""
-        prof = boundary_profile(x)
-        return (prof,) if undirected else prof
-
-    verts = sorted(g.vertices)
-    stars = [sides(vertex_element(g, v)) for v in verts]
-    images = [(y, sides(y)) for y in target_elems]
-    out = []
-
-    def vertex_assignments(i, phi0, phi1):
+    def place(i):
         tick()
         if i == len(verts):
             for full0 in complete_slot_maps(phi0, g, gp):
                 tick()
-                fill_regions(full0, dict(phi1))
+                fill(full0)
             return
-        v, mine = verts[i], stars[i]
-        for y, prof in images:
-            if list(map(len, prof)) != list(map(len, mine)):
+        free = [[s for s in side if s not in phi0] for side in stars[i]]
+        taken = [{phi0[s] for s in side if s in phi0} for side in stars[i]]
+        if any(len(t) + len(r) < len(side) for t, r, side in zip(taken, free, stars[i])):
+            return  # two star arcs already go to one target arc
+        fixed = [sum(map(bit.__getitem__, t)) for t in taken]
+        for y, lists, masks in tix.by_arity.get(tuple(map(len, stars[i])), ()):
+            if any(f & ~m for f, m in zip(fixed, masks)):
                 continue
-            for perms in itertools.product(*map(itertools.permutations, prof)):
+            rest = [[c for c in side if not bit[c] & f] for side, f in zip(lists, fixed)]
+            for perms in itertools.product(*map(itertools.permutations, rest)):
                 tick()
-                pairs = zip(itertools.chain(*mine), itertools.chain(*perms))
+                pairs = zip(itertools.chain(*free), itertools.chain(*perms))
                 new = extend_slot_map(phi0, pairs, g, gp)
                 if new is None:
                     continue
                 phi0.update(new)
-                phi1[v] = y
-                vertex_assignments(i + 1, phi0, phi1)
-                del phi1[v]
+                phi1[verts[i]] = y
+                place(i + 1)
                 for k in new:
                     del phi0[k]
 
-    elems = enumerate_emb(g)
-    big_regions = [
-        x
-        for x in elems
-        if isinstance(x, EmbRegion) and (len(x.vertices) > 1 or x.glued)
-    ]
-
-    def fill_regions(phi0, phi1):
-        probe = GraphMap(g, gp, phi0, {}, check=False)
-        table = {}
-        for x in elems:
-            if isinstance(x, EmbEdge):
-                table[x] = EmbEdge(gp, probe.edge_image(x.edge))
-            elif len(x.vertices) == 1 and not x.glued:
-                (v,) = x.vertices
-                table[x] = phi1[v]
+    def fill(full0):
+        probe = GraphMap(g, gp, full0, {}, check=False)
+        table = {x: tix.edge_class[probe.edge_image(x.edge)] for x in edges}
+        table.update(phi1)
+        wants = [probe.push_boundary(ix.profiles[x]) for x, _, _ in splits]
 
         def rec(i):
             tick()
-            if i == len(big_regions):
+            if i == len(splits):
                 try:
-                    cand = GraphMap(g, gp, phi0, dict(table), check=True)
+                    cand = GraphMap(g, gp, full0, table, check=True)
                 except LooseEndsError:
                     return
-                if tag is None or morphism_in_category(cand, tag):
+                if tag != "G" or is_structured(cand.phi_hat[id_element(g)]):
                     out.append(cand)
                 return
-            x = big_regions[i]
-            want = probe.push_boundary(boundary_profile(x))
-            for y in by_boundary.get(want, []):
-                table[x] = y
-                rec(i + 1)
-                del table[x]
+            x, a, b = splits[i]
+            for y in unions(table[a], table[b]):
+                if tix.profiles[y] == wants[i]:
+                    table[x] = y
+                    rec(i + 1)
 
         rec(0)
 
-    vertex_assignments(0, {}, {})
+    place(0)
     out.sort(key=_sort_key)
     return out
 

@@ -267,6 +267,13 @@ def validate_dgraph(name, edges, incidence):
 # slot maps (phi0 of a graph map, the component of an etale map)
 
 
+def sides(obj, x):
+    """x (a boundary profile, or an operad profile, port tuple or
+    permutation) as a tuple of sides; obj is a graph or a presentation,
+    whose ``directed`` flag says how x splits."""
+    return x if obj.directed else (x,)
+
+
 def extend_slot_map(phi0, pairs, source, target):
     """The entries that extend phi0 by s -> c and partner(s) -> partner(c)
     for each pair (s, c), or None when a slot would get two images."""

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_CAPS, OperadCaps
 from .errors import fail
+from .graphs import sides
 
 UNDIRECTED_FLAVORS = ("augCyclic", "cyclic", "modular")
 DIRECTED_FLAVORS = ("dioperad", "wheeledProperad")
@@ -78,12 +79,6 @@ class OperadPresentation:
 
 # ---------------------------------------------------------------------------
 # the flavors: sides, splicing and dropping
-
-
-def sides(obj, x):
-    """x (a profile, port tuple or permutation) as a tuple of sides; obj is
-    a presentation or a graph, whose ``directed`` flag says how x splits."""
-    return x if obj.directed else (x,)
 
 
 def joined(obj, parts):

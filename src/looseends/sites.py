@@ -21,7 +21,7 @@ import itertools
 from functools import cached_property
 
 from .config import DEFAULT_BOUNDS, DEFAULT_BUDGET
-from .emb import EmbEdge, EmbRegion, enumerate_emb, id_element, realize
+from .emb import EmbEdge, edge_element, enumerate_emb, id_element, index, realize
 from .errors import fail
 from .etale import EtaleMap, compose_etale
 from .gen import gen_connected_dgraphs, gen_connected_ugraphs
@@ -412,16 +412,18 @@ def build_elements_site(base: Site, rooted_only=False):
 
 def translate_emb_to_oriented(x_elem, g: UGraph, d: DGraph):
     """Emb element of the undirected base as an element over orient(g, x);
-    directed edges are named by their +1 arcs."""
+    directed edges are named by their +1 arcs.  Classes of Emb(d) come
+    back as the host index's own objects, so lifted maps share them."""
+    ix = index(d)
+
     def edge_name(e):
         a, b = e
-        return a if a in set(d.edges) else b
+        return a if a in ix.ebit else b
 
     if isinstance(x_elem, EmbEdge):
-        return EmbEdge(d, edge_name(x_elem.edge))
-    return EmbRegion(
-        d, x_elem.vertices, frozenset(edge_name(e) for e in x_elem.glued)
-    )
+        return edge_element(d, edge_name(x_elem.edge))
+    vmask = ix.vertex_mask(x_elem.vertices)
+    return ix.region(vmask, ix.edge_mask(map(edge_name, x_elem.glued)))
 
 
 def lift_map_to_oriented(m: GraphMap, d_src: DGraph, d_dst: DGraph, x, y) -> GraphMap:

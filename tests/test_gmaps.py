@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from looseends.config import SiteBounds
+from looseends.config import Budget, SiteBounds
 from looseends.emb import (
     EmbEdge,
     EmbRegion,
@@ -18,7 +21,7 @@ from looseends.emb import (
 )
 from looseends import gmaps
 from looseends.errors import LooseEndsError
-from looseends.gen import gen_trees_u
+from looseends.gen import _build_u, gen_trees_u
 from looseends.gmaps import (
     GraphMap,
     compose,
@@ -38,6 +41,7 @@ from looseends.gmaps import (
     vertex_functor,
 )
 from looseends.graphs import (
+    UGraph,
     isomorphic,
     make_edge,
     make_edge_dir,
@@ -518,15 +522,22 @@ def test_inert_and_active_match_the_region_definitions(a05_sites):
     assert len(counts) == 4  # both answers of both tests occur
 
 
-def test_factorize_builds_one_index_per_distinct_middle(monkeypatch):
-    """factorize realizes each middle class once, so equal middles share one
-    graph and one host index.  enumerate_emb's cache would hand out classes
-    whose host is an equal graph of an earlier test, so it starts empty."""
-    from looseends import emb
-    from looseends.sites import build_site
+def test_site_maps_hold_their_hosts_own_classes(a05_sites):
+    """Found and lifted maps hold the objects of their hosts' Emb, never
+    equal copies: one object per class keeps the heap of a site, and so
+    every full garbage collection, small."""
+    for site in a05_sites.values():
+        own = {x: x for g in site.objects for x in enumerate_emb(g)}
+        for maps in site.homs.values():
+            for m in maps:
+                assert all(own[x] is x and own[y] is y for x, y in m.phi_hat.items())
 
-    emb.enumerate_emb.cache_clear()
-    site = build_site("U", SiteBounds(2, 2, 3))
+
+def _index_builds_while_factorizing(site, monkeypatch):
+    """The hosts whose index is built while factorizing every morphism of
+    site, and the distinct middles met."""
+    from looseends import emb
+
     built = []
     original = emb.HostIndex.__init__
 
@@ -540,4 +551,104 @@ def test_factorize_builds_one_index_per_distinct_middle(monkeypatch):
         alpha, iota = factorize(site.morph(ref))
         assert alpha.target is iota.source
         middles.add(alpha.target._key)
+    return built, middles
+
+
+def test_factorize_builds_one_index_per_distinct_middle(monkeypatch):
+    """factorize realizes each middle class once, so equal middles share one
+    graph and one host index."""
+    from looseends.sites import build_site
+
+    site = build_site("U", SiteBounds(2, 2, 3))
+    built, middles = _index_builds_while_factorizing(site, monkeypatch)
     assert len(built) == len(set(built)) == len(middles) == 53
+
+
+def test_index_builds_do_not_depend_on_earlier_sites(monkeypatch):
+    """Emb classes carry the host they were asked for, not an equal host
+    seen earlier in the process, so a larger site built first changes
+    nothing: still one index per distinct middle."""
+    from looseends.sites import build_site
+
+    build_site("U", SiteBounds(2, 3, 3))
+    site = build_site("U", SiteBounds(2, 2, 3))
+    built, middles = _index_builds_while_factorizing(site, monkeypatch)
+    assert len(built) == len(set(built)) == len(middles) == 53
+    for g in site.objects:
+        h = UGraph(g.name, g.dagger, g.t, g.vertices)
+        assert h == g and h is not g
+        assert all(x.host is h for x in enumerate_emb(h))
+
+
+# ---------------------------------------------------------------------------
+# enumerate_graph_maps: pinned hom-sets, trees past A04, search budget
+
+
+def test_hom_sets_are_pinned(a05_sites):
+    """Every hom-set of the A05 sites, then of all 41 x 41 pairs of A04's
+    trees, in order: the number of maps and a sha256 of their sort keys,
+    recorded from the exhaustive search that first tried every boundary
+    permutation and every boundary-matching region image."""
+    digest, count = hashlib.sha256(), 0
+
+    def add(maps):
+        nonlocal count
+        for m in maps:
+            digest.update(repr(gmaps._sort_key(m)).encode() + b"\n")
+            count += 1
+
+    for site in a05_sites.values():
+        for _, maps in sorted(site.homs.items()):
+            add(maps)
+    assert count == 12241
+    trees = gen_trees_u(SiteBounds(4, 6, 3))
+    for h in trees:
+        for g in trees:
+            add(enumerate_graph_maps(h, g))
+    assert count == 25510
+    assert digest.hexdigest() == (
+        "9c139fb3aa8357b9ef75efb4eeb06fd4c2da7c0935df3cd802589b707cde4c52"
+    )
+
+
+@st.composite
+def _trees(draw, arity=3):
+    """A tree on 5 or 6 vertices with every vertex of degree at most arity,
+    built as gen builds its graphs: a bundle of internal edges, then legs."""
+    k = draw(st.integers(5, 6))
+    degree, bundle = [0] * k, []
+    for i in range(1, k):
+        p = draw(st.sampled_from([p for p in range(i) if degree[p] < arity]))
+        bundle.append((p, i))
+        degree[p] += 1
+        degree[i] += 1
+    legs = [draw(st.integers(0, arity - d)) for d in degree]
+    return _build_u(k, bundle, legs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_trees(), _trees())
+def test_tree_maps_past_a04_extend_from_their_vertex_data(h, g):
+    """Past A04's four vertices: every map found by the search is the one
+    that extend_tree_map builds from its vertex data, and no map or vertex
+    data comes twice.  A tree maps to itself at least by the identity, so
+    (g, g) is checked too."""
+    for source in (h, g):
+        maps = enumerate_graph_maps(source, g)
+        data = set()
+        for m in maps:
+            phi0, phi1 = restrict_tree_map(m)
+            assert extend_tree_map(source, g, phi0, phi1) == m
+            data.add((tuple(sorted(phi0.items())), tuple(sorted(phi1.items()))))
+        assert len(set(maps)) == len(data) == len(maps)
+    assert maps
+
+
+def test_search_budget_message_names_the_search(path2):
+    with pytest.raises(LooseEndsError) as ei:
+        enumerate_graph_maps(path2, path2, budget=Budget(nodes=5))
+    assert ei.value.code == "SearchBudgetExceeded"
+    assert str(ei.value) == (
+        "SearchBudgetExceeded: enumerate_graph_maps path2 -> path2: 6 nodes used"
+    )
+    assert len(enumerate_graph_maps(path2, path2)) == 20
