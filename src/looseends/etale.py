@@ -129,11 +129,12 @@ def enumerate_etale(h, g, budget=DEFAULT_BUDGET):
     """
     if isinstance(h, UGraph) != isinstance(g, UGraph):
         fail("SourceTargetMismatch", "mixed directedness")
-    counter = itertools.count()
+    counter = itertools.count(1)
 
     def tick():
-        if next(counter) > budget.nodes:
-            fail("SearchBudgetExceeded", "enumerate_etale")
+        used = next(counter)
+        if used > budget.nodes:
+            fail("SearchBudgetExceeded", f"enumerate_etale {h.name} -> {g.name}: {used} nodes used")
 
     out = []
     if isinstance(h, UGraph):

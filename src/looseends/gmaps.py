@@ -213,83 +213,63 @@ def restrict_tree_map(m: GraphMap):
 
 def factorize(m: GraphMap):
     """Factor as an active map followed by an inert map, phi = iota . alpha.
-    The middle is realized once per class of the target's Emb and kept on
-    the target's host index."""
-    top = m.phi_hat[id_element(m.source)]
+
+    The middle H realizes top = phi_hat(whole source), once per class of
+    the target's Emb, kept on the target's host index.  alpha is built, not
+    searched for: a class sent to a region goes to the region of H over it;
+    a slot on such a class's boundary goes to the slot over its image on
+    the same boundary side of that region (unique: where top cuts an edge,
+    only one of the two slots over a host slot lies on a given side), and
+    its partner to that slot's partner; any other slot has one slot over
+    its image; an edge class, or a region sent to an edge, goes to the edge
+    of H that alpha gives its first boundary slot.  A missing or doubled
+    candidate, a conflict, or a composite other than m (a corrupted table)
+    fails NoFactorizationFound.
+    """
+    g = m.source
+    top = m.phi_hat.get(id_element(g))
+    if top is None:
+        fail("NoFactorizationFound", "phi_hat has no image of the whole source")
     middles = index(top.host).middles
     if top not in middles:
         middles[top] = realize(top)
     h, incl = middles[top]
     iota = map_from_embedding(incl)
-    alpha = _lift_through_embedding(m, incl)
-    if alpha is None:
-        fail("NoFactorizationFound", "internal error: the theorem guarantees one")
-    return alpha, iota
-
-
-def _lift_through_embedding(m: GraphMap, incl: EtaleMap):
-    """Find alpha : source -> H with incl-pushforward matching m."""
-    g = m.source
-    h = incl.source
-    # candidate phi0: lift each edge's first slot through incl's component
+    over = {y: x for x, y in iota.phi_hat.items() if isinstance(x, EmbRegion)}
+    ix, hix = index(g), index(h)
+    phi0, table, to_edges = {}, {}, []
+    for x in enumerate_emb(g):
+        y = over.get(m.phi_hat.get(x))
+        if y is None:
+            to_edges.append(x)
+            continue
+        table[x] = y
+        pairs = []
+        for side, hside in zip(sides(g, ix.profiles[x]), sides(h, hix.profiles[y])):
+            lift = {incl.component[c]: c for c in hside}
+            pairs += [(s, lift.get(m.phi0.get(s))) for s in side]
+        new = None if any(c is None for _, c in pairs) else extend_slot_map(phi0, pairs, g, h)
+        if new is None:
+            fail("NoFactorizationFound", f"no unique slot lifts at {x!r}")
+        phi0.update(new)
     fibers = {}
-    for s_h, s_t in incl.component.items():
-        fibers.setdefault(s_t, []).append(s_h)
-    items = [g.slot_of(e) for e in g.edge_keys]
-
-    def candidates(s):
-        return sorted(fibers.get(m.phi0[s], []))
-
-    h_elems = enumerate_emb(h)
-    by_push = {}
-    for x in h_elems:
-        by_push.setdefault(pushforward(incl, x), []).append(x)
-
-    elems = enumerate_emb(g)
-
-    def try_phi0(assign):
-        phi0 = {}
-        for s, c in assign.items():
-            phi0[s] = c
-            phi0[g.partner(s)] = h.partner(c)
-        probe = GraphMap(g, h, phi0, {}, check=False)
-        # assign phi_hat elementwise from pushforward fibers, pruned by
-        # boundary compatibility, then check the remaining map conditions
-        table = {}
-
-        def fill(i):
-            if i == len(elems):
-                try:
-                    return GraphMap(g, h, phi0, dict(table), check=True)
-                except LooseEndsError:
-                    return None
-            x = elems[i]
-            want = probe.push_boundary(boundary_profile(x))
-            for y in by_push.get(m.phi_hat[x], []):
-                if boundary_profile(y) != want:
-                    continue
-                table[x] = y
-                res = fill(i + 1)
-                if res is not None:
-                    return res
-                del table[x]
-            return None
-
-        return fill(0)
-
-    def assign_items(i, assign):
-        if i == len(items):
-            return try_phi0(assign)
-        it = items[i]
-        for b in candidates(it):
-            assign[it] = b
-            res = assign_items(i + 1, assign)
-            if res is not None:
-                return res
-            del assign[it]
-        return None
-
-    return assign_items(0, {})
+    for c, t in incl.component.items():
+        fibers.setdefault(t, []).append(c)
+    for s in g.slots:
+        if s not in phi0:
+            cs = fibers.get(m.phi0.get(s), ())
+            if len(cs) != 1:
+                fail("NoFactorizationFound", f"{len(cs)} slots over the image of {s!r}")
+            phi0[s] = cs[0]
+    for x in to_edges:
+        first = next(itertools.chain(*sides(g, ix.profiles[x])), None)
+        if first is None or not isinstance(m.phi_hat.get(x), EmbEdge):
+            fail("NoFactorizationFound", f"{x!r} goes to no class of the middle")
+        table[x] = hix.edge_class[h.edge_of(phi0[first])]
+    alpha = GraphMap(g, h, phi0, table, check=True)
+    if compose(iota, alpha) != m:
+        fail("NoFactorizationFound", "the map does not factor through its middle")
+    return alpha, iota
 
 
 # ---------------------------------------------------------------------------

@@ -585,23 +585,6 @@ def canonical_signature(g):
     return best  # (signature, vertex order witnessing it)
 
 
-def canonical_form(g):
-    """Relabel to canonical names; returns (graph, certificate signature)."""
-    sig, order = canonical_signature(g)
-    pos = {v: i for i, v in enumerate(order)}
-    vmap = {v: f"v{pos[v]}" for v in g.vertices}
-    if isinstance(g, UGraph):
-        ekeys = sorted(g.edges(), key=lambda e: (_edge_descriptor_u(g, e, pos), e))
-        amap = {}
-        for i, e in enumerate(ekeys):
-            a, b = sorted(e, key=lambda x: (pos.get(g.t.get(x), -1), x))
-            amap[a], amap[b] = f"e{i}+", f"e{i}-"
-        return relabel_ugraph(g, amap, vmap, name="canon"), sig
-    ekeys = sorted(g.edges, key=lambda e: (_edge_descriptor_d(g, e, pos), e))
-    emap = {e: f"e{i}" for i, e in enumerate(ekeys)}
-    return relabel_dgraph(g, emap, vmap, name="canon"), sig
-
-
 def iso(g, h):
     """Backtracking isomorphism search; returns witness maps or None.
 

@@ -262,17 +262,12 @@ def left_kan_formula(els: ElementsSite, Z: Presheaf) -> Presheaf:
         k_dst = pair_index[(j, x)]
         if k_src is None:
             fail("SiteTooSmall", "restriction left the directed site")
-        dref = _locate_lift(els, ref, k_src, k_dst)
+        dref = els.lifts.get((k_src, k_dst, ref))
+        if dref is None:
+            fail("SiteTooSmall", "no lift of a base morphism")
         return (tuple(sorted(x_src)), Z.act(dref, z))
 
     return presheaf_from_values(base, values, action, name=f"f!{Z.name}")
-
-
-def _locate_lift(els, base_ref, k_src, k_dst):
-    for pos in range(len(els.directed.hom(k_src, k_dst))):
-        if els.mor_map[(k_src, k_dst, pos)] == base_ref:
-            return (k_src, k_dst, pos)
-    fail("SiteTooSmall", "no lift of a base morphism")
 
 
 def left_kan_oracle(els: ElementsSite, Z: Presheaf, i):

@@ -377,6 +377,12 @@ class ElementsSite:
     def __repr__(self):
         return f"ElementsSite({self.directed!r} over {self.base!r})"
 
+    @cached_property
+    def lifts(self):
+        """(directed source, directed target, base ref) -> the directed ref
+        over it; built on first use, since only Kan extension reads it."""
+        return {(a, b, base_ref): (a, b, pos) for (a, b, pos), base_ref in self.mor_map.items()}
+
 
 def build_elements_site(base: Site, rooted_only=False):
     """Materialize el(orientation presheaf) over a U-flavored site.

@@ -287,3 +287,14 @@ def test_search_budget_exceeded(theta):
     with pytest.raises(LooseEndsError) as ei:
         enumerate_etale(make_star(4), theta, budget=Budget(nodes=3))
     assert ei.value.code == "SearchBudgetExceeded"
+
+
+def test_search_budget_message_names_the_search():
+    from looseends.config import Budget
+
+    # one node per arc of star3 that the edge's first arc can go to: six
+    with pytest.raises(LooseEndsError) as ei:
+        enumerate_etale(make_edge(), make_star(3), budget=Budget(nodes=5))
+    assert ei.value.code == "SearchBudgetExceeded"
+    assert str(ei.value) == "SearchBudgetExceeded: enumerate_etale edge -> star3: 6 nodes used"
+    assert len(enumerate_etale(make_edge(), make_star(3), budget=Budget(nodes=6))) == 6

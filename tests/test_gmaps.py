@@ -424,10 +424,9 @@ VALIDATE_CODES = {
 }
 
 
-def _validate_codes(maps):
-    """validate_graph_map's code for every map with one phi_hat entry
-    replaced by another element of the target's Emb (None: still valid)."""
-    codes = Counter()
+def _mutations(maps):
+    """Each map with one phi_hat entry replaced by another element of the
+    target's Emb, unchecked."""
     for m in maps:
         for x in enumerate_emb(m.source):
             for y in enumerate_emb(m.target):
@@ -435,11 +434,18 @@ def _validate_codes(maps):
                     continue
                 table = dict(m.phi_hat)
                 table[x] = y
-                try:
-                    GraphMap(m.source, m.target, m.phi0, table, check=True)
-                    codes[None] += 1
-                except LooseEndsError as err:
-                    codes[err.code] += 1
+                yield GraphMap(m.source, m.target, m.phi0, table, check=False)
+
+
+def _validate_codes(maps):
+    """validate_graph_map's code for every mutation (None: still valid)."""
+    codes = Counter()
+    for bad in _mutations(maps):
+        try:
+            validate_graph_map(bad)
+            codes[None] += 1
+        except LooseEndsError as err:
+            codes[err.code] += 1
     return dict(codes)
 
 
@@ -467,6 +473,28 @@ def test_mutation_sweep_pins_validate_codes():
         families[tag] = [site.morph(ref) for ref in site.all_refs()]
     got = {name: _validate_codes(maps) for name, maps in families.items()}
     assert got == VALIDATE_CODES
+
+
+def test_factorize_on_corrupted_tables():
+    """factorize on the sweep's mutations of every 10th morphism of U and
+    Delta either fails with a library error or returns a factorization of
+    exactly the corrupted map; it never raises a program error.  Most
+    mutations are no graph maps; the three in U that still are factorize."""
+    from looseends.sites import build_site
+
+    answers = Counter()
+    for tag, bounds in (("U", SiteBounds(2, 3, 3)), ("Delta", SiteBounds(3, 4, 2))):
+        site = build_site(tag, bounds)
+        maps = [site.morph(ref) for ref in itertools.islice(site.all_refs(), 0, None, 10)]
+        for bad in _mutations(maps):
+            try:
+                alpha, iota = factorize(bad)
+            except LooseEndsError:
+                answers[tag, "refused"] += 1
+                continue
+            assert compose(iota, alpha, check=True) == bad
+            answers[tag, "factorized"] += 1
+    assert answers == {("U", "refused"): 3185, ("U", "factorized"): 3, ("Delta", "refused"): 595}
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +636,23 @@ def test_hom_sets_are_pinned(a05_sites):
     assert count == 25510
     assert digest.hexdigest() == (
         "9c139fb3aa8357b9ef75efb4eeb06fd4c2da7c0935df3cd802589b707cde4c52"
+    )
+
+
+def test_factorizations_are_pinned(a05_sites):
+    """The active and inert parts of every morphism of the A05 sites: their
+    number and a sha256 of their sort keys, recorded from a search that
+    tried every lift of phi0 and every table over the middle's Emb."""
+    digest, count = hashlib.sha256(), 0
+    for site in a05_sites.values():
+        for ref in site.all_refs():
+            alpha, iota = factorize(site.morph(ref))
+            for part in (alpha, iota):
+                digest.update(repr(gmaps._sort_key(part)).encode() + b"\n")
+            count += 1
+    assert count == 12241
+    assert digest.hexdigest() == (
+        "01879b5acacee205fef2523a65041322576f08eb9f132f05ea1e64d2aa9d2547"
     )
 
 
