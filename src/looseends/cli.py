@@ -265,24 +265,24 @@ def cmd_compose(args):
     from . import gmaps
 
     graphs = load_graphs(args.graphs)
-    _, outer, _ = textio.parse_graph_map(read_file(args.maps[0]), graphs)
-    _, inner, _ = textio.parse_graph_map(read_file(args.maps[1]), graphs)
+    _, outer, outer_cat = textio.parse_graph_map(read_file(args.maps[0]), graphs)
+    _, inner, inner_cat = textio.parse_graph_map(read_file(args.maps[1]), graphs)
     m = gmaps.compose(outer, inner, check=True)
-    return {"composite": textio.graph_map_to_text("composite", m)}
+    category = outer_cat if outer_cat == inner_cat else None
+    return {"composite": textio.graph_map_to_text("composite", m, category=category)}
 
 
 def cmd_factorize(args):
     from . import gmaps
 
     graphs = load_graphs(args.graphs)
-    name, m, _ = textio.parse_graph_map(read_file(args.map), graphs)
+    name, m, category = textio.parse_graph_map(read_file(args.map), graphs)
     alpha, iota = gmaps.factorize(m)
-    graphs[alpha.target.name] = alpha.target
     return {
         "map": name,
         "middle": textio.graph_to_text(alpha.target),
-        "active": textio.graph_map_to_text(f"{name}.active", alpha),
-        "inert": textio.graph_map_to_text(f"{name}.inert", iota),
+        "active": textio.graph_map_to_text(f"{name}.active", alpha, category=category),
+        "inert": textio.graph_map_to_text(f"{name}.inert", iota, category=category),
     }
 
 

@@ -6,17 +6,23 @@ from two-vertex join graphs via the Segal bijection, contractions from loop
 graphs.  This is site-level evidence toward essential surjectivity of the
 nerve, not a proof; the consistency test compares the nerve of the
 extracted presentation back against the presheaf.
+
+Every morphism used is a site morphism out of a star or out of the edge,
+and such a morphism is fixed by where phi0 sends the source's boundary arcs
+and by whether it is active or inert: the attached arcs follow by the
+involution, the edge classes by phi0, and the vertex goes to the whole
+target (active) or to the one vertex star with that boundary (inert).  So
+each is looked up in its hom-set by those two facts, with no search.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .config import OperadCaps
-from .emb import realize, vertex_element
-from .errors import LooseEndsError, fail
-from .etale import EtaleMap
-from .gmaps import compose, map_from_embedding, star_cover
+from .errors import fail
+from .gmaps import is_active, is_inert
 from .graphs import UGraph, iso, make_star, validate_ugraph
 from .operads import OperadPresentation, _close_tables, flavor_has_contraction
 from .presheaves import Presheaf
@@ -29,119 +35,41 @@ def _edge_object(site):
     fail("SiteTooSmall", "no edge object")
 
 
-def _star_object(site, n):
-    i = site.find_object(make_star(n))
-    if i is None:
-        fail("SiteTooSmall", f"no {n}-star object")
-    return i
-
-
-def _iso_graph_map(src, dst):
-    w = iso(src, dst)
-    if w is None:
-        fail("SiteTooSmall", "expected isomorphic graphs")
-    comp, vmap = w
-    return map_from_embedding(EtaleMap(src, dst, comp, vmap, check=False))
-
-
-def _leg_refs(site, star_idx, edge_idx):
-    """Per boundary arc of the star object, the located inert edge cover
-    whose phi0 sends the canonical arc of the edge object to that arc."""
-    star = site.objects[star_idx]
-    edge = site.objects[edge_idx]
-    a0 = min(edge.arcs)
-    legs = {}
-    for pos in range(len(site.hom(edge_idx, star_idx))):
-        m = site.morph((edge_idx, star_idx, pos))
-        legs[m.phi0[a0]] = (edge_idx, star_idx, pos)
-    order = tuple(sorted(star.boundary))
-    return order, [legs[a] for a in order]
-
-
-def _auto_ref(site, star_idx, order, perm):
-    """The automorphism of the star sending leg k onto leg perm[k]."""
-    star = site.objects[star_idx]
-    want = {order[k]: order[perm[k]] for k in range(len(order))}
-    for pos in range(len(site.hom(star_idx, star_idx))):
-        m = site.morph((star_idx, star_idx, pos))
-        if all(m.phi0[a] == b for a, b in want.items()):
-            return (star_idx, star_idx, pos)
-    fail("SiteTooSmall", "missing star automorphism")
+def _ref(site, i, j, arcs, images, active=False):
+    """The ref in hom(i, j) that sends arcs[k] to images[k] and is active
+    (or inert); out of a star or the edge, there is at most one."""
+    want = dict(zip(arcs, images))
+    kind = is_active if active else is_inert
+    for pos, m in enumerate(site.hom(i, j)):
+        if all(m.phi0[a] == b for a, b in want.items()) and kind(m):
+            return (i, j, pos)
+    kind = "active" if active else "inert"
+    fail("SiteTooSmall", f"no {kind} map in hom({i},{j}) sending {want}")
 
 
 def _join_graph(n, i, m, j):
     """Stars of arities n and m joined along position i of the first and
     position j of the second; boundary named by (side, position)."""
-    pairs, inc_u, inc_v = [], [], []
-    pairs.append(("m", "m*"))
-    inc_u.append("m")
-    inc_v.append("m*")
-    for k in range(n):
-        if k == i:
-            continue
-        a = f"u{k}"
-        pairs.append((a, a + "*"))
-        inc_u.append(a)
-    for k in range(m):
-        if k == j:
-            continue
-        a = f"v{k}"
-        pairs.append((a, a + "*"))
-        inc_v.append(a)
-    return validate_ugraph(f"join{n}.{i}.{m}.{j}", pairs, [("u", inc_u), ("v", inc_v)])
+    u = [f"u{k}" for k in range(n) if k != i]
+    v = [f"v{k}" for k in range(m) if k != j]
+    pairs = [("m", "m*")] + [(a, a + "*") for a in u + v]
+    return validate_ugraph(f"join{n}.{i}.{m}.{j}", pairs, [("u", ["m", *u]), ("v", ["m*", *v])])
 
 
 def _loop_graph(n, i, j):
     """A star of arity n with positions i < j glued into a loop."""
-    pairs = [("l", "l*")]
-    inc = ["l", "l*"]
-    for k in range(n):
-        if k in (i, j):
-            continue
-        a = f"u{k}"
-        pairs.append((a, a + "*"))
-        inc.append(a)
-    return validate_ugraph(f"loop{n}.{i}.{j}", pairs, [("v", inc)])
+    u = [f"u{k}" for k in range(n) if k not in (i, j)]
+    pairs = [("l", "l*")] + [(a, a + "*") for a in u]
+    return validate_ugraph(f"loop{n}.{i}.{j}", pairs, [("v", ["l", "l*", *u])])
 
 
-def _locate_cover(site, idx, target_idx, custom_map):
-    """Turn a graph map from a custom object into a located site morphism by
-    pre-composing with an iso from the site representative."""
-    rep = site.objects[idx]
-    adjust = _iso_graph_map(rep, custom_map.source)
-    return site.locate(idx, target_idx, compose(custom_map, adjust))
-
-
-def _star_inclusion_ref(site, big, v, star_idx, order, edge_to_arc):
-    """Located inert star cover of vertex v of site object big, with leg k
-    of the star landing on the arc edge_to_arc[k]."""
-    g = site.objects[big]
-    h, incl = realize(vertex_element(g, v))
-    cover = map_from_embedding(incl)
-    rep = site.objects[star_idx]
-    # iso rep -> h aligning legs: rep boundary order[k] must map onto the arc
-    # of h whose image boundary arc is edge_to_arc[k]
-    want_image = {order[k]: edge_to_arc[k] for k in range(len(order))}
-    for w in _all_isos(rep, h):
-        comp, vmap = w
-        candidate = EtaleMap(rep, h, comp, vmap, check=False)
-        full = compose(cover, map_from_embedding(candidate))
-        if all(full.phi0[a] == b for a, b in want_image.items()):
-            return site.locate(star_idx, big, full)
-    fail("SiteTooSmall", "no aligned star inclusion")
-
-
-def _all_isos(g, h):
-    """All isomorphism witnesses between small graphs (via etale search)."""
-    from .etale import enumerate_etale
-
-    out = []
-    if len(g.vertices) != len(h.vertices) or len(g.arcs) != len(h.arcs):
-        return out
-    for m in enumerate_etale(g, h):
-        if m.vertex_injective and len(set(m.component.values())) == len(m.component):
-            out.append((m.component, m.vertex_map))
-    return out
+def _site_copy(site, g):
+    """The site object isomorphic to g, and the name there of each arc of g."""
+    big = site.find_object(g)
+    if big is None:
+        fail("SiteTooSmall", f"{g.name} graph not in site")
+    comp, _ = iso(site.objects[big], g)
+    return big, {b: a for a, b in comp.items()}
 
 
 def presentation_from_segal(X: Presheaf, flavor, caps=None, name=None):
@@ -153,87 +81,99 @@ def presentation_from_segal(X: Presheaf, flavor, caps=None, name=None):
         if len(g.vertices) == 1 and not any(g.is_internal_edge(e) for e in g.edges()):
             arity_cap = max(arity_cap, len(g.boundary))
     caps = caps or OperadCaps(max_arity=arity_cap, max_ops_per_profile=64)
-    edge_idx = _edge_object(site)
-    edge = site.objects[edge_idx]
-    a0, a1 = sorted(edge.arcs)
-    colors = tuple(X.value(edge_idx))
-    swap_ref = None
-    for pos in range(len(site.hom(edge_idx, edge_idx))):
-        m = site.morph((edge_idx, edge_idx, pos))
-        if m.phi0[a0] == a1:
-            swap_ref = (edge_idx, edge_idx, pos)
-    dagger = {c: X.act(swap_ref, c) for c in colors}
+    e = _edge_object(site)
+    a0, a1 = sorted(site.objects[e].arcs)
+    colors = tuple(X.value(e))
+    swap = _ref(site, e, e, [a0], [a1])
+    dagger = {c: X.act(swap, c) for c in colors}
 
-    ops, op_profile, op_value = {}, {}, {}
-    star_data = {}
-    for n in range(0, caps.max_arity + 1):
-        try:
-            s_idx = _star_object(site, n)
-        except LooseEndsError:
+    # stars[n]: the n-star's object and its boundary arcs, sorted; leg k of
+    # an operation is its restriction along the edge onto arc k
+    stars, autos, ops, op_profile, op_value = {}, {}, {}, {}, {}
+    for n in range(caps.max_arity + 1):
+        s = site.find_object(make_star(n))
+        if s is None:
             continue
-        order, legs = _leg_refs(site, s_idx, edge_idx)
-        star_data[n] = (s_idx, order, legs)
-        for k, v in enumerate(X.value(s_idx)):
+        order = site.objects[s].boundary
+        stars[n] = (s, order)
+        autos[n] = {
+            perm: _ref(site, s, s, order, [order[k] for k in perm])
+            for perm in itertools.permutations(range(n))
+        }
+        legs = [_ref(site, e, s, [a0], [a]) for a in order]
+        for k, v in enumerate(X.value(s)):
             prof = tuple(X.act(leg, v) for leg in legs)
             p = f"op{n}.{k}"
-            ops.setdefault(prof, ())
-            ops[prof] = ops[prof] + (p,)
+            ops[prof] = ops.get(prof, ()) + (p,)
             op_profile[p] = prof
             op_value[p] = (n, v)
+    value_to_op = {nv: p for p, nv in op_value.items()}
+    actions = {
+        (p, perm): value_to_op[(n, X.act(ref, v))]
+        for p, (n, v) in op_value.items()
+        for perm, ref in autos[n].items()
+    }
 
-    value_to_op = {}
-    for p, (n, v) in op_value.items():
-        value_to_op[(n, v)] = p
+    # the identity of c reads (dagger c, c): the cover sends leg 0 onto a1
+    s2, order2 = stars[2]
+    cover = _ref(site, s2, e, order2, [a1, a0], active=True)
+    identities = {c: value_to_op[(2, X.act(cover, c))] for c in colors}
 
     P = OperadPresentation(
-        name or f"extracted({X.name})",
-        flavor,
-        colors,
-        dagger,
-        ops,
-        op_profile,
-        {},
-        {},
-        {},
-        {},
-        caps,
+        name or f"extracted({X.name})", flavor, colors, dagger, ops, op_profile,
+        {}, {}, actions, identities, caps,
     )
 
-    # actions from star automorphisms
-    for p, (n, v) in op_value.items():
-        s_idx, order, legs = star_data[n]
-        for perm in itertools.permutations(range(n)):
-            ref = _auto_ref(site, s_idx, order, perm)
-            P.actions[(p, perm)] = value_to_op[(n, X.act(ref, v))]
+    def inclusion(n, big, to_rep, g, attached):
+        """The inert n-star inclusion whose leg k lies on the partner of the
+        attached arc attached[k] of g."""
+        s, order = stars[n]
+        return _ref(site, s, big, order, [to_rep[g.dagger[a]] for a in attached])
 
-    # identities from the active cover of the edge object
-    cover_star, cover = star_cover(edge)
-    s2_idx, order2, legs2 = star_data[2]
-    cover_ref = _locate_cover(site, s2_idx, edge_idx, cover)
-    for c in colors:
-        idv = X.act(cover_ref, c)
-        p = value_to_op[(2, idv)]
-        # reorder so the profile reads (dagger c, c)
-        if P.op_profile[p] == (dagger[c], c):
-            P.identities[c] = p
-        else:
-            P.identities[c] = P.actions[(p, (1, 0))]
+    def cover_of(big, to_rep, legs):
+        """The active cover of big whose leg k lies on legs[k]."""
+        s, order = stars[len(legs)]
+        return _ref(site, s, big, order, [to_rep[a] for a in legs], active=True)
 
-    # compositions through two-vertex join graphs, contractions through
-    # loop graphs
-    return _close_tables(
-        P,
-        lambda p, i, j, q: _compose_via_join(
-            X, site, star_data, value_to_op, p, i, q, j, op_value, dagger
-        ),
-        (
-            (lambda p, i, j: _contract_via_loop(
-                X, site, star_data, value_to_op, p, i, j, op_value
-            ))
-            if flavor_has_contraction(flavor)
-            else None
-        ),
-    )
+    @functools.cache
+    def join_refs(n, i, m, j):
+        join = _join_graph(n, i, m, j)
+        big, to_rep = _site_copy(site, join)
+        # the composite lists p's entries before i, q's entries in cyclic
+        # order from j, then p's entries after i
+        legs = (
+            [f"u{k}*" for k in range(i)]
+            + [f"v{k}*" for k in list(range(j + 1, m)) + list(range(j))]
+            + [f"u{k}*" for k in range(i + 1, n)]
+        )
+        return (
+            big,
+            inclusion(n, big, to_rep, join, ["m" if k == i else f"u{k}" for k in range(n)]),
+            inclusion(m, big, to_rep, join, ["m*" if k == j else f"v{k}" for k in range(m)]),
+            cover_of(big, to_rep, legs),
+        )
+
+    @functools.cache
+    def loop_refs(n, i, j):
+        loop = _loop_graph(n, i, j)
+        big, to_rep = _site_copy(site, loop)
+        attached = ["l" if k == i else "l*" if k == j else f"u{k}" for k in range(n)]
+        legs = [f"u{k}*" for k in range(n) if k not in (i, j)]
+        return big, inclusion(n, big, to_rep, loop, attached), cover_of(big, to_rep, legs)
+
+    def composite(p, i, j, q):
+        (n, v), (m, w) = op_value[p], op_value[q]
+        big, u_ref, v_ref, cover = join_refs(n, i, m, j)
+        xi = _segal_preimage(X, big, [(u_ref, v), (v_ref, w)])
+        return value_to_op[(n + m - 2, X.act(cover, xi))]
+
+    def contraction(p, i, j):
+        n, v = op_value[p]
+        big, v_ref, cover = loop_refs(n, i, j)
+        xi = _segal_preimage(X, big, [(v_ref, v)])
+        return value_to_op[(n - 2, X.act(cover, xi))]
+
+    return _close_tables(P, composite, contraction if flavor_has_contraction(flavor) else None)
 
 
 def _segal_preimage(X, i, cover_values):
@@ -248,113 +188,3 @@ def _segal_preimage(X, i, cover_values):
     if found is None:
         fail("SiteTooSmall", "Segal preimage missing")
     return found
-
-
-def _cover_with_legs(site, big_idx, v, star_data, n, edge_to_arc):
-    s_idx, order, legs = star_data[n]
-    return _star_inclusion_ref(site, big_idx, v, s_idx, order, edge_to_arc)
-
-
-def _compose_via_join(X, site, star_data, value_to_op, p, i, q, j, op_value, dagger):
-    n, v = op_value[p]
-    m_ar, w = op_value[q]
-    join = _join_graph(n, i, m_ar, j)
-    big = site.find_object(join)
-    if big is None:
-        fail("SiteTooSmall", f"join graph for {p}.{i} o {q}.{j} not in site")
-    rep = site.objects[big]
-    adjust = _iso_graph_map(rep, join)  # rep -> join
-    inv = {b: a for a, b in adjust.phi0.items()}
-    # the star's boundary arcs are the daggers of the attached join arcs
-    u_arcs = ["m" if k == i else f"u{k}" for k in range(n)]
-    v_arcs = ["m*" if k == j else f"v{k}" for k in range(m_ar)]
-    u_ref = _cover_with_legs(
-        site, big, _vertex_of(rep, adjust, "u"), star_data, n,
-        [inv[join.dagger[a]] for a in u_arcs],
-    )
-    v_ref = _cover_with_legs(
-        site, big, _vertex_of(rep, adjust, "v"), star_data, m_ar,
-        [inv[join.dagger[a]] for a in v_arcs],
-    )
-    xi = _segal_preimage(X, big, [(u_ref, v), (v_ref, w)])
-    # evaluate through the active cover, then reorder to the result profile
-    _, cover = star_cover(rep)
-    result_arity = n + m_ar - 2
-    s_idx, order, legs = star_data[result_arity]
-    cover_ref = _locate_cover(site, s_idx, big, cover)
-    val = X.act(cover_ref, xi)
-    r0 = value_to_op[(result_arity, val)]
-    # the canonical profile order lists p's entries before i, q's entries in
-    # cyclic order, then p's entries after i; align via the leg arcs
-    boundary_order = (
-        [inv[f"u{k}*"] for k in range(i)]
-        + [inv[f"v{k}*"] for k in list(range(j + 1, m_ar)) + list(range(j))]
-        + [inv[f"u{k}*"] for k in range(i + 1, n)]
-    )
-    return _reorder_to(X, site, star_data, value_to_op, val, big, cover_ref, boundary_order, order, s_idx)
-
-
-def _vertex_of(rep, adjust, name):
-    # vertex of rep mapping onto the named join vertex under adjust
-    for v in rep.vertices:
-        img = adjust.phi_hat[vertex_element(rep, v)]
-        if name in img.vertex_set:
-            return v
-    fail("SiteTooSmall", "vertex alignment failed")
-
-
-def _reorder_to(
-    X, site, star_data, value_to_op, val, big, cover_ref, boundary_order, order, s_idx
-):
-    """Permute the extracted composite so position k carries boundary_order[k].
-
-    The cover's phi0 relates the star's boundary arcs to the big object's
-    boundary arcs; we need the action moving the sorted order onto the
-    requested one."""
-    i, j, pos = cover_ref
-    m = site.morph(cover_ref)
-    # star leg arc -> big boundary arc
-    to_big = {a: m.phi0[a] for a in order}
-    arity = len(order)
-    want = {}
-    for k, big_arc in enumerate(boundary_order):
-        leg = next(a for a in order if to_big[a] == big_arc)
-        want[k] = order.index(leg)
-    perm = tuple(want[k] for k in range(arity))
-    n_val = value_to_op[(arity, val)]
-    # apply the star automorphism action on values
-    ref = _auto_ref(site, s_idx, order, perm)
-    return value_to_op[(arity, X.act(ref, val))]
-
-
-def _contract_via_loop(X, site, star_data, value_to_op, p, i, j, op_value):
-    n, v = op_value[p]
-    loop = _loop_graph(n, i, j)
-    big = site.find_object(loop)
-    if big is None:
-        fail("SiteTooSmall", f"loop graph for {p}.{i}.{j} not in site")
-    rep = site.objects[big]
-    adjust = _iso_graph_map(rep, loop)
-    inv = {b: a for a, b in adjust.phi0.items()}
-    arcs = []
-    for k in range(n):
-        if k == i:
-            arcs.append("l")
-        elif k == j:
-            arcs.append("l*")
-        else:
-            arcs.append(f"u{k}")
-    v_ref = _cover_with_legs(
-        site, big, _vertex_of(rep, adjust, "v"), star_data, n,
-        [inv[loop.dagger[a]] for a in arcs],
-    )
-    xi = _segal_preimage(X, big, [(v_ref, v)])
-    result_arity = n - 2
-    s_idx, order, legs = star_data[result_arity]
-    _, cover = star_cover(rep)
-    cover_ref = _locate_cover(site, s_idx, big, cover)
-    val = X.act(cover_ref, xi)
-    boundary_order = [inv[f"u{k}*"] for k in range(n) if k not in (i, j)]
-    return _reorder_to(
-        X, site, star_data, value_to_op, val, big, cover_ref, boundary_order, order, s_idx
-    )

@@ -112,15 +112,11 @@ def _build_u(k, bundle, legs):
     return UGraph(name, dagger, t, [f"v{i}" for i in range(k)])
 
 
-def gen_connected_dgraphs(bounds: SiteBounds, acyclic_only=False):
+def gen_connected_dgraphs(bounds: SiteBounds):
     """All connected directed graphs within the bounds, one per iso class."""
-    from .graphs import has_directed_cycle, shape
-
     seen, out = set(), []
 
     def emit(g):
-        if acyclic_only and has_directed_cycle(g):
-            return
         sig = canonical_signature(g)[0]
         if sig not in seen:
             seen.add(sig)

@@ -13,15 +13,24 @@ from .graphs import UGraph
 from .operads import DecoratedGraph, OperadPresentation
 from .sites import Site
 
-# "~" names the cut tips of a realized class (emb.realize), which site
-# manifests of U carry in their object names
-TOKEN = re.compile(r"^[A-Za-z0-9_.*+'~\-]+$")
+# "~", "|" and ">" occur in the names emb.realize gives a realized class and
+# its cut edges, which factorization middles and site manifests carry
+TOKEN = re.compile(r"^[A-Za-z0-9_.*+'~|>\-]+$")
 
 
 def check_token(tok):
     if not TOKEN.match(tok):
         fail("UnknownArc", f"bad token {tok!r}")
     return tok
+
+
+def _match(pattern, text, lineno, code):
+    """The match of pattern against all of text, read from line lineno;
+    anything else fails with code, naming the line."""
+    mm = re.fullmatch(pattern, text)
+    if mm is None:
+        fail(code, f"line {lineno}: cannot read {text!r}")
+    return mm
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +180,8 @@ def emb_from_text(g, text):
 
 
 def graph_map_to_text(name, m: GraphMap, category="U") -> str:
-    lines = [f"map {name} : {m.source.name} -> {m.target.name} in {category}"]
+    header = f"map {name} : {m.source.name} -> {m.target.name}"
+    lines = [header + (f" in {category}" if category else "")]
     if isinstance(m.source, UGraph):
         for a in m.source.arcs:
             lines.append(f"arc {a} |-> {m.phi0[a]}")
@@ -270,14 +280,18 @@ def parse_etale(text, graphs):
                 fail("UnknownArc", f"line {lineno}: bad etale header")
             header = mm.groups()
         elif line.startswith(("arc ", "edge ")):
-            mm = re.match(r"(?:arc|edge)\s+(\S+)\s*\|->\s*(\S+)", line)
+            mm = _match(r"(?:arc|edge)\s+(\S+)\s*\|->\s*(\S+)", line, lineno, "UnknownArc")
             comp[mm.group(1)] = mm.group(2)
         elif line.startswith("vertex "):
-            mm = re.match(r"vertex\s+(\S+)\s*\|->\s*(\S+)", line)
+            mm = _match(r"vertex\s+(\S+)\s*\|->\s*(\S+)", line, lineno, "UnknownArc")
             vmap[mm.group(1)] = mm.group(2)
         else:
             fail("UnknownArc", f"line {lineno}: unknown directive")
+    if header is None:
+        fail("UnknownArc", "no etale header found")
     name, src_name, dst_name = header
+    if src_name not in graphs or dst_name not in graphs:
+        fail("UnknownArc", "unknown source or target graph")
     return name, EtaleMap(graphs[src_name], graphs[dst_name], comp, vmap)
 
 
@@ -318,6 +332,7 @@ def parse_operad(text, caps=None) -> OperadPresentation:
     from .operads import DIRECTED_FLAVORS
 
     caps = caps or DEFAULT_CAPS
+    bad = "FlavorMismatch"
     name = flavor = None
     colors, dagger = (), {}
     ops, op_profile = {}, {}
@@ -329,22 +344,22 @@ def parse_operad(text, caps=None) -> OperadPresentation:
             continue
         words = line.split()
         if words[0] == "operad":
-            name, flavor = words[1], words[3]
+            name, flavor = _match(r"operad\s+(\S+)\s+flavor\s+(\S+)", line, lineno, bad).groups()
             directed = flavor in DIRECTED_FLAVORS
         elif words[0] == "colors":
             if "involution" in words:
                 k = words.index("involution")
                 colors = tuple(words[1:k])
                 for pair in words[k + 1 :]:
-                    a, b = pair.split(":")
+                    a, b = _match(r"([^:]+):([^:]+)", pair, lineno, bad).groups()
                     dagger[a] = b
             else:
                 colors = tuple(words[1:])
         elif words[0] == "ops":
-            mm = re.match(r"ops\s*\(([^)]*)\)\s*:\s*(.*)", line)
+            mm = _match(r"ops\s*\(([^)]*)\)\s*:\s*(.*)", line, lineno, bad)
             inside, names = mm.group(1), mm.group(2).split()
             if "->" in inside:
-                ins_text, outs_text = inside.split("->")
+                ins_text, _, outs_text = inside.partition("->")
                 prof = (tuple(ins_text.split()), tuple(outs_text.split()))
             else:
                 prof = tuple(inside.split())
@@ -352,27 +367,24 @@ def parse_operad(text, caps=None) -> OperadPresentation:
             for p in names:
                 op_profile[p] = prof
         elif words[0] == "identity":
-            identities[words[1]] = words[3]
+            c, p = _match(r"identity\s+(\S+)\s*=\s*(\S+)", line, lineno, bad).groups()
+            identities[c] = p
         elif words[0] == "act":
-            mm = re.match(r"act\s+(\S+)\s*\(([^)]*)\)\s*=\s*(\S+)", line)
-            p, inside, q = mm.group(1), mm.group(2), mm.group(3)
-            if "|" in inside:
-                pi_text, po_text = inside.split("|")
-                perm = (
-                    tuple(int(w) for w in pi_text.split()),
-                    tuple(int(w) for w in po_text.split()),
-                )
-            else:
-                perm = tuple(int(w) for w in inside.split())
-            actions[(p, perm)] = q
+            perm_text = r"([\d\s]*(?:\|[\d\s]*)?)"
+            mm = _match(rf"act\s+(\S+)\s*\({perm_text}\)\s*=\s*(\S+)", line, lineno, bad)
+            p, inside, q = mm.groups()
+            parts = tuple(tuple(map(int, part.split())) for part in inside.split("|"))
+            actions[(p, parts if "|" in inside else parts[0])] = q
         elif words[0] == "compose":
-            p, i, j, q, eq, r = words[1:7]
+            pattern = r"compose\s+(\S+)\s+(\d+)\s+(\d+)\s+(\S+)\s*=\s*(\S+)"
+            p, i, j, q, r = _match(pattern, line, lineno, bad).groups()
             compositions[(p, int(i), int(j), q)] = r
         elif words[0] == "contract":
-            p, i, j, eq, r = words[1:6]
+            pattern = r"contract\s+(\S+)\s+(\d+)\s+(\d+)\s*=\s*(\S+)"
+            p, i, j, r = _match(pattern, line, lineno, bad).groups()
             contractions[(p, int(i), int(j))] = r
         else:
-            fail("FlavorMismatch", f"line {lineno}: unknown directive {words[0]!r}")
+            fail(bad, f"line {lineno}: unknown directive {words[0]!r}")
     if not directed and not dagger:
         dagger = {c: c for c in colors}
     return OperadPresentation(
@@ -470,17 +482,21 @@ def parse_presheaf(text, site: Site):
         if line.startswith("presheaf "):
             name = line.split()[1]
         elif line.startswith("at "):
-            mm = re.match(r"at\s+(\S+)\s*:\s*(.*)", line)
+            mm = _match(r"at\s+(\d+)\s*:\s*(.*)", line, lineno, "SiteTooSmall")
             i = int(mm.group(1))
-            if not 0 <= i < len(site.objects):
+            if i >= len(site.objects):
                 fail("SiteTooSmall", f"line {lineno}: no object {i} in the site")
-            values[i] = tuple(_from_token(tok, site.objects[i]) for tok in mm.group(2).split())
+            host = site.objects[i]
+            values[i] = tuple(_from_token(tok, host, lineno) for tok in mm.group(2).split())
         elif line.startswith("along "):
-            mm = re.match(r"along\s+(\S+)\s*:\s*(\S+)\s*\|->\s*(\S+)", line)
-            ref = names[mm.group(1)]
+            pattern = r"along\s+(\S+)\s*:\s*(\S+)\s*\|->\s*(\S+)"
+            mm = _match(pattern, line, lineno, "SiteTooSmall")
+            ref = names.get(mm.group(1))
+            if ref is None:
+                fail("SiteTooSmall", f"line {lineno}: no morphism {mm.group(1)} in the site")
             i, j, _ = ref
-            elem = _from_token(mm.group(2), site.objects[j])
-            action.setdefault(ref, {})[elem] = _from_token(mm.group(3), site.objects[i])
+            elem = _from_token(mm.group(2), site.objects[j], lineno)
+            action.setdefault(ref, {})[elem] = _from_token(mm.group(3), site.objects[i], lineno)
         else:
             fail("SiteTooSmall", f"line {lineno}: unknown directive")
     from .presheaves import Presheaf
@@ -488,9 +504,12 @@ def parse_presheaf(text, site: Site):
     return Presheaf(site, values, action, name=name or "X")
 
 
-def _from_token(tok, host):
+def _from_token(tok, host, lineno):
     """The value written as tok, at an object whose graph is host."""
-    return _unjson(json.loads(tok), host)
+    try:
+        return _unjson(json.loads(tok), host)
+    except (ValueError, KeyError) as e:
+        fail("SiteTooSmall", f"line {lineno}: bad value {tok!r}: {e}")
 
 
 def _unjson(v, host):

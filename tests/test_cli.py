@@ -304,3 +304,64 @@ def test_u_manifest_round_trip(tmp_path, capsys):
     code, out = run(capsys, "segal", str(nerve), "--site", str(manifest), "--json")
     assert code == 0
     assert json.loads(out)["data"] == {"presheaf": "N(terminal-modular)", "segal": True}
+
+
+@pytest.fixture(scope="module")
+def u0_manifest(tmp_path_factory):
+    path = tmp_path_factory.mktemp("site") / "u0.json"
+    argv = ["site-build", "--category", "U0", "--vertices", "1", "--edges", "1", "-o", str(path)]
+    assert main(argv) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, text, code",
+    [
+        ("operad-check", "operad X\n", "FlavorMismatch"),
+        ("operad-check", "operad X flavor cyclic\nops c -> c: 1\n", "FlavorMismatch"),
+        ("operad-check", "operad X flavor cyclic\ncompose 1 0\n", "FlavorMismatch"),
+        ("segal", 'presheaf X on s\nat zero: "*"\n', "SiteTooSmall"),
+        ("segal", 'presheaf X on s\nalong m9_9_9: "*" |-> "*"\n', "SiteTooSmall"),
+        ("segal", 'presheaf X on s\nat 0 "*"\n', "SiteTooSmall"),
+    ],
+    ids=["operad-header", "ops-profile", "compose", "at-object", "along-morphism", "at-colon"],
+)
+def test_malformed_line_is_named(command, text, code, u0_manifest, tmp_path, capsys):
+    """A line the operad or presheaf reader cannot read fails with an error
+    code naming that line (the last one here), never with a traceback."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    site = ["--site", str(u0_manifest)] if command == "segal" else []
+    status, out = run(capsys, command, str(path), *site, "--json")
+    body = json.loads(out)
+    assert status == 1
+    assert body["error"] == code
+    assert f"line {text.count(chr(10))}:" in body["detail"]
+
+
+def test_factorize_report_reads_back(tmp_path, capsys):
+    """The middle and both maps of a factorize report read back, and
+    map-check finds each in the input map's category."""
+    shift = tmp_path / "shift.map"
+    shift.write_text(
+        "map shift : L1 -> L2 in Delta\n"
+        "edge 0 |-> 1\nedge 1 |-> 2\nvertex 1 |-> emb {vertices 2}\n"
+    )
+    middles = []
+    for source in (fx("degeneracy.map"), str(shift)):
+        code, out = run(capsys, "factorize", source, fx("linear.graph"), "--json")
+        assert code == 0
+        data = json.loads(out)["data"]
+        middle = tmp_path / "middle.graph"
+        middle.write_text(data["middle"])
+        middles.append(data["middle"].split()[1])
+        for part in ("active", "inert"):
+            path = tmp_path / f"{part}.map"
+            path.write_text(data[part])
+            code, out = run(
+                capsys, "map-check", str(path), fx("linear.graph"), str(middle), "--json"
+            )
+            body = json.loads(out)
+            assert code == 0 and body["ok"]
+            assert body["data"][part] is True and body["data"]["in_category"] is True
+    assert middles == ["L0|0", "L2|1v"]

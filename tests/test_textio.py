@@ -49,7 +49,7 @@ class TestGraphRoundTrip:
 
     def test_bad_token(self):
         with pytest.raises(LooseEndsError):
-            parse_graphs("graph bad undirected\npair a| b\n")
+            parse_graphs("graph bad undirected\npair a@ b\n")
 
     def test_unknown_directive(self):
         with pytest.raises(LooseEndsError):
