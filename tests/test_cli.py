@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -60,6 +61,29 @@ def test_reports_byte_identical(capsys):
     _, out1 = run(capsys, "emb", fx("theta.graph"), "--json")
     _, out2 = run(capsys, "emb", fx("theta.graph"), "--json")
     assert out1 == out2
+
+
+def test_graph_reports_are_pinned(capsys):
+    """emb, ssb and validate --json on every fixture graph: a sha256 of the
+    successful reports, with the error code of each failing one."""
+    from looseends.textio import parse_graphs
+
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(FIXTURES)):
+        if not name.endswith(".graph"):
+            continue
+        with open(fx(name)) as fh:
+            graphs = sorted(parse_graphs(fh.read()))
+        runs = [("validate", fx(name))]
+        runs += [(cmd, fx(name), "--graph", g) for g in graphs for cmd in ("emb", "ssb")]
+        for argv in runs:
+            status, out = run(capsys, *argv, "--json")
+            body = json.loads(out)
+            text = out if status == 0 else body["error"]
+            digest.update(f"{argv[0]} {name} {argv[3:]} {status}\n{text}".encode())
+    assert digest.hexdigest() == (
+        "15ae57ec57a7139b27abae07b3f5bfb7b19744b824a2b2e8cf33005b329de6ee"
+    )
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):

@@ -12,7 +12,7 @@ from looseends.etale import (
     validate_etale,
 )
 from looseends.config import SiteBounds
-from looseends.gen import gen_trees_u
+from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs, gen_trees_u
 from looseends.graphs import (
     isomorphic,
     make_edge,
@@ -298,3 +298,43 @@ def test_search_budget_message_names_the_search():
     assert ei.value.code == "SearchBudgetExceeded"
     assert str(ei.value) == "SearchBudgetExceeded: enumerate_etale edge -> star3: 6 nodes used"
     assert len(enumerate_etale(make_edge(), make_star(3), budget=Budget(nodes=6))) == 6
+
+
+def _mutations(m):
+    """Every map that differs from m in one entry, the current value
+    included: one component entry, set alone and set with its partner, or
+    one vertex image."""
+    h, g = m.source, m.target
+    for s in h.slots:
+        for c in g.slots:
+            comp = dict(m.component)
+            comp[s] = c
+            yield comp, m.vertex_map
+            yield {**comp, h.partner(s): g.partner(c)}, m.vertex_map
+    for v in h.vertices:
+        for w in g.vertices:
+            yield m.component, {**m.vertex_map, v: w}
+
+
+def test_single_entry_mutations_pin_error_codes():
+    """The code EtaleMap fails with on every single-entry mutation of every
+    etale map between two SiteBounds(2, 3, 3) hosts of one flavor."""
+    from collections import Counter
+
+    bounds, codes, maps = SiteBounds(2, 3, 3), Counter(), 0
+    for hosts in (gen_connected_ugraphs(bounds), gen_connected_dgraphs(bounds)):
+        for m in (m for h in hosts for g in hosts for m in enumerate_etale(h, g)):
+            maps += 1
+            for comp, vmap in _mutations(m):
+                try:
+                    EtaleMap(m.source, m.target, comp, vmap)
+                    codes[None] += 1
+                except LooseEndsError as e:
+                    codes[e.code] += 1
+    assert maps == 548
+    assert codes == {
+        None: 4577,
+        "NotInvolutive": 3732,
+        "SquareNotCommuting": 3261,
+        "NeighborhoodNotBijective": 2222,
+    }
