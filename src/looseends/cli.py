@@ -48,7 +48,7 @@ def main(argv=None):
     try:
         payload = args.func(args)
     except LooseEndsError as e:
-        emit(args, {"ok": False, "error": e.code, "detail": str(e)})
+        emit(args, {"ok": False, "error": e.code, "detail": e.message})
         return 1
     except (OSError, UnicodeDecodeError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -63,7 +63,7 @@ def emit(args, body):
         print(json.dumps(body, indent=1, sort_keys=True, default=repr))
         return
     if not body["ok"]:
-        print(f"error {body['error']}: {body['detail']}")
+        print(f"error {body['error']}" + (f": {body['detail']}" if body["detail"] else ""))
         return
     _print_text(body.get("data"))
 

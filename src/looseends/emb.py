@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import fail
 from .etale import EtaleMap, enumerate_etale
-from .graphs import DGraph, UGraph, is_connected, sides
+from .graphs import DGraph, UGraph, by_side, is_connected, port_table, sides
 
 # Classes key the hot dicts of graph maps and host indexes, so each hashes
 # its fields once, at construction, into a slot that equality ignores.
@@ -75,25 +75,6 @@ class EmbRegion:
         return f"[vertices {vs}; uncut {zs}]" if zs else f"[vertices {vs}]"
 
 
-def internal_edges_of(g, vertex_set):
-    """Edges with both ends attached inside vertex_set."""
-    out = set()
-    for e in g.edge_keys:
-        x, y = g.ends(e)
-        if x is not None and y is not None and x in vertex_set and y in vertex_set:
-            out.add(e)
-    return frozenset(out)
-
-
-def incident_edges(g, vertex_set):
-    out = set()
-    for e in g.edge_keys:
-        x, y = g.ends(e)
-        if (x in vertex_set) or (y in vertex_set):
-            out.add(e)
-    return frozenset(out)
-
-
 def region(g, vertices, glued):
     vertices = frozenset(vertices)
     glued = frozenset(glued)
@@ -102,9 +83,10 @@ def region(g, vertices, glued):
         fail("EmptySubgraph", "a region needs at least one vertex")
     if not vertices <= ix.vbit.keys():
         fail("UnknownVertex", "region vertices must be host vertices")
-    if not glued <= internal_edges_of(g, vertices):
+    vmask = ix.vertex_mask(vertices)
+    if not glued <= ix.ebit.keys() or ix.edge_mask(glued) & ~ix.internal(vmask):
         fail("UnknownEdge", "glued edges must be internal to the region")
-    if not ix.connected(ix.vertex_mask(vertices), ix.edge_mask(glued)):
+    if not ix.connected(vmask, ix.edge_mask(glued)):
         fail("NotClosed", "region does not realize a connected graph")
     return EmbRegion(g, vertices, glued)
 
@@ -470,7 +452,8 @@ def _realize_d(x):
         h = DGraph(f"{g.name}|{e}", [e], {}, {}, [])
         return h, EtaleMap(h, g, {e: e}, {})
     edges, inputs, outputs, comp = [], {}, {}, {}
-    for e in sorted(incident_edges(g, x.vertices)):
+    ix = index(g)
+    for e in ix.edges_in(ix.code(x)[3]):
         tail, head = g.outputs.get(e), g.inputs.get(e)  # flows tail -> head
         head_in = head in x.vertices if head is not None else False
         tail_in = tail in x.vertices if tail is not None else False
@@ -532,43 +515,28 @@ def unions(x, y):
 
 def boundary(x):
     """Boundary multiset of the class, as a sorted tuple of host arcs."""
-    g = x.host
-    if not isinstance(g, UGraph):
-        fail("HostMismatch", "boundary is the undirected notion; use in_out")
-    if isinstance(x, EmbEdge):
-        return tuple(sorted(x.edge))
-    out = []
-    for a, v in g.t.items():
-        if v in x.vertices and g.edge_key(a) not in x.glued:
-            out.append(g.dagger[a])
-    return tuple(sorted(out))
+    if x.host.directed:
+        fail("HostMismatch", "boundary lists arcs; use in_out on a directed host")
+    return boundary_profile(x)
 
 
 def in_out(x):
     """(inputs, outputs) of the class for a directed host, as sorted tuples."""
-    g = x.host
-    if not isinstance(g, DGraph):
+    if not x.host.directed:
         fail("HostMismatch", "in_out needs a directed host")
-    if isinstance(x, EmbEdge):
-        return (x.edge,), (x.edge,)
-    ins = [
-        e
-        for e, v in g.inputs.items()
-        if v in x.vertices and e not in x.glued
-    ]
-    outs = [
-        e
-        for e, v in g.outputs.items()
-        if v in x.vertices and e not in x.glued
-    ]
-    return tuple(sorted(ins)), tuple(sorted(outs))
+    return boundary_profile(x)
 
 
 def boundary_profile(x):
-    """Flavor-independent boundary data used for boundary-compatibility."""
-    if isinstance(x.host, UGraph):
-        return boundary(x)
-    return in_out(x)
+    """The boundary of x, as a profile of host slots: both end ports of an
+    edge class; for a region, the end ports at its vertices of the edges
+    that it does not glue."""
+    g = x.host
+    if isinstance(x, EmbEdge):
+        return by_side(g, g.end_ports(x.edge))
+    at = port_table(g)
+    ports = [p for v in x.vertices for p in at[v] if g.edge_of(p[1]) not in x.glued]
+    return by_side(g, ports)
 
 
 def boundary_via_realize(x):
@@ -592,25 +560,13 @@ def class_of_embedding(m: EtaleMap):
     if not h.vertices:
         (e,) = h.edge_keys
         return EmbEdge(g, m.edge_image(e))
-    vset = frozenset(m.vertex_map.values())
-    covered = {}
-    for e in h.edge_keys:
-        img = m.edge_image(e)
-        covered[img] = covered.get(img, 0) + 1
-    glued = {
-        e
-        for e in internal_edges_of(g, vset)
-        if covered.get(e, 0) == 1 and _edge_intact(h, m, e)
-    }
-    return EmbRegion(g, vset, frozenset(glued))
-
-
-def _edge_intact(h, m, e):
-    """True when the single preimage edge of e has both of its ends attached."""
-    for he in h.edge_keys:
-        if m.edge_image(he) == e:
-            return h.is_internal_edge(he)
-    return False
+    # an edge stays glued when one intact edge of the domain covers it; the
+    # ends of an intact edge go to the embedding's vertices, so it is internal
+    images = [m.edge_image(e) for e in h.edge_keys]
+    glued = frozenset(
+        y for e, y in zip(h.edge_keys, images) if h.is_internal_edge(e) and images.count(y) == 1
+    )
+    return EmbRegion(g, frozenset(m.vertex_map.values()), glued)
 
 
 def pushforward(m: EtaleMap, x):
@@ -644,9 +600,11 @@ def is_structured(x) -> bool:
         fail("NotAcyclic", f"{g.name} is not acyclic")
     if isinstance(x, EmbEdge):
         return True
-    if x.glued != internal_edges_of(g, x.vertices):
+    ix = index(g)
+    vmask, zmask, _, cmask = ix.code(x)
+    if zmask != ix.internal(vmask):
         return False
-    edges = incident_edges(g, x.vertices)
+    edges = ix.edges_in(cmask)
     forward = _reach(g, edges, x.vertices, direction="fwd")
     backward = _reach(g, edges, x.vertices, direction="bwd")
     return not (forward & backward)

@@ -8,6 +8,7 @@ can match on it without parsing messages.
 class LooseEndsError(Exception):
     def __init__(self, code: str, message: str = ""):
         self.code = code
+        self.message = message
         super().__init__(f"{code}: {message}" if message else code)
 
 

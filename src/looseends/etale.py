@@ -12,7 +12,7 @@ import itertools
 
 from .config import DEFAULT_BUDGET
 from .errors import LooseEndsError, fail
-from .graphs import DGraph, UGraph, is_connected
+from .graphs import DGraph, UGraph, is_connected, port_table
 
 
 class EtaleMap:
@@ -48,45 +48,29 @@ class EtaleMap:
 
     def _validate(self):
         g, h = self.source, self.target
-        if isinstance(g, UGraph) != isinstance(h, UGraph):
+        f, vmap = self.component, self.vertex_map
+        if g.directed != h.directed:
             fail("SourceTargetMismatch", "mixed directedness")
+        ports, target_ports = port_table(g), port_table(h)
         for v in g.vertices:
-            if v not in self.vertex_map or self.vertex_map[v] not in set(h.vertices):
+            if vmap.get(v) not in target_ports:
                 fail("SquareNotCommuting", f"vertex {v!r} has no valid image")
-        if isinstance(g, UGraph):
-            f = self.component
-            for a in g.arcs:
-                if a not in f or f[a] not in h.dagger:
-                    fail("SquareNotCommuting", f"arc {a!r} has no valid image")
-            for a in g.arcs:
-                if f[g.dagger[a]] != h.dagger[f[a]]:
-                    fail("NotInvolutive", f"at arc {a!r}")
-            for a, v in g.t.items():
-                if f[a] not in h.t or h.t[f[a]] != self.vertex_map[v]:
-                    fail("SquareNotCommuting", f"dangling arc {a!r}")
-            for v in g.vertices:
-                image = [f[a] for a in sorted(g.nbhd(v))]
-                if len(set(image)) != len(image) or set(image) != set(
-                    h.nbhd(self.vertex_map[v])
-                ):
-                    fail("NeighborhoodNotBijective", f"at vertex {v!r}")
-        else:
-            f = self.component
-            for e in g.edges:
-                if e not in f or f[e] not in set(h.edges):
-                    fail("SquareNotCommuting", f"edge {e!r} has no valid image")
-            for e, v in g.inputs.items():
-                if h.inputs.get(f[e]) != self.vertex_map[v]:
-                    fail("SquareNotCommuting", f"input slot of {e!r}")
-            for e, v in g.outputs.items():
-                if h.outputs.get(f[e]) != self.vertex_map[v]:
-                    fail("SquareNotCommuting", f"output slot of {e!r}")
-            for v in g.vertices:
-                w = self.vertex_map[v]
-                for mine, theirs in ((g.in_of(v), h.in_of(w)), (g.out_of(v), h.out_of(w))):
-                    image = [f[e] for e in sorted(mine)]
-                    if len(set(image)) != len(image) or set(image) != set(theirs):
-                        fail("NeighborhoodNotBijective", f"at vertex {v!r}")
+        target_slots = set(h.slots)
+        for s in g.slots:
+            if f.get(s) not in target_slots:
+                fail("SquareNotCommuting", f"slot {s!r} has no valid image")
+        for s in g.slots:
+            if f[g.partner(s)] != h.partner(f[s]):
+                fail("NotInvolutive", f"at slot {s!r}")
+        # each attached end goes to an end attached at the image vertex, on
+        # the same side, and the ends at a vertex biject onto those at its image
+        images = {v: {(side, f[s]) for side, s in mine} for v, mine in ports.items()}
+        for v, image in images.items():
+            if not image <= target_ports[vmap[v]]:
+                fail("SquareNotCommuting", f"an end at {v!r} leaves its image vertex")
+        for v, image in images.items():
+            if len(image) != len(ports[v]) or image != target_ports[vmap[v]]:
+                fail("NeighborhoodNotBijective", f"at vertex {v!r}")
 
     def edge_image(self, e):
         """The target edge that the source edge e maps onto."""

@@ -83,7 +83,7 @@ class GraphMap:
 
 def validate_graph_map(m: GraphMap):
     g, gp = m.source, m.target
-    if isinstance(g, UGraph) != isinstance(gp, UGraph):
+    if g.directed != gp.directed:
         fail("SourceTargetMismatch", "mixed directedness")
     target_slots = set(gp.slots)
     for s in g.slots:
@@ -299,32 +299,27 @@ def compose_pointed(inner, outer):
 # category membership
 
 
-CATEGORY_TAGS = ("U", "Ucyc", "U0", "O", "O0", "Omega", "Delta", "G")
+DIRECTED_TAGS = ("O", "O0", "Omega", "Delta", "G")
+CATEGORY_TAGS = ("U", "Ucyc", "U0") + DIRECTED_TAGS
 
 
 def object_in_category(g, tag) -> bool:
+    if tag not in CATEGORY_TAGS:
+        fail("UnknownEdge", f"unknown category tag {tag!r}")
+    if g.directed != (tag in DIRECTED_TAGS):
+        return False
     s = shape(g)
-    if tag == "U":
-        return isinstance(g, UGraph) and s.is_connected
-    if tag == "U0":
-        return isinstance(g, UGraph) and s.is_tree
+    if tag in ("U", "O"):
+        return s.is_connected
+    if tag in ("U0", "O0"):
+        return s.is_tree
     if tag == "Ucyc":
-        return isinstance(g, UGraph) and s.is_tree and bool(g.boundary)
-    if tag == "O":
-        return isinstance(g, DGraph) and s.is_connected
-    if tag == "O0":
-        return isinstance(g, DGraph) and s.is_tree
+        return s.is_tree and bool(g.boundary)
     if tag == "Omega":
-        return (
-            isinstance(g, DGraph)
-            and s.is_tree
-            and all(len(g.out_of(v)) == 1 for v in g.vertices)
-        )
+        return s.is_tree and all(len(g.out_of(v)) == 1 for v in g.vertices)
     if tag == "Delta":
-        return isinstance(g, DGraph) and s.is_linear
-    if tag == "G":
-        return isinstance(g, DGraph) and bool(s.is_acyclic)
-    fail("UnknownEdge", f"unknown category tag {tag!r}")
+        return s.is_linear
+    return bool(s.is_acyclic)
 
 
 def morphism_in_category(m: GraphMap, tag) -> bool:
@@ -353,7 +348,7 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
     their images, with the pushed boundary.  Every complete candidate is
     validated in full, and the maps are sorted by ``_sort_key``.
     """
-    if isinstance(g, UGraph) != isinstance(gp, UGraph):
+    if g.directed != gp.directed:
         return []
     if tag is not None and not (object_in_category(g, tag) and object_in_category(gp, tag)):
         return []

@@ -17,6 +17,12 @@ names edges runs unchanged on either:
   slot of an edge key.
 - ``edge_keys``: the sorted edge keys, built on first use.
 - ``ends(e)``: the vertices at the two ends of e, ``None`` at a loose end.
+- ``end_ports(e)``: the port (side, slot) through which each end of e meets
+  a vertex, aligned with ``ends(e)``: the partner arc of the end's own arc,
+  or the edge as an input (side 0) and as an output (side 1).
+
+``port_table(g)`` keeps the ports at each vertex; boundaries, vertex stars
+and the etale square condition all read it.
 """
 
 from __future__ import annotations
@@ -110,9 +116,13 @@ class UGraph:
         a, b = e
         return self.t.get(a), self.t.get(b)
 
+    def end_ports(self, e):
+        a, b = e
+        return (0, b), (0, a)
+
     @cached_property
     def edge_keys(self):
-        return tuple(sorted({self.edge_key(a) for a in self.arcs}))
+        return tuple(sorted((a, b) for a, b in self.dagger.items() if a < b))
 
     def edges(self):
         return self.edge_keys
@@ -182,6 +192,9 @@ class DGraph:
 
     def ends(self, e):
         return self.inputs.get(e), self.outputs.get(e)
+
+    def end_ports(self, e):
+        return (0, e), (1, e)
 
     def in_of(self, v):
         return self._in[v]
@@ -272,6 +285,36 @@ def sides(obj, x):
     permutation) as a tuple of sides; obj is a graph or a presentation,
     whose ``directed`` flag says how x splits."""
     return x if obj.directed else (x,)
+
+
+def joined(obj, parts):
+    """The profile, port tuple or permutation with the given sides."""
+    parts = tuple(parts)
+    return parts if obj.directed else sum(parts, ())
+
+
+def by_side(g, ports):
+    """The slots of ports as a boundary profile: sorted, on their sides."""
+    parts = [], []
+    for side, s in ports:
+        parts[side].append(s)
+    for part in parts:
+        part.sort()
+    return joined(g, map(tuple, parts))
+
+
+def port_table(g):
+    """The set of ports at which g's edges meet each vertex, by vertex;
+    built on first use and kept on the graph."""
+    table = g.__dict__.get("_port_table")
+    if table is None:
+        table = {v: set() for v in g.vertices}
+        for e in g.edge_keys:
+            for port, v in zip(g.end_ports(e), g.ends(e)):
+                if v is not None:
+                    table[v].add(port)
+        g._port_table = table
+    return table
 
 
 def extend_slot_map(phi0, pairs, source, target):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_CAPS, OperadCaps
 from .errors import fail
-from .graphs import sides
+from .graphs import by_side, joined, port_table, sides
 
 UNDIRECTED_FLAVORS = ("augCyclic", "cyclic", "modular")
 DIRECTED_FLAVORS = ("dioperad", "wheeledProperad")
@@ -79,12 +79,6 @@ class OperadPresentation:
 
 # ---------------------------------------------------------------------------
 # the flavors: sides, splicing and dropping
-
-
-def joined(obj, parts):
-    """The profile, port tuple or permutation with the given sides."""
-    parts = tuple(parts)
-    return parts if obj.directed else sum(parts, ())
 
 
 def _relabel(obj, x, f):
@@ -791,10 +785,8 @@ class DecoratedGraph:
 
 
 def star_boundary_order(g, v):
-    """Canonical listing of the star boundary at v (arcs; directed: pair)."""
-    if g.directed:
-        return tuple(sorted(g.in_of(v))), tuple(sorted(g.out_of(v)))
-    return tuple(sorted(g.dagger[a] for a in g.nbhd(v)))
+    """Canonical listing of the star boundary at v: the sorted ports at v."""
+    return by_side(g, port_table(g)[v])
 
 
 def _label(g, side, s):
@@ -815,13 +807,8 @@ def _ports(g, x, f=lambda s: s):
 
 
 def _end_ports(g, e):
-    """The ports of an edge at its two ends, in the order of g.ends(e): the
-    star at t(a) carries port dagger(a); a directed edge is an input port at
-    one end and an output port at the other."""
-    if g.directed:
-        return _label(g, 0, e), _label(g, 1, e)
-    a, b = e
-    return b, a
+    """The star-term labels of g.end_ports(e), in the order of g.ends(e)."""
+    return tuple(_label(g, side, s) for side, s in g.end_ports(e))
 
 
 def decorated(host, coloring, decoration):

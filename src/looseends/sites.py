@@ -26,6 +26,7 @@ from .errors import fail
 from .etale import EtaleMap, compose_etale
 from .gen import gen_connected_dgraphs, gen_connected_ugraphs
 from .gmaps import (
+    DIRECTED_TAGS,
     GraphMap,
     enumerate_graph_maps,
     identity_map,
@@ -41,9 +42,6 @@ from .graphs import (
     isomorphic,
     shape,
 )
-
-UNDIRECTED_TAGS = ("U", "U0", "Ucyc")
-DIRECTED_TAGS = ("O", "O0", "Omega", "Delta", "G")
 
 
 class Site:
@@ -211,10 +209,10 @@ def elementary_over(site, i):
 
 
 def _object_pool(tag, bounds):
-    if tag in UNDIRECTED_TAGS:
-        pool = gen_connected_ugraphs(bounds)
-    else:
+    if tag in DIRECTED_TAGS:
         pool = gen_connected_dgraphs(bounds)
+    else:
+        pool = gen_connected_ugraphs(bounds)
     return [g for g in pool if object_in_category(g, tag)]
 
 

@@ -24,12 +24,12 @@ def check_token(tok):
     return tok
 
 
-def _match(pattern, text, lineno, code):
+def _match(pattern, text, lineno):
     """The match of pattern against all of text, read from line lineno;
-    anything else fails with code, naming the line."""
+    anything else fails MalformedLine, naming the line."""
     mm = re.fullmatch(pattern, text)
     if mm is None:
-        fail(code, f"line {lineno}: cannot read {text!r}")
+        fail("MalformedLine", f"line {lineno}: cannot read {text!r}")
     return mm
 
 
@@ -76,26 +76,28 @@ def parse_graphs(text):
                 g = _finish_graph(block)
                 out[g.name] = g
             if len(words) != 3 or words[2] not in ("undirected", "directed"):
-                fail("UnknownArc", f"line {lineno}: bad graph header")
+                fail("MalformedLine", f"line {lineno}: bad graph header")
             block = {"name": check_token(words[1]), "directed": words[2] == "directed",
                      "pairs": [], "edges": [], "vertices": []}
         elif block is None:
             fail("MissingGraphHeader", f"line {lineno}: content before any graph header")
         elif words[0] == "pair":
             if block["directed"] or len(words) != 3:
-                fail("UnknownArc", f"line {lineno}: bad pair line")
+                fail("MalformedLine", f"line {lineno}: bad pair line")
             block["pairs"].append((check_token(words[1]), check_token(words[2])))
         elif words[0] == "edge":
             if not block["directed"] or len(words) != 2:
-                fail("UnknownEdge", f"line {lineno}: bad edge line")
+                fail("MalformedLine", f"line {lineno}: bad edge line")
             block["edges"].append(check_token(words[1]))
         elif words[0] == "vertex":
+            if len(words) < 2:
+                fail("MalformedLine", f"line {lineno}: vertex line names no vertex")
             if block["directed"]:
                 if "in" not in words or "out" not in words:
-                    fail("UnknownEdge", f"line {lineno}: directed vertex needs in/out")
+                    fail("MalformedLine", f"line {lineno}: directed vertex needs in/out")
                 i_in, i_out = words.index("in"), words.index("out")
                 if not (1 < i_in < i_out):
-                    fail("UnknownEdge", f"line {lineno}: bad vertex line")
+                    fail("MalformedLine", f"line {lineno}: bad vertex line")
                 v = check_token(words[1])
                 ins = [check_token(w) for w in words[i_in + 1 : i_out]]
                 outs = [check_token(w) for w in words[i_out + 1 :]]
@@ -104,7 +106,7 @@ def parse_graphs(text):
                 v = check_token(words[1])
                 block["vertices"].append((v, [check_token(w) for w in words[2:]]))
         else:
-            fail("UnknownArc", f"line {lineno}: unknown directive {words[0]!r}")
+            fail("MalformedLine", f"line {lineno}: unknown directive {words[0]!r}")
     if block is not None:
         g = _finish_graph(block)
         out[g.name] = g
@@ -206,11 +208,11 @@ def parse_graph_map(text, graphs):
         if line.startswith("map "):
             mm = re.match(r"map\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s*(?:in\s+(\S+))?", line)
             if not mm:
-                fail("UnknownArc", f"line {lineno}: bad map header")
+                fail("MalformedLine", f"line {lineno}: bad map header")
             header = mm.groups()
             continue
         if header is None:
-            fail("UnknownArc", f"line {lineno}: content before map header")
+            fail("MalformedLine", f"line {lineno}: content before map header")
         src = graphs.get(header[1])
         dst = graphs.get(header[2])
         if src is None or dst is None:
@@ -218,22 +220,22 @@ def parse_graph_map(text, graphs):
         if line.startswith("arc ") or line.startswith("edge "):
             mm = re.match(r"(?:arc|edge)\s+(\S+)\s*\|->\s*(\S+)", line)
             if not mm:
-                fail("UnknownArc", f"line {lineno}: bad component line")
+                fail("MalformedLine", f"line {lineno}: bad component line")
             phi0[mm.group(1)] = mm.group(2)
         elif line.startswith("vertex "):
             mm = re.match(r"vertex\s+(\S+)\s*\|->\s*emb\s*(\{.*\})", line)
             if not mm:
-                fail("UnknownArc", f"line {lineno}: bad vertex line")
+                fail("MalformedLine", f"line {lineno}: bad vertex line")
             vertex_rows[mm.group(1)] = emb_from_text(dst, mm.group(2))
         elif line.startswith("embmap "):
             mm = re.match(r"embmap\s*(\{.*?\})\s*\|->\s*(\{.*\})", line)
             if not mm:
-                fail("UnknownArc", f"line {lineno}: bad embmap line")
+                fail("MalformedLine", f"line {lineno}: bad embmap line")
             table[emb_from_text(src, mm.group(1))] = emb_from_text(dst, mm.group(2))
         else:
-            fail("UnknownArc", f"line {lineno}: unknown directive")
+            fail("MalformedLine", f"line {lineno}: unknown directive")
     if header is None:
-        fail("UnknownArc", "no map header found")
+        fail("MalformedLine", "no map header found")
     name, src_name, dst_name, category = header
     src, dst = graphs[src_name], graphs[dst_name]
     if isinstance(src, UGraph):
@@ -277,18 +279,18 @@ def parse_etale(text, graphs):
         if line.startswith("etale "):
             mm = re.match(r"etale\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)", line)
             if not mm:
-                fail("UnknownArc", f"line {lineno}: bad etale header")
+                fail("MalformedLine", f"line {lineno}: bad etale header")
             header = mm.groups()
         elif line.startswith(("arc ", "edge ")):
-            mm = _match(r"(?:arc|edge)\s+(\S+)\s*\|->\s*(\S+)", line, lineno, "UnknownArc")
+            mm = _match(r"(?:arc|edge)\s+(\S+)\s*\|->\s*(\S+)", line, lineno)
             comp[mm.group(1)] = mm.group(2)
         elif line.startswith("vertex "):
-            mm = _match(r"vertex\s+(\S+)\s*\|->\s*(\S+)", line, lineno, "UnknownArc")
+            mm = _match(r"vertex\s+(\S+)\s*\|->\s*(\S+)", line, lineno)
             vmap[mm.group(1)] = mm.group(2)
         else:
-            fail("UnknownArc", f"line {lineno}: unknown directive")
+            fail("MalformedLine", f"line {lineno}: unknown directive")
     if header is None:
-        fail("UnknownArc", "no etale header found")
+        fail("MalformedLine", "no etale header found")
     name, src_name, dst_name = header
     if src_name not in graphs or dst_name not in graphs:
         fail("UnknownArc", "unknown source or target graph")
@@ -332,7 +334,6 @@ def parse_operad(text, caps=None) -> OperadPresentation:
     from .operads import DIRECTED_FLAVORS
 
     caps = caps or DEFAULT_CAPS
-    bad = "FlavorMismatch"
     name = flavor = None
     colors, dagger = (), {}
     ops, op_profile = {}, {}
@@ -344,19 +345,19 @@ def parse_operad(text, caps=None) -> OperadPresentation:
             continue
         words = line.split()
         if words[0] == "operad":
-            name, flavor = _match(r"operad\s+(\S+)\s+flavor\s+(\S+)", line, lineno, bad).groups()
+            name, flavor = _match(r"operad\s+(\S+)\s+flavor\s+(\S+)", line, lineno).groups()
             directed = flavor in DIRECTED_FLAVORS
         elif words[0] == "colors":
             if "involution" in words:
                 k = words.index("involution")
                 colors = tuple(words[1:k])
                 for pair in words[k + 1 :]:
-                    a, b = _match(r"([^:]+):([^:]+)", pair, lineno, bad).groups()
+                    a, b = _match(r"([^:]+):([^:]+)", pair, lineno).groups()
                     dagger[a] = b
             else:
                 colors = tuple(words[1:])
         elif words[0] == "ops":
-            mm = _match(r"ops\s*\(([^)]*)\)\s*:\s*(.*)", line, lineno, bad)
+            mm = _match(r"ops\s*\(([^)]*)\)\s*:\s*(.*)", line, lineno)
             inside, names = mm.group(1), mm.group(2).split()
             if "->" in inside:
                 ins_text, _, outs_text = inside.partition("->")
@@ -367,24 +368,26 @@ def parse_operad(text, caps=None) -> OperadPresentation:
             for p in names:
                 op_profile[p] = prof
         elif words[0] == "identity":
-            c, p = _match(r"identity\s+(\S+)\s*=\s*(\S+)", line, lineno, bad).groups()
+            c, p = _match(r"identity\s+(\S+)\s*=\s*(\S+)", line, lineno).groups()
             identities[c] = p
         elif words[0] == "act":
             perm_text = r"([\d\s]*(?:\|[\d\s]*)?)"
-            mm = _match(rf"act\s+(\S+)\s*\({perm_text}\)\s*=\s*(\S+)", line, lineno, bad)
+            mm = _match(rf"act\s+(\S+)\s*\({perm_text}\)\s*=\s*(\S+)", line, lineno)
             p, inside, q = mm.groups()
             parts = tuple(tuple(map(int, part.split())) for part in inside.split("|"))
             actions[(p, parts if "|" in inside else parts[0])] = q
         elif words[0] == "compose":
             pattern = r"compose\s+(\S+)\s+(\d+)\s+(\d+)\s+(\S+)\s*=\s*(\S+)"
-            p, i, j, q, r = _match(pattern, line, lineno, bad).groups()
+            p, i, j, q, r = _match(pattern, line, lineno).groups()
             compositions[(p, int(i), int(j), q)] = r
         elif words[0] == "contract":
             pattern = r"contract\s+(\S+)\s+(\d+)\s+(\d+)\s*=\s*(\S+)"
-            p, i, j, r = _match(pattern, line, lineno, bad).groups()
+            p, i, j, r = _match(pattern, line, lineno).groups()
             contractions[(p, int(i), int(j))] = r
         else:
-            fail(bad, f"line {lineno}: unknown directive {words[0]!r}")
+            fail("MalformedLine", f"line {lineno}: unknown directive {words[0]!r}")
+    if name is None:
+        fail("MalformedLine", "no operad header")
     if not directed and not dagger:
         dagger = {c: c for c in colors}
     return OperadPresentation(
@@ -480,9 +483,9 @@ def parse_presheaf(text, site: Site):
         if not line:
             continue
         if line.startswith("presheaf "):
-            name = line.split()[1]
+            name = _match(r"presheaf\s+(\S+)(?:\s+on\s+\S+)?", line, lineno).group(1)
         elif line.startswith("at "):
-            mm = _match(r"at\s+(\d+)\s*:\s*(.*)", line, lineno, "SiteTooSmall")
+            mm = _match(r"at\s+(\d+)\s*:\s*(.*)", line, lineno)
             i = int(mm.group(1))
             if i >= len(site.objects):
                 fail("SiteTooSmall", f"line {lineno}: no object {i} in the site")
@@ -490,7 +493,7 @@ def parse_presheaf(text, site: Site):
             values[i] = tuple(_from_token(tok, host, lineno) for tok in mm.group(2).split())
         elif line.startswith("along "):
             pattern = r"along\s+(\S+)\s*:\s*(\S+)\s*\|->\s*(\S+)"
-            mm = _match(pattern, line, lineno, "SiteTooSmall")
+            mm = _match(pattern, line, lineno)
             ref = names.get(mm.group(1))
             if ref is None:
                 fail("SiteTooSmall", f"line {lineno}: no morphism {mm.group(1)} in the site")
@@ -498,10 +501,12 @@ def parse_presheaf(text, site: Site):
             elem = _from_token(mm.group(2), site.objects[j], lineno)
             action.setdefault(ref, {})[elem] = _from_token(mm.group(3), site.objects[i], lineno)
         else:
-            fail("SiteTooSmall", f"line {lineno}: unknown directive")
+            fail("MalformedLine", f"line {lineno}: unknown directive")
+    if name is None:
+        fail("MalformedLine", "no presheaf header")
     from .presheaves import Presheaf
 
-    return Presheaf(site, values, action, name=name or "X")
+    return Presheaf(site, values, action, name=name)
 
 
 def _from_token(tok, host, lineno):

@@ -341,26 +341,89 @@ def u0_manifest(tmp_path_factory):
 @pytest.mark.parametrize(
     "command, text, code",
     [
-        ("operad-check", "operad X\n", "FlavorMismatch"),
-        ("operad-check", "operad X flavor cyclic\nops c -> c: 1\n", "FlavorMismatch"),
-        ("operad-check", "operad X flavor cyclic\ncompose 1 0\n", "FlavorMismatch"),
-        ("segal", 'presheaf X on s\nat zero: "*"\n', "SiteTooSmall"),
+        ("operad-check", "operad X\n", "MalformedLine"),
+        ("operad-check", "operad X flavor cyclic\nops c -> c: 1\n", "MalformedLine"),
+        ("operad-check", "operad X flavor cyclic\ncompose 1 0\n", "MalformedLine"),
+        ("segal", 'presheaf X on s\nat zero: "*"\n', "MalformedLine"),
         ("segal", 'presheaf X on s\nalong m9_9_9: "*" |-> "*"\n', "SiteTooSmall"),
-        ("segal", 'presheaf X on s\nat 0 "*"\n', "SiteTooSmall"),
+        ("segal", 'presheaf X on s\nat 0 "*"\n', "MalformedLine"),
+        ("segal", 'presheaf X of s\n', "MalformedLine"),
+        ("validate", "graph g sideways\n", "MalformedLine"),
+        ("validate", "graph g undirected\nvertex\n", "MalformedLine"),
+        ("validate", "graph g directed\npair a b\n", "MalformedLine"),
+        ("map-check", "edge 0 |-> 1\n", "MalformedLine"),
+        ("map-check", "map m : L1 -> L1\nbogus 0\n", "MalformedLine"),
     ],
-    ids=["operad-header", "ops-profile", "compose", "at-object", "along-morphism", "at-colon"],
+    ids=[
+        "operad-header",
+        "ops-profile",
+        "compose",
+        "at-object",
+        "along-morphism",
+        "at-colon",
+        "presheaf-header",
+        "graph-header",
+        "graph-vertex",
+        "graph-flavor",
+        "map-before-header",
+        "map-directive",
+    ],
 )
 def test_malformed_line_is_named(command, text, code, u0_manifest, tmp_path, capsys):
-    """A line the operad or presheaf reader cannot read fails with an error
-    code naming that line (the last one here), never with a traceback."""
+    """A line a text reader cannot read fails with an error code naming
+    that line (the last one here), never with a traceback."""
     path = tmp_path / "input.txt"
     path.write_text(text)
-    site = ["--site", str(u0_manifest)] if command == "segal" else []
-    status, out = run(capsys, command, str(path), *site, "--json")
+    extra = {"segal": ["--site", str(u0_manifest)], "map-check": [fx("linear.graph")]}
+    status, out = run(capsys, command, str(path), *extra.get(command, []), "--json")
     body = json.loads(out)
     assert status == 1
     assert body["error"] == code
     assert f"line {text.count(chr(10))}:" in body["detail"]
+
+
+def test_error_names_its_code_once(tmp_path, capsys):
+    """A failure reports its code in "error" and its message alone in
+    "detail"; the text report is "error <code>: <message>"."""
+    path = tmp_path / "headless.operad"
+    path.write_text("colors c\n")
+    status, out = run(capsys, "operad-check", str(path), "--json")
+    body = json.loads(out)
+    assert status == 1
+    assert (body["error"], body["detail"]) == ("MalformedLine", "no operad header")
+    status, out = run(capsys, "operad-check", str(path))
+    assert status == 1
+    assert out == "error MalformedLine: no operad header\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("map", "\n"),
+        ("etale", "vertex 1 |-> 1\n"),
+        ("etale", "etale f : L1 -> L1\nbogus 0\n"),
+        ("presheaf", 'at 0: "*"\n'),
+    ],
+    ids=["map-header", "etale-header", "etale-directive", "presheaf-header"],
+)
+def test_text_readers_name_malformed_lines(kind, text):
+    """A missing map, etale or presheaf header, and an etale file's line
+    that no pattern reads, fail MalformedLine; no command reads etale
+    files, so the readers are called directly."""
+    from looseends.errors import LooseEndsError
+    from looseends.graphs import make_linear
+    from looseends.sites import Site
+    from looseends.textio import parse_etale, parse_graph_map, parse_presheaf
+
+    graphs = {"L1": make_linear(1)}
+    read = {
+        "map": lambda t: parse_graph_map(t, graphs),
+        "etale": lambda t: parse_etale(t, graphs),
+        "presheaf": lambda t: parse_presheaf(t, Site("Delta", [graphs["L1"]], {})),
+    }[kind]
+    with pytest.raises(LooseEndsError) as ei:
+        read(text)
+    assert ei.value.code == "MalformedLine"
 
 
 def test_factorize_report_reads_back(tmp_path, capsys):

@@ -12,7 +12,6 @@ from looseends.emb import (
     EmbRegion,
     enumerate_emb,
     id_element,
-    internal_edges_of,
     intersect_subtrees,
     overlap,
     realize,
@@ -520,9 +519,11 @@ def a05_sites():
 
 
 def _whole(g):
-    """The class of the whole host, from the vertex and edge sets."""
+    """The class of the whole host, from the vertex and edge sets: every
+    vertex, and every edge with both ends attached."""
     if g.vertices:
-        return EmbRegion(g, frozenset(g.vertices), internal_edges_of(g, set(g.vertices)))
+        inside = frozenset(e for e in g.edge_keys if None not in g.ends(e))
+        return EmbRegion(g, frozenset(g.vertices), inside)
     (e,) = g.edge_keys
     return EmbEdge(g, e)
 
