@@ -1,5 +1,8 @@
 """Sites: hom-set order, composition by code lookup against the map-level
-composite, the lookup's error codes, and closure under elementary covers."""
+composite, the lookup's error codes, closure under elementary covers, and
+the functor data of the elements sites."""
+
+import hashlib
 
 import pytest
 
@@ -38,12 +41,27 @@ def u0_site():
 
 
 @pytest.fixture(scope="module")
-def sites(u0_site):
+def ucyc_site():
+    return build_site("Ucyc", SiteBounds(2, 4, 3))
+
+
+@pytest.fixture(scope="module")
+def els(u0_site, ucyc_site):
+    """The elements sites of acceptance criteria A05 and A08."""
+    return {
+        "elsU": build_elements_site(build_site("U", SiteBounds(2, 3, 3))),
+        "elsU0": build_elements_site(u0_site),
+        "elsOmega": build_elements_site(ucyc_site, rooted_only=True),
+    }
+
+
+@pytest.fixture(scope="module")
+def sites(u0_site, ucyc_site, els):
     return {
         "U0": (u0_site, 1),
-        "Ucyc": (build_site("Ucyc", SiteBounds(2, 4, 3)), 1),
+        "Ucyc": (ucyc_site, 1),
         "Delta": (build_site("Delta", SiteBounds(4, 5, 2)), 1),
-        "elsU0": (build_elements_site(u0_site).directed, 23),
+        "elsU0": (els["elsU0"].directed, 23),
     }
 
 
@@ -117,3 +135,28 @@ def test_sites_close_under_elementary_covers():
     for i in range(len(site.objects)):
         covers, _ = elementary_over(site, i)
         assert covers
+
+
+def test_elements_functor_data_is_pinned(els):
+    """The pairs, the object map, the morphism map and the size of every
+    directed hom-set of each elements site, in insertion order: their sizes
+    and a sha256 of their items.  Kan extension reads a directed ref's base
+    ref off mor_map, and mor_map's positions and order follow the order of
+    the hom-sets, empty ones included."""
+    got = {}
+    for key, site in els.items():
+        digest = hashlib.sha256()
+        for part in (
+            [(i, sorted(x)) for i, x in site.pairs],
+            site.obj_map.items(),
+            site.mor_map.items(),
+            [(key, len(maps)) for key, maps in site.directed.homs.items()],
+        ):
+            for item in part:
+                digest.update(repr(item).encode() + b"\n")
+        got[key] = (len(site.pairs), len(site.mor_map), digest.hexdigest())
+    assert got == {
+        "elsU": (133, 7489, "44e374d12a10e82b739c828780894fa50bc4c82ce4725f173b2ae1ce8d4238eb"),
+        "elsU0": (55, 1979, "a9f5c86562d7495201a397136040878e1fefca9ba3b44ff173537e23f505075b"),
+        "elsOmega": (16, 493, "bdc463e636a1ae4be0fbae875d5fb404f81fab85b0e40e42310a46d085baf036"),
+    }
