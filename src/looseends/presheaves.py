@@ -240,12 +240,11 @@ def left_kan_formula(els: ElementsSite, Z: Presheaf) -> Presheaf:
     if Z.site is not els.directed:
         fail("SiteTooSmall", "presheaf lives on the wrong site")
     base = els.base
-    pair_index = {pair: k for k, pair in enumerate(els.pairs)}
 
     def values(i):
         out = []
         for x in sorted(orientations(base.objects[i]), key=sorted):
-            k = pair_index.get((i, x))
+            k = els.pair_index.get((i, x))
             if k is None:
                 continue  # rooted-only sites: skip non-rootings
             for z in Z.value(k):
@@ -258,8 +257,8 @@ def left_kan_formula(els: ElementsSite, Z: Presheaf) -> Presheaf:
         x = frozenset(xs)
         m = base.morph(ref)
         x_src = restrict_orientation(x, m.phi0, m.source)
-        k_src = pair_index.get((i, x_src))
-        k_dst = pair_index[(j, x)]
+        k_src = els.pair_index.get((i, x_src))
+        k_dst = els.pair_index[(j, x)]
         if k_src is None:
             fail("SiteTooSmall", "restriction left the directed site")
         dref = els.lifts.get((k_src, k_dst, ref))
@@ -313,7 +312,6 @@ def left_kan_oracle(els: ElementsSite, Z: Presheaf, i):
 def kan_formula_matches_oracle(els: ElementsSite, Z: Presheaf, i):
     """The formula's tagged sum must hit each comma-colimit class once."""
     base = els.base
-    pair_index = {pair: k for k, pair in enumerate(els.pairs)}
     classes = left_kan_oracle(els, Z, i)
     locate = {}
     for t, cls in enumerate(classes):
@@ -323,7 +321,7 @@ def kan_formula_matches_oracle(els: ElementsSite, Z: Presheaf, i):
     hit = {}
     count = 0
     for x in sorted(orientations(base.objects[i]), key=sorted):
-        k = pair_index.get((i, x))
+        k = els.pair_index.get((i, x))
         if k is None:
             continue
         for z in Z.value(k):
@@ -417,8 +415,6 @@ def doubled_value_fixture(site, want_internal=True):
 def slice_restriction(els: ElementsSite, X: Presheaf, aug):
     """Restrict an orientation-augmented presheaf along the equivalence: the
     directed-side value at (G, x) is the fiber of aug over x."""
-    base = els.base
-    dsite = els.directed
 
     def values(k):
         i, x = els.pairs[k]
@@ -427,7 +423,7 @@ def slice_restriction(els: ElementsSite, X: Presheaf, aug):
     def action(ref, elem):
         return X.act(els.mor_map[ref], elem)
 
-    return presheaf_from_values(dsite, values, action, name=f"{X.name}|fiber")
+    return presheaf_from_values(els.directed, values, action, name=f"{X.name}|fiber")
 
 
 def orientation_augmentation(site, X: Presheaf, orient_presheaf: Presheaf, picker):

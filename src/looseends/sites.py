@@ -10,9 +10,10 @@ factorizations and under the elementary covers (vertex stars and the edge)
 that the Segal condition needs; both can exceed the edge bound.  The
 category of elementary covers of each object is built once, on first use.
 
-The category of elements of the orientation presheaf is materialized as a
-directed site whose objects are (undirected object, orientation) pairs; that
-construction is the bridge for the restriction / left Kan extension tests.
+The category of elements of the orientation presheaf, the bridge for the
+restriction / left Kan extension tests, is a directed site on (undirected
+object, orientation) pairs.  A base map m : i -> j is lifted once per
+orientation y of j, from y restricted along m, through per-pair class tables.
 """
 
 from __future__ import annotations
@@ -280,11 +281,7 @@ def _missing_cover(tag, objects):
 
 def orientations(g: UGraph):
     """All orientations as frozensets of +1 arcs (one arc per edge)."""
-    orbits = sorted({g.edge_key(a) for a in g.arcs})
-    out = []
-    for picks in itertools.product(*[e for e in orbits]):
-        out.append(frozenset(picks))
-    return out
+    return [frozenset(picks) for picks in itertools.product(*g.edge_keys)]
 
 
 def restrict_orientation(x, phi0, source: UGraph):
@@ -361,25 +358,58 @@ def is_rooted_orientation(g: UGraph, x) -> bool:
 class ElementsSite:
     """Directed site whose objects are (base object, orientation) pairs.
 
-    directed.objects[k] is orient(base, x); functor data maps directed
-    object/morphism references to the base site's.
+    directed.objects[k] is orient(base, x) for pairs[k] = (i, x); functor
+    data maps directed object/morphism references to the base site's.
     """
 
-    def __init__(self, base: Site, pairs, directed_site: Site, obj_map, mor_map):
+    def __init__(self, base: Site, pairs):
         self.base = base
         self.pairs = pairs  # list of (base index, orientation)
-        self.directed = directed_site
-        self.obj_map = obj_map  # directed object index -> base object index
-        self.mor_map = mor_map  # directed ref -> base ref
+        self.obj_map = {k: i for k, (i, x) in enumerate(pairs)}  # directed object -> base object
+        self.directed, self.mor_map = self._lift()  # mor_map: directed ref -> base ref
 
     def __repr__(self):
         return f"ElementsSite({self.directed!r} over {self.base!r})"
+
+    @cached_property
+    def pair_index(self):
+        """(base index, orientation) -> directed object index."""
+        return {pair: k for k, pair in enumerate(self.pairs)}
 
     @cached_property
     def lifts(self):
         """(directed source, directed target, base ref) -> the directed ref
         over it; built on first use, since only Kan extension reads it."""
         return {(a, b, base_ref): (a, b, pos) for (a, b, pos), base_ref in self.mor_map.items()}
+
+    def _lift(self):
+        """Lift each base map m : i -> j once per pair (j, y), from the pair of
+        y restricted along m, reading phi_hat off m's Emb code through the two
+        pairs' class tables.  Each hom-set keeps the base hom-set's order."""
+        base, objs, n = self.base, self.base.objects, len(self.pairs)
+        dobjects = [
+            orient(objs[i], x, name=f"{objs[i].name}x{k}") for k, (i, x) in enumerate(self.pairs)
+        ]
+        tables = [class_table(objs[i], d) for (i, _), d in zip(self.pairs, dobjects)]
+        into = [[] for _ in objs]  # per base target: (map, its Emb code, its ref) by source
+        for (i, j), maps in sorted(base.homs.items()):
+            for pos, m in enumerate(maps):
+                into[j].append((m, base._encode(i, j, m)[1], (i, j, pos)))
+        homs, refs = {(a, b): () for a in range(n) for b in range(n)}, {}
+        for b, (j, y) in enumerate(self.pairs):
+            found = {}  # source pair -> its lifts into b, in base order
+            for m, code, ref in into[j]:
+                a = self.pair_index.get((ref[0], restrict_orientation(y, m.phi0, m.source)))
+                if a is None:
+                    continue
+                phi0 = {e: m.phi0[e] for e in dobjects[a].edges}  # +1 arcs map to +1 arcs
+                phi_hat = dict(zip(tables[a], map(tables[b].__getitem__, code)))
+                dm = GraphMap(dobjects[a], dobjects[b], phi0, phi_hat, check=False)
+                found.setdefault(a, []).append((dm, ref))
+            for a, lifted in found.items():
+                homs[(a, b)], refs[(a, b)] = zip(*lifted)
+        mor_map = {(*key, pos): ref for key in sorted(refs) for pos, ref in enumerate(refs[key])}
+        return Site("el", dobjects, homs), mor_map
 
 
 def build_elements_site(base: Site, rooted_only=False):
@@ -394,49 +424,23 @@ def build_elements_site(base: Site, rooted_only=False):
             if rooted_only and not is_rooted_orientation(g, x):
                 continue
             pairs.append((i, x))
-    dobjects = [
-        orient(base.objects[i], x, name=f"{base.objects[i].name}x{k}")
-        for k, (i, x) in enumerate(pairs)
-    ]
-    homs = {}
-    mor_map = {}
-    for a, (i, x) in enumerate(pairs):
-        for b, (j, y) in enumerate(pairs):
-            lifted = []
-            for pos, m in enumerate(base.hom(i, j)):
-                if restrict_orientation(y, m.phi0, base.objects[i]) != x:
-                    continue
-                dm = lift_map_to_oriented(m, dobjects[a], dobjects[b], x, y)
-                mor_map[(a, b, len(lifted))] = (i, j, pos)
-                lifted.append(dm)
-            homs[(a, b)] = tuple(lifted)
-    dsite = Site("el", dobjects, homs)
-    return ElementsSite(base, pairs, dsite, {k: i for k, (i, x) in enumerate(pairs)}, mor_map)
+    return ElementsSite(base, pairs)
 
 
-def translate_emb_to_oriented(x_elem, g: UGraph, d: DGraph):
-    """Emb element of the undirected base as an element over orient(g, x);
-    directed edges are named by their +1 arcs.  Classes of Emb(d) come
-    back as the host index's own objects, so lifted maps share them."""
+def class_table(g: UGraph, d: DGraph):
+    """The class of Emb(d) over each class of Emb(g), in Emb(g)'s order,
+    for d an orientation of g; directed edges are named by their +1 arcs.
+    Classes come back as the host index's own objects, so lifted maps share
+    them."""
     ix = index(d)
 
     def edge_name(e):
         a, b = e
         return a if a in ix.ebit else b
 
-    if isinstance(x_elem, EmbEdge):
-        return edge_element(d, edge_name(x_elem.edge))
-    vmask = ix.vertex_mask(x_elem.vertices)
-    return ix.region(vmask, ix.edge_mask(map(edge_name, x_elem.glued)))
+    def lift(x):
+        if isinstance(x, EmbEdge):
+            return edge_element(d, edge_name(x.edge))
+        return ix.region(ix.vertex_mask(x.vertices), ix.edge_mask(map(edge_name, x.glued)))
 
-
-def lift_map_to_oriented(m: GraphMap, d_src: DGraph, d_dst: DGraph, x, y) -> GraphMap:
-    """The directed map over a base map compatible with the orientations."""
-    g, gp = m.source, m.target
-    phi0 = {e: m.phi0[e] for e in d_src.edges}  # +1 arcs map to +1 arcs
-    phi_hat = {}
-    for a, b in m.phi_hat.items():
-        phi_hat[translate_emb_to_oriented(a, g, d_src)] = translate_emb_to_oriented(
-            b, gp, d_dst
-        )
-    return GraphMap(d_src, d_dst, phi0, phi_hat, check=False)
+    return tuple(map(lift, enumerate_emb(g)))

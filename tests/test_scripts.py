@@ -1,0 +1,43 @@
+"""Smoke tests for the survey scripts, each run as a user runs it: a fresh
+interpreter with PYTHONPATH=src."""
+
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, os.path.join("scripts", name), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_survey_sites_builds_elements_sites_and_agrees_with_the_oracle():
+    lines = run_script("survey_sites.py", "--vertices", "1", "--edges", "3", "--arity", "3")
+    sides = [line.strip() for line in lines if "directed side" in line]
+    assert sides == [f"directed side: {n} objects" for n in (23, 17, 8)]
+    verdicts = [line for line in lines if "oracle agrees" in line]
+    assert len(verdicts) == 16
+    assert all(line.endswith("oracle agrees: True") for line in verdicts)
+    assert lines.count("  orientation presheaf Segal: True") == 3
+
+
+def test_count_unions_prints_a_spectrum_per_host():
+    lines = run_script("count_unions.py", "--vertices", "2", "--edges", "2")
+    assert len(lines) == 10
+    shape = re.compile(r"\S+  \|Emb\|=\d+  unions( \d+:\d+)+( \*)?$")
+    assert all(shape.match(line) for line in lines), lines
+    # unions need not be unique: some host has a pair with several
+    assert any(line.endswith(" *") for line in lines)

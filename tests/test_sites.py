@@ -7,11 +7,18 @@ import hashlib
 import pytest
 
 from looseends.config import SiteBounds
-from looseends.emb import EmbRegion, enumerate_emb
+from looseends.emb import EmbEdge, EmbRegion, enumerate_emb
 from looseends.errors import LooseEndsError
 from looseends.gmaps import GraphMap, compose
 from looseends.presheaves import elementary_over
-from looseends.sites import Site, build_elements_site, build_site
+from looseends.sites import (
+    Site,
+    build_elements_site,
+    build_site,
+    class_table,
+    orient,
+    restrict_orientation,
+)
 
 
 def _repr_key(m):
@@ -160,3 +167,52 @@ def test_elements_functor_data_is_pinned(els):
         "elsU0": (55, 1979, "a9f5c86562d7495201a397136040878e1fefca9ba3b44ff173537e23f505075b"),
         "elsOmega": (16, 493, "bdc463e636a1ae4be0fbae875d5fb404f81fab85b0e40e42310a46d085baf036"),
     }
+
+
+# ---------------------------------------------------------------------------
+# lifted maps against the class-by-class reference
+
+
+def translate_emb_to_oriented(x, d):
+    """The class of Emb(d) over the class x of the undirected base, for d
+    an orientation of x's host, built from x's fields: d names each edge
+    by its +1 arc."""
+    if isinstance(x, EmbEdge):
+        (e,) = set(x.edge) & set(d.edges)
+        return EmbEdge(d, e)
+    glued = frozenset(a for e in x.glued for a in e if a in d.edges)
+    return EmbRegion(d, x.vertices, glued)
+
+
+def lift_map_to_oriented(m, d_src, d_dst):
+    """The directed map over a base map compatible with the orientations,
+    lifted class by class."""
+    phi0 = {e: m.phi0[e] for e in d_src.edges}
+    phi_hat = {
+        translate_emb_to_oriented(u, d_src): translate_emb_to_oriented(v, d_dst)
+        for u, v in m.phi_hat.items()
+    }
+    return GraphMap(d_src, d_dst, phi0, phi_hat, check=False)
+
+
+@pytest.mark.parametrize("key", ["elsU", "elsU0", "elsOmega"])
+def test_lifted_maps_match_the_reference(els, key):
+    """Every lifted map is the reference lift of its base map, between the
+    pairs whose orientations it restricts, and each pair's class table is a
+    bijection onto the classes of its oriented host."""
+    site = els[key]
+    dobjects = site.directed.objects
+    for k, (i, x) in enumerate(site.pairs):
+        g, d = site.base.objects[i], dobjects[k]
+        table = class_table(g, d)
+        # one-to-one onto the oriented host's classes, as its own objects
+        assert sorted(map(id, table)) == sorted(map(id, enumerate_emb(d)))
+        assert set(table) == set(enumerate_emb(orient(g, x, name=d.name)))
+        assert list(table) == [translate_emb_to_oriented(u, d) for u in enumerate_emb(g)]
+    for (a, b, pos), base_ref in site.mor_map.items():
+        m = site.base.morph(base_ref)
+        (i, x), (j, y) = site.pairs[a], site.pairs[b]
+        assert base_ref[:2] == (i, j)
+        assert restrict_orientation(y, m.phi0, m.source) == x
+        want = lift_map_to_oriented(m, dobjects[a], dobjects[b])
+        assert site.directed.morph((a, b, pos)) == want
