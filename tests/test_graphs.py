@@ -1,11 +1,15 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from looseends.config import SiteBounds
 from looseends.errors import LooseEndsError
+from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs
 from looseends.graphs import (
+    DGraph,
     canonical_signature,
     enumerate_path_cycles,
     has_directed_cycle,
@@ -192,6 +196,28 @@ class TestSubgraph:
             subgraph(example18, [], [])
         assert err_code(ei) == "EmptySubgraph"
 
+    def test_foreign_arc_is_unknown(self, example18):
+        with pytest.raises(LooseEndsError) as ei:
+            subgraph(example18, [("x", "x*")], [])
+        assert err_code(ei) == "UnknownArc"
+
+    def test_directed_view(self, diamond):
+        view = subgraph_view(subgraph(diamond, ["e0", "e1", "e2"], ["u"]))
+        assert view == DGraph("diamond|sub", ["e0", "e1", "e2"], {"e0": "u"}, {"e1": "u", "e2": "u"}, ["u"])
+        assert shape(view).is_star
+        assert subgraph_view(subgraph(diamond, ["e1"], []), name="e1") == DGraph("e1", ["e1"], {}, {}, [])
+
+    def test_directed_not_closed(self, diamond):
+        with pytest.raises(LooseEndsError) as ei:
+            subgraph(diamond, ["e0", "e1"], ["u"])
+        assert err_code(ei) == "NotClosed"
+
+    @pytest.mark.parametrize("edges, vertices", [(["f"], []), (["e0"], ["w"])])
+    def test_directed_foreign_edge_or_vertex_is_unknown(self, diamond, edges, vertices):
+        with pytest.raises(LooseEndsError) as ei:
+            subgraph(diamond, edges, vertices)
+        assert err_code(ei) == "UnknownEdge"
+
 
 class TestIso:
     def test_identity(self, example18):
@@ -221,6 +247,20 @@ def random_relabel_u(g, rng, tag):
     return relabel_ugraph(g, amap, vmap, name=g.name)
 
 
+def random_relabel_d(g, rng, tag):
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    emap = {e: f"{tag}{i}" for i, e in enumerate(edges)}
+    verts = list(g.vertices)
+    rng.shuffle(verts)
+    vmap = {v: f"{tag}v{i}" for i, v in enumerate(verts)}
+    return relabel_dgraph(g, emap, vmap, name=g.name)
+
+
+def random_relabel(g, rng, tag):
+    return (random_relabel_d if g.directed else random_relabel_u)(g, rng, tag)
+
+
 class TestCanonicalStability:
     def test_100_random_relabelings(self, example18, four_cycle, theta, loop_with_legs):
         rng = random.Random(7)
@@ -229,6 +269,39 @@ class TestCanonicalStability:
             for k in range(100):
                 h = random_relabel_u(g, rng, f"r{k}_")
                 assert canonical_signature(h)[0] == sig
+
+    def test_100_random_directed_relabelings(self, diamond):
+        rng = random.Random(7)
+        loop = validate_dgraph("dloop", ["e", "f"], [("v", ["e", "f"], ["e"])])
+        two_cycle = validate_dgraph("two_cycle", ["e", "f"], [("u", ["e"], ["f"]), ("v", ["f"], ["e"])])
+        for g in (diamond, make_linear(3), make_star_dir(2, 2), loop, two_cycle):
+            sig = canonical_signature(g)[0]
+            for k in range(100):
+                h = random_relabel_d(g, rng, f"r{k}_")
+                assert canonical_signature(h)[0] == sig
+                assert isomorphic(g, h) and isomorphic(h, g)
+
+
+def test_signatures_and_witnesses_are_pinned():
+    """canonical_signature (value and witnessing vertex order) and the iso
+    witnesses, in their insertion order, over A03's hosts of both flavors
+    and a seeded relabeling of each: gen sorts by the signature, and the
+    witnesses build Segal covers and extraction's maps."""
+    bounds = SiteBounds(3, 6, 3)
+    rng = random.Random(12)
+    digest = hashlib.sha256()
+    pool = gen_connected_ugraphs(bounds) + gen_connected_dgraphs(bounds)
+    for g in pool:
+        h = random_relabel(g, rng, "r")
+        assert canonical_signature(h)[0] == canonical_signature(g)[0]
+        digest.update(repr((g.name, canonical_signature(g), canonical_signature(h))).encode())
+        for a, b in ((g, g), (g, h), (h, g)):
+            slot_map, vertex_map = iso(a, b)
+            digest.update(repr((list(slot_map.items()), list(vertex_map.items()))).encode())
+    assert len(pool) == 592
+    assert digest.hexdigest() == (
+        "17e888523fbddbe2a661dbb6ef910d08f1d91dc5da8b1efda4b722c495b1f0db"
+    )
 
 
 @st.composite

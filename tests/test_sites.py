@@ -146,18 +146,19 @@ def test_sites_close_under_elementary_covers():
 
 def test_elements_functor_data_is_pinned(els):
     """The pairs, the object map, the morphism map and the size of every
-    directed hom-set of each elements site, in insertion order: their sizes
-    and a sha256 of their items.  Kan extension reads a directed ref's base
-    ref off mor_map, and mor_map's positions and order follow the order of
-    the hom-sets, empty ones included."""
+    directed hom-set of each elements site, read through ``hom`` over all
+    pairs in row-major order: their sizes and a sha256 of their items.  Kan
+    extension reads a directed ref's base ref off mor_map, and mor_map's
+    positions and order follow the order of the hom-sets."""
     got = {}
     for key, site in els.items():
+        n = len(site.directed.objects)
         digest = hashlib.sha256()
         for part in (
             [(i, sorted(x)) for i, x in site.pairs],
             site.obj_map.items(),
             site.mor_map.items(),
-            [(key, len(maps)) for key, maps in site.directed.homs.items()],
+            [((a, b), len(site.directed.hom(a, b))) for a in range(n) for b in range(n)],
         ):
             for item in part:
                 digest.update(repr(item).encode() + b"\n")
