@@ -410,71 +410,41 @@ def check_host(x, y):
 def realize(x):
     """Canonical representative embedding of the class x.
 
-    Returns (abstract graph H, EtaleMap H -> host).  Cut internal edges give
-    two dangling pieces whose arcs map non-injectively onto the host edge.
+    Returns (abstract graph H, EtaleMap H -> host).  An edge at the class's
+    vertices that it does not glue is cut: each of its ends there becomes a
+    half-edge, loose at the other end, that maps onto the host edge.
     """
-    g = x.host
-    if isinstance(g, UGraph):
-        return _realize_u(x)
-    return _realize_d(x)
-
-
-def _realize_u(x):
-    g = x.host
-    if isinstance(x, EmbEdge):
-        a, b = x.edge
-        h = UGraph(f"{g.name}|{a}", {a: b, b: a}, {}, [])
-        return h, EtaleMap(h, g, {a: a, b: b}, {})
-    dagger, t, comp = {}, {}, {}
-    for a, v in g.t.items():
-        if v not in x.vertices:
-            continue
-        e = g.edge_key(a)
-        partner = g.dagger[a]
-        if e in x.glued:
-            dagger[a] = partner
-            t[a] = v
-            comp[a] = a
-        else:
-            tip = f"{a}~"
-            dagger[a], dagger[tip] = tip, a
-            t[a] = v
-            comp[a] = a
-            comp[tip] = partner
-    h = UGraph(f"{g.name}|{len(x.vertices)}v", dagger, t, sorted(x.vertices))
-    return h, EtaleMap(h, g, comp, {v: v for v in x.vertices})
-
-
-def _realize_d(x):
     g = x.host
     if isinstance(x, EmbEdge):
         e = x.edge
-        h = DGraph(f"{g.name}|{e}", [e], {}, {}, [])
-        return h, EtaleMap(h, g, {e: e}, {})
-    edges, inputs, outputs, comp = [], {}, {}, {}
+        h = type(g).from_ends(f"{g.name}|{g.slot_of(e)}", {e: (None, None)}, [])
+        return h, EtaleMap(h, g, {s: s for s in h.slots}, {})
     ix = index(g)
+    ends, over = {}, {}  # over: H's edge -> the host slot under its first slot
     for e in ix.edges_in(ix.code(x)[3]):
-        tail, head = g.outputs.get(e), g.inputs.get(e)  # flows tail -> head
-        head_in = head in x.vertices if head is not None else False
-        tail_in = tail in x.vertices if tail is not None else False
+        pair = g.ends(e)
         if e in x.glued:
-            edges.append(e)
-            inputs[e] = head
-            outputs[e] = tail
-            comp[e] = e
-        else:
-            if head_in:
-                name = f"{e}>in"
-                edges.append(name)
-                inputs[name] = head
-                comp[name] = e
-            if tail_in:
-                name = f"{e}>out"
-                edges.append(name)
-                outputs[name] = tail
-                comp[name] = e
-    h = DGraph(f"{g.name}|{len(x.vertices)}v", edges, inputs, outputs, sorted(x.vertices))
+            ends[e], over[e] = pair, g.slot_of(e)
+            continue
+        for i, v in enumerate(pair):
+            if v in x.vertices:
+                half, ends[half] = _cut_half(g, e, i, v)
+                over[half] = g.partner(g.end_ports(e)[i][1])  # the end's own slot
+    h = type(g).from_ends(f"{g.name}|{len(x.vertices)}v", ends, sorted(x.vertices))
+    comp = {}
+    for f, c in over.items():
+        s = h.slot_of(f)
+        comp[s], comp[h.partner(s)] = c, g.partner(c)
     return h, EtaleMap(h, g, comp, {v: v for v in x.vertices})
+
+
+def _cut_half(g, e, i, v):
+    """The key and ends of the half-edge at v left by cutting e at its
+    i-th end: the end's own arc a and a new arc a~, or e>in / e>out."""
+    if g.directed:
+        return f"{e}>{('in', 'out')[i]}", (v, None) if i == 0 else (None, v)
+    a = e[i]
+    return (a, f"{a}~"), (v, None)
 
 
 # ---------------------------------------------------------------------------

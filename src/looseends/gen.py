@@ -11,13 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .config import SiteBounds
-from .graphs import (
-    DGraph,
-    UGraph,
-    canonical_signature,
-    make_edge,
-    make_edge_dir,
-)
+from .graphs import canonical_signature, make_edge, make_edge_dir
 
 
 def _vertex_multisets(k, max_mult, with_loops, ordered):
@@ -61,6 +55,32 @@ def _connected_on_vertices(k, bundle):
 
 def gen_connected_ugraphs(bounds: SiteBounds):
     """All connected undirected graphs within the bounds, one per iso class."""
+
+    def legs(spare, budget):
+        for counts in itertools.product(*(range(min(s, budget) + 1) for s in spare)):
+            if sum(counts) <= budget:
+                yield counts
+
+    return _gen_connected(bounds, make_edge(), legs)
+
+
+def gen_connected_dgraphs(bounds: SiteBounds):
+    """All connected directed graphs within the bounds, one per iso class."""
+
+    def inputs_and_outputs(spare, budget):
+        splits = ([(i, o) for i in range(s + 1) for o in range(s - i + 1)] for s in spare)
+        for counts in itertools.product(*splits):
+            if sum(i + o for i, o in counts) <= budget:
+                yield counts
+
+    return _gen_connected(bounds, make_edge_dir(), inputs_and_outputs)
+
+
+def _gen_connected(bounds, lone, pendants):
+    """The lone edge, then on each vertex count every connected bundle of
+    internal edges (ordered pairs when lone is directed) with every choice of
+    pendant edges that pendants(spare arity per vertex, spare edges) yields,
+    one graph per canonical signature, sorted by it."""
     seen, out = set(), []
 
     def emit(g):
@@ -70,9 +90,9 @@ def gen_connected_ugraphs(bounds: SiteBounds):
             out.append(g)
 
     if bounds.max_edges >= 1:
-        emit(make_edge())
+        emit(lone)
     for k in range(1, bounds.max_vertices + 1):
-        for bundle in _vertex_multisets(k, bounds.max_edges, True, ordered=False):
+        for bundle in _vertex_multisets(k, bounds.max_edges, True, ordered=lone.directed):
             if not _connected_on_vertices(k, bundle):
                 continue
             deg = [0] * k
@@ -85,95 +105,28 @@ def gen_connected_ugraphs(bounds: SiteBounds):
             budget = bounds.max_edges - len(bundle)
             if budget < 0:
                 continue
-            for legs in itertools.product(*(range(min(s, budget) + 1) for s in spare)):
-                if sum(legs) > budget:
-                    continue
-                emit(_build_u(k, bundle, legs))
+            for pend in pendants(spare, budget):
+                emit(_build(type(lone), k, bundle, pend))
     out.sort(key=lambda g: canonical_signature(g)[0])
     return out
 
 
-def _build_u(k, bundle, legs):
-    dagger, t = {}, {}
-    idx = 0
-    for i, j in bundle:
-        a, b = f"e{idx}+", f"e{idx}-"
-        dagger[a], dagger[b] = b, a
-        t[a] = f"v{i}"
-        t[b] = f"v{j}"
-        idx += 1
-    for v, count in enumerate(legs):
-        for _ in range(count):
-            a, b = f"e{idx}+", f"e{idx}-"
-            dagger[a], dagger[b] = b, a
-            t[a] = f"v{v}"
-            idx += 1
-    name = f"u{k}_{idx}_{abs(hash((tuple(bundle), tuple(legs)))) % 10**8}"
-    return UGraph(name, dagger, t, [f"v{i}" for i in range(k)])
-
-
-def gen_connected_dgraphs(bounds: SiteBounds):
-    """All connected directed graphs within the bounds, one per iso class."""
-    seen, out = set(), []
-
-    def emit(g):
-        sig = canonical_signature(g)[0]
-        if sig not in seen:
-            seen.add(sig)
-            out.append(g)
-
-    if bounds.max_edges >= 1:
-        emit(make_edge_dir())
-    for k in range(1, bounds.max_vertices + 1):
-        for bundle in _vertex_multisets(k, bounds.max_edges, True, ordered=True):
-            if not _connected_on_vertices(k, bundle):
-                continue
-            deg = [0] * k
-            for i, j in bundle:  # i -> j
-                deg[i] += 1
-                deg[j] += 1
-            if any(d > bounds.max_arity for d in deg):
-                continue
-            spare = [bounds.max_arity - d for d in deg]
-            budget = bounds.max_edges - len(bundle)
-            if budget < 0:
-                continue
-            # pendant inputs and outputs per vertex
-            for pend in itertools.product(
-                *(
-                    [(pi, po) for pi in range(s + 1) for po in range(s - pi + 1)]
-                    for s in spare
-                )
-            ):
-                if sum(pi + po for pi, po in pend) > budget:
-                    continue
-                emit(_build_d(k, bundle, pend))
-    out.sort(key=lambda g: canonical_signature(g)[0])
-    return out
-
-
-def _build_d(k, bundle, pend):
-    edges, inputs, outputs = [], {}, {}
-    idx = 0
-    for i, j in bundle:  # flows i -> j
-        e = f"e{idx}"
-        edges.append(e)
-        outputs[e] = f"v{i}"
-        inputs[e] = f"v{j}"
-        idx += 1
-    for v, (pi, po) in enumerate(pend):
-        for _ in range(pi):
-            e = f"e{idx}"
-            edges.append(e)
-            inputs[e] = f"v{v}"
-            idx += 1
-        for _ in range(po):
-            e = f"e{idx}"
-            edges.append(e)
-            outputs[e] = f"v{v}"
-            idx += 1
-    name = f"d{k}_{idx}_{abs(hash((tuple(bundle), tuple(pend)))) % 10**8}"
-    return DGraph(name, edges, inputs, outputs, [f"v{i}" for i in range(k)])
+def _build(cls, k, bundle, pend):
+    """The graph of cls on v0, .., v{k-1} with an edge for each pair (i, j)
+    of bundle, joining v{i} to v{j} (flowing i -> j when directed), then the
+    pendant edges of each vertex: pend[v] legs, or pend[v] = (inputs,
+    outputs) when directed.  Edges are e0, e1, .. in that order; the arcs of
+    e{n} in a UGraph are e{n}+ and e{n}-, attached in that order."""
+    directed, vs = cls.directed, [f"v{i}" for i in range(k)]
+    ends = [(vs[j], vs[i]) if directed else (vs[i], vs[j]) for i, j in bundle]
+    for v, counts in zip(vs, pend):
+        ins, outs = counts if directed else (counts, 0)
+        ends += [(v, None)] * ins + [(None, v)] * outs
+    names = [f"e{n}" for n in range(len(ends))]
+    keys = names if directed else [(f"{e}+", f"{e}-") for e in names]
+    prefix = "d" if directed else "u"
+    name = f"{prefix}{k}_{len(ends)}_{abs(hash((tuple(bundle), tuple(pend)))) % 10**8}"
+    return cls.from_ends(name, dict(zip(keys, ends)), vs)
 
 
 def gen_trees_u(bounds: SiteBounds):

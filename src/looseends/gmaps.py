@@ -31,15 +31,7 @@ from .emb import (
 )
 from .errors import LooseEndsError, fail
 from .etale import EtaleMap
-from .graphs import (
-    DGraph,
-    UGraph,
-    complete_slot_maps,
-    extend_slot_map,
-    is_connected,
-    shape,
-    sides,
-)
+from .graphs import UGraph, complete_slot_maps, extend_slot_map, shape, sides
 
 
 class GraphMap:
@@ -436,52 +428,3 @@ def _sort_key(m):
         tuple(sorted(m.phi0.items())),
         tuple(sorted((repr(k), repr(v)) for k, v in m.phi_hat.items())),
     )
-
-
-# ---------------------------------------------------------------------------
-# active cover star and hypermoment data
-
-
-def star_cover(g):
-    """A star with the same boundary as g, plus the active cover map onto g.
-
-    Boundary arcs keep their host names; their star-side partners are fresh,
-    so this also works when both arcs of a host edge are boundary.
-    """
-    if not is_connected(g):
-        fail("NotConnected")
-    if isinstance(g, UGraph):
-        dagger, t, phi0 = {}, {}, {}
-        for a in g.boundary:
-            tip = f"{a}^"
-            dagger[a], dagger[tip] = tip, a
-            t[tip] = "c"
-            phi0[a] = a
-            phi0[tip] = g.dagger[a]
-        star = UGraph(f"star({g.name})", dagger, t, ["c"])
-        phi_hat = {}
-        for x in enumerate_emb(star):
-            if isinstance(x, EmbEdge):
-                phi_hat[x] = edge_element(g, g.edge_key(phi0[x.edge[0]]))
-            else:
-                phi_hat[x] = id_element(g)
-        return star, GraphMap(star, g, phi0, phi_hat, check=True)
-    edges, inputs, outputs, phi0 = [], {}, {}, {}
-    for e in g.graph_inputs:
-        name = f"{e}.i"
-        edges.append(name)
-        inputs[name] = "c"
-        phi0[name] = e
-    for e in g.graph_outputs:
-        name = f"{e}.o"
-        edges.append(name)
-        outputs[name] = "c"
-        phi0[name] = e
-    star = DGraph(f"star({g.name})", edges, inputs, outputs, ["c"])
-    phi_hat = {}
-    for x in enumerate_emb(star):
-        if isinstance(x, EmbEdge):
-            phi_hat[x] = edge_element(g, phi0[x.edge])
-        else:
-            phi_hat[x] = id_element(g)
-    return star, GraphMap(star, g, phi0, phi_hat, check=True)

@@ -19,10 +19,16 @@ names edges runs unchanged on either:
 - ``ends(e)``: the vertices at the two ends of e, ``None`` at a loose end.
 - ``end_ports(e)``: the port (side, slot) through which each end of e meets
   a vertex, aligned with ``ends(e)``: the partner arc of the end's own arc,
-  or the edge as an input (side 0) and as an output (side 1).
+  or the edge as an input (side 0) and as an output (side 1).  ``end_sides``
+  is the pair of sides, the same for every edge of a flavor.
+- ``from_ends(name, ends, vertices)``: the inverse of ``ends``; it builds a
+  graph of the class from each edge key's two ends, so ``type(g).from_ends``
+  rebuilds a graph of either flavor.
 
 ``port_table(g)`` keeps the ports at each vertex; boundaries, vertex stars
-and the etale square condition all read it.
+and the etale square condition all read it.  Connectivity, shape, canonical
+signatures and isomorphism read the ends of the edges, one body for both
+flavors.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ class UGraph:
     """
 
     directed = False
+    end_sides = (0, 0)
+    unknown_code = "UnknownArc"  # names an arc or vertex foreign to the graph
 
     def __init__(self, name, dagger, t, vertices):
         arcs = sorted(dagger)
@@ -75,6 +83,19 @@ class UGraph:
             self.vertices,
         )
         self._nbhd = {v: frozenset(a for a, w in t.items() if w == v) for v in self.vertices}
+
+    @classmethod
+    def from_ends(cls, name, ends, vertices):
+        """An edge (a, b) for each key of ends, its arcs a and b attached at
+        the two ends given for it (None: loose)."""
+        dagger, t = {}, {}
+        for (a, b), (x, y) in ends.items():
+            dagger[a], dagger[b] = b, a
+            if x is not None:
+                t[a] = x
+            if y is not None:
+                t[b] = y
+        return cls(name, dagger, t, vertices)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, UGraph) and self._key == other._key)
@@ -143,6 +164,8 @@ class DGraph:
     """
 
     directed = True
+    end_sides = (0, 1)
+    unknown_code = "UnknownEdge"
 
     def __init__(self, name, edges, inputs, outputs, vertices):
         eset = set(edges)
@@ -170,6 +193,14 @@ class DGraph:
         )
         self._in = {v: frozenset(e for e, w in inputs.items() if w == v) for v in self.vertices}
         self._out = {v: frozenset(e for e, w in outputs.items() if w == v) for v in self.vertices}
+
+    @classmethod
+    def from_ends(cls, name, ends, vertices):
+        """An edge e for each key of ends, an input of its first end and an
+        output of its second (None: loose)."""
+        inputs = {e: v for e, (v, _) in ends.items() if v is not None}
+        outputs = {e: w for e, (_, w) in ends.items() if w is not None}
+        return cls(name, list(ends), inputs, outputs, vertices)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, DGraph) and self._key == other._key)
@@ -393,19 +424,13 @@ def underlying(d: DGraph, name=None) -> UGraph:
     e+ attaches where e is an input, e- attaches where e is an output; this
     convention is what makes orientation round-trips exact.
     """
-    dagger, t = {}, {}
-    for e in d.edges:
-        p, m = f"{e}+", f"{e}-"
-        dagger[p], dagger[m] = m, p
-        if e in d.inputs:
-            t[p] = d.inputs[e]
-        if e in d.outputs:
-            t[m] = d.outputs[e]
-    return UGraph(name or f"U({d.name})", dagger, t, d.vertices)
+    ends = {(f"{e}+", f"{e}-"): d.ends(e) for e in d.edges}
+    return UGraph.from_ends(name or f"U({d.name})", ends, d.vertices)
 
 
-def as_ugraph(g):
-    return g if isinstance(g, UGraph) else underlying(g)
+def ends_by_edge(g):
+    """The two ends of each edge, by edge key: what ``from_ends`` reads."""
+    return {e: g.ends(e) for e in g.edge_keys}
 
 
 # ---------------------------------------------------------------------------
@@ -420,43 +445,28 @@ class Subgraph:
 
 
 def subgraph(g, edge_set, vertex_set):
-    """Validate the closure condition: arcs attached to chosen vertices lie
-    on chosen edges (directed case: in/out slots of chosen vertices restrict)."""
+    """Validate the closure condition: an edge with an end at a chosen
+    vertex is chosen."""
     edge_set = frozenset(edge_set)
     vertex_set = frozenset(vertex_set)
     if not edge_set and not vertex_set:
         fail("EmptySubgraph")
-    if isinstance(g, UGraph):
-        if any(e not in set(g.edges()) for e in edge_set):
-            fail("UnknownArc", "edge set not a subset of host edges")
-        if any(v not in g.vertices for v in vertex_set):
-            fail("UnknownArc", "vertex set not a subset of host vertices")
-        chosen_arcs = {a for e in edge_set for a in e}
-        for a, v in g.t.items():
-            if v in vertex_set and a not in chosen_arcs:
-                fail("NotClosed", f"arc {a!r} attached to chosen vertex {v!r} lies off the edge set")
-    else:
-        if any(e not in g.edges for e in edge_set):
-            fail("UnknownEdge", "edge set not a subset of host edges")
-        if any(v not in g.vertices for v in vertex_set):
-            fail("UnknownEdge", "vertex set not a subset of host vertices")
-        for table in (g.inputs, g.outputs):
-            for e, v in table.items():
-                if v in vertex_set and e not in edge_set:
-                    fail("NotClosed", f"edge {e!r} at chosen vertex {v!r} lies off the edge set")
+    if not edge_set <= set(g.edge_keys):
+        fail(g.unknown_code, "edge set not a subset of host edges")
+    if not vertex_set <= set(g.vertices):
+        fail(g.unknown_code, "vertex set not a subset of host vertices")
+    for e in g.edge_keys:
+        for v in g.ends(e):
+            if v in vertex_set and e not in edge_set:
+                fail("NotClosed", f"edge {e!r} at chosen vertex {v!r} lies off the edge set")
     return Subgraph(g, edge_set, vertex_set)
 
 
 def subgraph_view(s: Subgraph, name=None):
     """The subgraph as a standalone graph, reusing host names."""
-    g = s.host
-    if isinstance(g, UGraph):
-        dagger = {a: g.dagger[a] for e in s.edge_set for a in e}
-        t = {a: v for a, v in g.t.items() if a in dagger and v in s.vertex_set}
-        return UGraph(name or f"{g.name}|sub", dagger, t, sorted(s.vertex_set))
-    inputs = {e: v for e, v in g.inputs.items() if e in s.edge_set and v in s.vertex_set}
-    outputs = {e: v for e, v in g.outputs.items() if e in s.edge_set and v in s.vertex_set}
-    return DGraph(name or f"{g.name}|sub", sorted(s.edge_set), inputs, outputs, sorted(s.vertex_set))
+    g, vs = s.host, s.vertex_set
+    ends = {e: tuple(v if v in vs else None for v in g.ends(e)) for e in sorted(s.edge_set)}
+    return type(g).from_ends(name or f"{g.name}|sub", ends, sorted(vs))
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +484,12 @@ class GraphShape:
     is_simply_connected: bool
 
 
-def _incidence_links(u: UGraph):
-    """The geometric realization retracts onto the bipartite incidence
-    multigraph: one node per vertex and per edge, one link per dangling arc."""
-    nodes = [("v", v) for v in u.vertices] + [("e", e) for e in u.edges()]
-    links = [(("v", v), ("e", u.edge_key(a))) for a, v in u.t.items()]
-    return nodes, links
-
-
-def _components(nodes, links):
-    parent = {n: n for n in nodes}
+def _incidence(g):
+    """(nodes, links, components) of the bipartite incidence multigraph,
+    onto which the geometric realization retracts: one node per vertex and
+    per edge, one link per end that meets a vertex."""
+    node = {v: i for i, v in enumerate(g.vertices)}
+    parent = list(range(len(node) + len(g.edge_keys)))
 
     def find(x):
         while parent[x] != x:
@@ -491,26 +497,20 @@ def _components(nodes, links):
             x = parent[x]
         return x
 
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(n) for n in nodes})
+    links = 0
+    for k, e in enumerate(g.edge_keys, len(node)):
+        for v in g.ends(e):
+            if v is not None:
+                links += 1
+                a, b = find(node[v]), find(k)
+                if a != b:
+                    parent[a] = b
+    return len(parent), links, sum(1 for i, p in enumerate(parent) if i == p)
 
 
 def is_connected(g) -> bool:
-    u = as_ugraph(g)
-    nodes, links = _incidence_links(u)
-    if not nodes:
-        return False
-    return _components(nodes, links) == 1
-
-
-def _cycle_rank(u: UGraph) -> int:
-    nodes, links = _incidence_links(u)
-    if not nodes:
-        return 0
-    return len(links) - len(nodes) + _components(nodes, links)
+    nodes, _, parts = _incidence(g)
+    return nodes > 0 and parts == 1
 
 
 def has_directed_cycle(d: DGraph) -> bool:
@@ -539,24 +539,17 @@ def has_directed_cycle(d: DGraph) -> bool:
 
 
 def shape(g) -> GraphShape:
-    u = as_ugraph(g)
-    connected = is_connected(g)
-    simply = connected and _cycle_rank(u) == 0
-    tree = simply
-    no_vertices = not u.vertices
-    edge = connected and no_vertices
-    star = connected and len(u.vertices) == 1 and not any(
-        u.is_internal_edge(e) for e in u.edges()
-    )
-    linear_u = tree and all(u.degree(v) <= 2 for v in u.vertices) and len(u.boundary) == 2
-    if isinstance(g, DGraph):
+    nodes, links, parts = _incidence(g)
+    connected = nodes > 0 and parts == 1
+    tree = simply = connected and links - nodes + parts == 0  # cycle rank 0
+    edge = connected and not g.vertices
+    star = connected and len(g.vertices) == 1 and not any(map(g.is_internal_edge, g.edge_keys))
+    loose = 2 * len(g.edge_keys) - links
+    linear = tree and loose == 2 and all(g.degree(v) <= 2 for v in g.vertices)
+    acyclic = None
+    if g.directed:
         acyclic = connected and not has_directed_cycle(g)
-        linear = linear_u and all(
-            len(g.in_of(v)) == 1 and len(g.out_of(v)) == 1 for v in g.vertices
-        )
-    else:
-        acyclic = None
-        linear = linear_u
+        linear = linear and all(len(g.in_of(v)) == 1 == len(g.out_of(v)) for v in g.vertices)
     return GraphShape(edge, star, linear, tree, acyclic, connected, simply)
 
 
@@ -580,82 +573,84 @@ def relabel_dgraph(g: DGraph, edge_map, vertex_map, name=None):
     )
 
 
-def _edge_descriptor_u(u: UGraph, e, pos):
-    ends = sorted(pos.get(u.t.get(a), -1) for a in e)
-    return tuple(ends)
+def _ends_and_invariants(g):
+    """The ends of each edge in ``edge_keys`` order, and the local invariant
+    of each vertex: how many ends meet it on each port side, then how many
+    side-0 ends of loops meet it."""
+    s0, s1 = g.end_sides
+    loop = g.end_sides.count(0)
+    count = {v: [0] * (s1 + 2) for v in g.vertices}
+    ends = list(map(g.ends, g.edge_keys))
+    for x, y in ends:
+        if x is not None:
+            count[x][s0] += 1
+        if y is not None:
+            count[y][s1] += 1
+            if x == y:
+                count[y][-1] += loop
+    return ends, {v: tuple(c) for v, c in count.items()}
 
 
-def _edge_descriptor_d(d: DGraph, e, pos):
-    return (pos.get(d.outputs.get(e), -1), pos.get(d.inputs.get(e), -1))
+def _descriptors(ends, pos, ordered):
+    """Each edge's end positions under pos, which maps None to -1: the
+    second end first when ends are ordered (a directed edge's tail), else
+    the least first."""
+    out = []
+    for x, y in ends:
+        p, q = pos[x], pos[y]
+        out.append((q, p) if ordered or q < p else (p, q))
+    return out
 
 
-def _vertex_invariant(g, v):
-    if isinstance(g, UGraph):
-        loops = sum(1 for a in g.nbhd(v) if g.t.get(g.dagger[a]) == v)
-        return (g.degree(v), loops)
-    loops = sum(1 for e in g.in_of(v) if g.outputs.get(e) == v)
-    return (len(g.in_of(v)), len(g.out_of(v)), loops)
+def _ordered(g):
+    """Are g's edge ends told apart: do they meet vertices on two sides?"""
+    return g.end_sides[0] != g.end_sides[1]
 
 
 def canonical_signature(g):
     """Complete iso invariant: vertex count plus the multiset of edge end
     descriptors under the best vertex ordering.  Minimized over orderings
-    compatible with the local vertex invariants."""
-    verts = list(g.vertices)
+    compatible with the local vertex invariants; a graph without vertices
+    has one ordering, the empty one."""
+    ends, inv = _ends_and_invariants(g)
+    ordered = _ordered(g)
     groups = {}
-    for v in verts:
-        groups.setdefault(_vertex_invariant(g, v), []).append(v)
+    for v in g.vertices:
+        groups.setdefault(inv[v], []).append(v)
     keys = sorted(groups)
-    pools = [groups[k] for k in keys]
     spectrum = tuple(k for k in keys for _ in groups[k])
     best = None
-    for arrangement in itertools.product(*(itertools.permutations(p) for p in pools)):
+    for arrangement in itertools.product(*(itertools.permutations(groups[k]) for k in keys)):
         order = [v for block in arrangement for v in block]
         pos = {v: i for i, v in enumerate(order)}
-        if isinstance(g, UGraph):
-            descr = sorted(_edge_descriptor_u(g, e, pos) for e in g.edges())
-        else:
-            descr = sorted(_edge_descriptor_d(g, e, pos) for e in g.edges)
-        cand = ((len(verts), spectrum, tuple(descr)), order)
+        pos[None] = -1
+        descr = _descriptors(ends, pos, ordered)
+        descr.sort()
+        cand = ((len(order), spectrum, tuple(descr)), order)
         if best is None or cand[0] < best[0]:
             best = cand
-    if best is None:  # no vertices
-        if isinstance(g, UGraph):
-            descr = sorted(_edge_descriptor_u(g, e, {}) for e in g.edges())
-        else:
-            descr = sorted(_edge_descriptor_d(g, e, {}) for e in g.edges)
-        best = ((0, (), tuple(descr)), [])
     return best  # (signature, vertex order witnessing it)
 
 
 def iso(g, h):
     """Backtracking isomorphism search; returns witness maps or None.
 
-    For UGraphs the witness is (arc_map, vertex_map); for DGraphs it is
-    (edge_map, vertex_map).
+    The witness is (slot_map, vertex_map): arcs to arcs for UGraphs, edges
+    to edges for DGraphs.
     """
-    if isinstance(g, UGraph) != isinstance(h, UGraph):
+    if type(g) is not type(h) or len(g.vertices) != len(h.vertices):
         return None
-    if len(g.vertices) != len(h.vertices):
+    if len(g.edge_keys) != len(h.edge_keys):
         return None
-    if isinstance(g, UGraph):
-        if len(g.arcs) != len(h.arcs) or len(g.dangling) != len(h.dangling):
-            return None
-    else:
-        if len(g.edges) != len(h.edges):
-            return None
-        if len(g.inputs) != len(h.inputs) or len(g.outputs) != len(h.outputs):
-            return None
-
-    ginv = {v: _vertex_invariant(g, v) for v in g.vertices}
-    hinv = {v: _vertex_invariant(h, v) for v in h.vertices}
+    g_ends, ginv = _ends_and_invariants(g)
+    h_ends, hinv = _ends_and_invariants(h)
     if sorted(ginv.values()) != sorted(hinv.values()):
         return None
     order = sorted(g.vertices, key=lambda v: (ginv[v], v))
 
     def extend_vertices(i, vmap):
         if i == len(order):
-            return _match_edges(g, h, vmap)
+            return _match_edges(g, h, g_ends, h_ends, vmap)
         v = order[i]
         used = set(vmap.values())
         # prefer the same-named vertex so iso(G, G) yields the identity
@@ -673,64 +668,32 @@ def iso(g, h):
     return extend_vertices(0, {})
 
 
-def _match_edges(g, h, vmap):
+def _match_edges(g, h, g_ends, h_ends, vmap):
+    """The slot map over the vertex map: each edge of g goes to an unused
+    edge of h with its descriptor (the same-named one first, for identity
+    witnesses), its first slot to that edge's first slot when the ends line
+    up as they are, to its partner when they line up crosswise."""
+    ordered = _ordered(g)
     pos_g = {v: i for i, v in enumerate(sorted(vmap))}
-    pos_h = {vmap[v]: pos_g[v] for v in vmap}
-    def take(pool, e):
-        if e in pool:  # prefer the same-named edge for identity witnesses
-            pool.remove(e)
-            return e
-        return pool.pop(0)
-
-    if isinstance(g, UGraph):
-        by_descr = {}
-        for e in sorted(h.edges()):
-            by_descr.setdefault(_edge_descriptor_u(h, e, pos_h), []).append(e)
-        emap = {}
-        for e in sorted(g.edges()):
-            d = _edge_descriptor_u(g, e, pos_g)
-            pool = by_descr.get(d, [])
-            if not pool:
-                return None
-            emap[e] = take(pool, e)
-        arc_map = {}
-        for e, f in emap.items():
-            if not _orient_arc_pair(g, h, e, f, vmap, arc_map):
-                return None
-        return arc_map, dict(vmap)
-    by_descr = {}
-    for e in sorted(h.edges):
-        by_descr.setdefault(_edge_descriptor_d(h, e, pos_h), []).append(e)
-    emap = {}
-    for e in sorted(g.edges):
-        d = _edge_descriptor_d(g, e, pos_g)
-        pool = by_descr.get(d, [])
+    pos_h = {vmap[v]: i for v, i in pos_g.items()}
+    pos_g[None] = pos_h[None] = -1
+    pools = {}
+    for f, d in zip(h.edge_keys, _descriptors(h_ends, pos_h, ordered)):
+        pools.setdefault(d, []).append(f)
+    h_ends = dict(zip(h.edge_keys, h_ends))
+    slot_map = {}
+    for e, (x, y), d in zip(g.edge_keys, g_ends, _descriptors(g_ends, pos_g, ordered)):
+        pool = pools.get(d)
         if not pool:
             return None
-        emap[e] = take(pool, e)
-    return emap, dict(vmap)
-
-
-def _orient_arc_pair(g, h, e, f, vmap, arc_map):
-    a, b = e
-    c, d = f
-
-    def img(x):
-        v = g.t.get(x)
-        return None if v is None else vmap[v]
-
-    ta, tb = img(a), img(b)
-    tc, td = h.t.get(c), h.t.get(d)
-    options = []
-    if ta == tc and tb == td:
-        options.append((c, d))
-    if ta == td and tb == tc:
-        options.append((d, c))
-    if not options:
-        return False
-    pick = next((o for o in options if o == (a, b)), options[0])
-    arc_map[a], arc_map[b] = pick
-    return True
+        f = e if e in pool else pool[0]
+        pool.remove(f)
+        s, c = g.slot_of(e), h.slot_of(f)
+        if (vmap.get(x), vmap.get(y)) != h_ends[f]:
+            c = h.partner(c)
+        slot_map[s] = c
+        slot_map[g.partner(s)] = h.partner(c)
+    return slot_map, dict(vmap)
 
 
 def isomorphic(g, h) -> bool:

@@ -410,34 +410,3 @@ def doubled_value_fixture(site, want_internal=True):
             continue
         return cand, i
     fail("SiteTooSmall", "no object supports a doubled value")
-
-
-def slice_restriction(els: ElementsSite, X: Presheaf, aug):
-    """Restrict an orientation-augmented presheaf along the equivalence: the
-    directed-side value at (G, x) is the fiber of aug over x."""
-
-    def values(k):
-        i, x = els.pairs[k]
-        return [e for e in X.value(i) if aug[i][e] == x]
-
-    def action(ref, elem):
-        return X.act(els.mor_map[ref], elem)
-
-    return presheaf_from_values(els.directed, values, action, name=f"{X.name}|fiber")
-
-
-def orientation_augmentation(site, X: Presheaf, orient_presheaf: Presheaf, picker):
-    """aug[i][elem] = orientation; picker builds the natural transformation."""
-    aug = {}
-    for i in range(len(site.objects)):
-        aug[i] = {e: picker(i, e) for e in X.value(i)}
-    # naturality
-    for ref in site.all_refs():
-        i, j, pos = ref
-        m = site.morph(ref)
-        for e in X.value(j):
-            lhs = aug[i][X.act(ref, e)]
-            rhs = restrict_orientation(aug[j][e], m.phi0, m.source)
-            if lhs != rhs:
-                fail("SiteTooSmall", "augmentation is not natural")
-    return aug

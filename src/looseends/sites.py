@@ -39,6 +39,7 @@ from .graphs import (
     DGraph,
     UGraph,
     canonical_signature,
+    ends_by_edge,
     iso,
     isomorphic,
     shape,
@@ -220,19 +221,15 @@ def _object_pool(tag, bounds):
 def build_site(tag, bounds=DEFAULT_BOUNDS, budget=DEFAULT_BUDGET, close=True):
     """Site with one object per iso class within bounds, full hom-sets, and
     closure under factorization middles and elementary covers."""
-    objects = _object_pool(tag, bounds)
-    objects = [_rename(g, f"{tag}{i}") for i, g in enumerate(objects)]
+    objects = [
+        type(g).from_ends(f"{tag}{i}", ends_by_edge(g), g.vertices)
+        for i, g in enumerate(_object_pool(tag, bounds))
+    ]
     homs = {}
     _fill_homs(tag, objects, homs, budget)
     if close:
         _close(tag, objects, homs, budget)
     return Site(tag, objects, homs)
-
-
-def _rename(g, name):
-    if isinstance(g, UGraph):
-        return UGraph(name, g.dagger, g.t, g.vertices)
-    return DGraph(name, g.edges, g.inputs, g.outputs, g.vertices)
 
 
 def _fill_homs(tag, objects, homs, budget):
@@ -251,7 +248,8 @@ def _close(tag, objects, homs, budget):
             missing = _missing_cover(tag, objects)
         if missing is None:
             return
-        objects.append(_rename(missing, f"{tag}{len(objects)}"))
+        name = f"{tag}{len(objects)}"
+        objects.append(type(missing).from_ends(name, ends_by_edge(missing), missing.vertices))
         _fill_homs(tag, objects, homs, budget)
 
 
@@ -294,15 +292,10 @@ def orient(g: UGraph, x, name=None) -> DGraph:
     t(a) = v makes its edge an input of v.  Edges are named by +1 arcs."""
     if not x <= set(g.arcs) or len(x) != len(set(g.edges())):
         fail("NotBoundaryArc", "not an orientation: needs one +1 arc per edge")
-    inputs, outputs = {}, {}
-    for a in x:
-        if g.dagger[a] in x:
-            fail("NotBoundaryArc", "both arcs of one edge set to +1")
-        if a in g.t:
-            inputs[a] = g.t[a]
-        if g.dagger[a] in g.t:
-            outputs[a] = g.t[g.dagger[a]]
-    return DGraph(name or f"{g.name}@{len(x)}", sorted(x), inputs, outputs, g.vertices)
+    if any(g.dagger[a] in x for a in x):
+        fail("NotBoundaryArc", "both arcs of one edge set to +1")
+    ends = {a: (g.t.get(a), g.t.get(g.dagger[a])) for a in sorted(x)}
+    return DGraph.from_ends(name or f"{g.name}@{len(x)}", ends, g.vertices)
 
 
 def canonical_orientation(d: DGraph):
@@ -385,8 +378,10 @@ class ElementsSite:
     def _lift(self):
         """Lift each base map m : i -> j once per pair (j, y), from the pair of
         y restricted along m, reading phi_hat off m's Emb code through the two
-        pairs' class tables.  Each hom-set keeps the base hom-set's order."""
-        base, objs, n = self.base, self.base.objects, len(self.pairs)
+        pairs' class tables.  Each hom-set keeps the base hom-set's order;
+        only the non-empty ones are kept, in key order, and ``hom`` answers
+        () for the others."""
+        base, objs = self.base, self.base.objects
         dobjects = [
             orient(objs[i], x, name=f"{objs[i].name}x{k}") for k, (i, x) in enumerate(self.pairs)
         ]
@@ -395,7 +390,7 @@ class ElementsSite:
         for (i, j), maps in sorted(base.homs.items()):
             for pos, m in enumerate(maps):
                 into[j].append((m, base._encode(i, j, m)[1], (i, j, pos)))
-        homs, refs = {(a, b): () for a in range(n) for b in range(n)}, {}
+        homs, refs = {}, {}
         for b, (j, y) in enumerate(self.pairs):
             found = {}  # source pair -> its lifts into b, in base order
             for m, code, ref in into[j]:
@@ -409,7 +404,7 @@ class ElementsSite:
             for a, lifted in found.items():
                 homs[(a, b)], refs[(a, b)] = zip(*lifted)
         mor_map = {(*key, pos): ref for key in sorted(refs) for pos, ref in enumerate(refs[key])}
-        return Site("el", dobjects, homs), mor_map
+        return Site("el", dobjects, sorted(homs.items())), mor_map
 
 
 def build_elements_site(base: Site, rooted_only=False):

@@ -1,8 +1,6 @@
-import functools
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from looseends.config import SiteBounds
 from looseends.emb import (
@@ -31,14 +29,7 @@ from looseends.emb import (
 )
 from looseends.errors import LooseEndsError
 from looseends.etale import enumerate_etale, is_embedding
-from looseends.gen import (
-    _build_d,
-    _build_u,
-    _connected_on_vertices,
-    _vertex_multisets,
-    gen_connected_dgraphs,
-    gen_connected_ugraphs,
-)
+from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs
 from looseends.graphs import (
     is_connected,
     isomorphic,
@@ -50,6 +41,7 @@ from looseends.graphs import (
     underlying,
     validate_dgraph,
 )
+from strategies import connected_hosts
 
 
 class TestEnumerate:
@@ -456,45 +448,13 @@ def _intersect_ref(x, y):
     return EmbEdge(g, e)
 
 
-@functools.cache
-def _bundles(k, directed, arity=3, internal=5):
-    """The connected bundles of at most `internal` internal edges on k
-    vertices, no vertex meeting more than arity of them, with each
-    vertex's degree."""
-    out = []
-    for bundle in _vertex_multisets(k, internal, True, ordered=directed):
-        degree = [0] * k
-        for i, j in bundle:
-            degree[i] += 1
-            degree[j] += 1
-        if _connected_on_vertices(k, bundle) and max(degree) <= arity:
-            out.append((bundle, tuple(degree)))
-    return out
-
-
-@st.composite
-def _hosts(draw, arity=3):
-    """A connected host of either flavor on 4 or 5 vertices, past A03's
-    three, built as gen builds its graphs: a bundle of internal edges, then
-    loose legs (inputs and outputs when directed) up to the arity."""
-    directed, k = draw(st.booleans()), draw(st.integers(4, 5))
-    bundle, degree = draw(st.sampled_from(_bundles(k, directed)))
-    if not directed:
-        return _build_u(k, bundle, [draw(st.integers(0, arity - d)) for d in degree])
-    pend = []
-    for d in degree:
-        pi = draw(st.integers(0, arity - d))
-        pend.append((pi, draw(st.integers(0, arity - d - pi))))
-    return _build_d(k, bundle, pend)
-
-
 def _internal_ref(g, vertices):
     """The edges with both ends attached inside vertices."""
     return {e for e in g.edge_keys if None not in g.ends(e) and set(g.ends(e)) <= vertices}
 
 
 @settings(max_examples=50, deadline=None)
-@given(_hosts())
+@given(connected_hosts())
 def test_classes_past_the_exhaustive_bounds(g):
     """On every class of a random host with 4 or 5 vertices: the boundary
     against the realization's, region() and class_of_embedding() give the

@@ -10,6 +10,7 @@ from looseends.config import Budget, SiteBounds
 from looseends.emb import (
     EmbEdge,
     EmbRegion,
+    edge_element,
     enumerate_emb,
     id_element,
     intersect_subtrees,
@@ -19,8 +20,8 @@ from looseends.emb import (
     vertex_element,
 )
 from looseends import gmaps
-from looseends.errors import LooseEndsError
-from looseends.gen import _build_u, gen_trees_u
+from looseends.errors import LooseEndsError, fail
+from looseends.gen import _build, gen_trees_u
 from looseends.gmaps import (
     GraphMap,
     compose,
@@ -35,12 +36,13 @@ from looseends.gmaps import (
     morphism_in_category,
     object_in_category,
     restrict_tree_map,
-    star_cover,
     validate_graph_map,
     vertex_functor,
 )
 from looseends.graphs import (
+    DGraph,
     UGraph,
+    is_connected,
     isomorphic,
     make_edge,
     make_edge_dir,
@@ -51,6 +53,51 @@ from looseends.graphs import (
     validate_dgraph,
     validate_ugraph,
 )
+
+
+def star_cover(g):
+    """A star with the same boundary as g, plus the active cover map onto g.
+
+    Boundary arcs keep their host names; their star-side partners are fresh,
+    so this also works when both arcs of a host edge are boundary.
+    """
+    if not is_connected(g):
+        fail("NotConnected")
+    if isinstance(g, UGraph):
+        dagger, t, phi0 = {}, {}, {}
+        for a in g.boundary:
+            tip = f"{a}^"
+            dagger[a], dagger[tip] = tip, a
+            t[tip] = "c"
+            phi0[a] = a
+            phi0[tip] = g.dagger[a]
+        star = UGraph(f"star({g.name})", dagger, t, ["c"])
+        phi_hat = {}
+        for x in enumerate_emb(star):
+            if isinstance(x, EmbEdge):
+                phi_hat[x] = edge_element(g, g.edge_key(phi0[x.edge[0]]))
+            else:
+                phi_hat[x] = id_element(g)
+        return star, GraphMap(star, g, phi0, phi_hat, check=True)
+    edges, inputs, outputs, phi0 = [], {}, {}, {}
+    for e in g.graph_inputs:
+        name = f"{e}.i"
+        edges.append(name)
+        inputs[name] = "c"
+        phi0[name] = e
+    for e in g.graph_outputs:
+        name = f"{e}.o"
+        edges.append(name)
+        outputs[name] = "c"
+        phi0[name] = e
+    star = DGraph(f"star({g.name})", edges, inputs, outputs, ["c"])
+    phi_hat = {}
+    for x in enumerate_emb(star):
+        if isinstance(x, EmbEdge):
+            phi_hat[x] = edge_element(g, phi0[x.edge])
+        else:
+            phi_hat[x] = id_element(g)
+    return star, GraphMap(star, g, phi0, phi_hat, check=True)
 
 
 @pytest.fixture
@@ -669,7 +716,7 @@ def _trees(draw, arity=3):
         degree[p] += 1
         degree[i] += 1
     legs = [draw(st.integers(0, arity - d)) for d in degree]
-    return _build_u(k, bundle, legs)
+    return _build(UGraph, k, bundle, legs)
 
 
 @settings(max_examples=10, deadline=None)

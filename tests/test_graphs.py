@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looseends.config import SiteBounds
@@ -10,7 +10,9 @@ from looseends.errors import LooseEndsError
 from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs
 from looseends.graphs import (
     DGraph,
+    UGraph,
     canonical_signature,
+    ends_by_edge,
     enumerate_path_cycles,
     has_directed_cycle,
     has_directed_cycle_oracle,
@@ -30,6 +32,7 @@ from looseends.graphs import (
     validate_dgraph,
     validate_ugraph,
 )
+from strategies import connected_hosts
 
 
 def err_code(excinfo):
@@ -422,3 +425,26 @@ class TestSlotInterface:
                 assert g.slots == g.edges == g.edge_keys
             else:
                 assert g.slots == g.arcs and g.edges() is g.edge_keys
+
+
+class TestFromEnds:
+    @settings(max_examples=50, deadline=None)
+    @given(connected_hosts())
+    def test_rebuilds_a_random_host(self, g):
+        assert type(g).from_ends(g.name, {e: g.ends(e) for e in g.edge_keys}, g.vertices) == g
+
+    def test_rebuilds_the_fixtures(self, example18, theta, diamond):
+        for g in (example18, theta, diamond, make_edge(), make_edge_dir(), make_star(0)):
+            assert type(g).from_ends(g.name, ends_by_edge(g), g.vertices) == g
+
+    def test_underlying_reads_the_ends(self, diamond):
+        u = underlying(diamond)
+        assert all(u.ends((f"{e}+", f"{e}-")) == diamond.ends(e) for e in diamond.edges)
+
+    def test_constructor_checks_apply(self):
+        with pytest.raises(LooseEndsError) as ei:
+            UGraph.from_ends("bad", {("a", "a"): (None, None)}, [])
+        assert err_code(ei) == "FixpointInvolution"
+        with pytest.raises(LooseEndsError) as ei:
+            DGraph.from_ends("bad", {"e": ("v", None)}, [])
+        assert err_code(ei) == "UnknownEdge"

@@ -1,7 +1,7 @@
 import pytest
 
 from looseends.config import OperadCaps, SiteBounds
-from looseends.errors import LooseEndsError
+from looseends.errors import LooseEndsError, fail
 from looseends.graphs import make_linear, underlying
 from looseends.operads import (
     free_cyclic,
@@ -18,12 +18,11 @@ from looseends.presheaves import (
     left_kan_formula,
     limit_families_bruteforce,
     nerve_presheaf,
-    orientation_augmentation,
     orientation_presheaf,
+    presheaf_from_values,
     representable,
     restrict_presheaf,
     segal_map,
-    slice_restriction,
     terminal_presheaf,
 )
 from looseends.sites import (
@@ -32,8 +31,40 @@ from looseends.sites import (
     canonical_orientation,
     orient,
     orientations,
+    restrict_orientation,
     root,
 )
+
+
+def slice_restriction(els, X, aug):
+    """Restrict an orientation-augmented presheaf along the equivalence: the
+    directed-side value at (G, x) is the fiber of aug over x."""
+
+    def values(k):
+        i, x = els.pairs[k]
+        return [e for e in X.value(i) if aug[i][e] == x]
+
+    def action(ref, elem):
+        return X.act(els.mor_map[ref], elem)
+
+    return presheaf_from_values(els.directed, values, action, name=f"{X.name}|fiber")
+
+
+def orientation_augmentation(site, X, orient_presheaf, picker):
+    """aug[i][elem] = orientation; picker builds the natural transformation."""
+    aug = {}
+    for i in range(len(site.objects)):
+        aug[i] = {e: picker(i, e) for e in X.value(i)}
+    # naturality
+    for ref in site.all_refs():
+        i, j, pos = ref
+        m = site.morph(ref)
+        for e in X.value(j):
+            lhs = aug[i][X.act(ref, e)]
+            rhs = restrict_orientation(aug[j][e], m.phi0, m.source)
+            if lhs != rhs:
+                fail("SiteTooSmall", "augmentation is not natural")
+    return aug
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looseends.config import OperadCaps, SiteBounds
 from looseends.emb import enumerate_emb
@@ -25,6 +27,7 @@ from looseends.textio import (
     site_to_manifest,
     to_dot,
 )
+from strategies import connected_hosts
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -46,6 +49,34 @@ class TestGraphRoundTrip:
             (g2,) = parse_graphs(text).values()
             assert g2 == g
             assert graph_to_text(g2) == text
+
+    @settings(max_examples=50, deadline=None)
+    @given(connected_hosts())
+    def test_random_host(self, g):
+        (g2,) = parse_graphs(graph_to_text(g)).values()
+        assert g2 == g
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_hosts(), st.sampled_from(["drop", "duplicate", "swap"]), st.data())
+    def test_single_line_mutations_fail_as_loose_ends_errors(self, g, kind, data):
+        """A dropped token, a duplicated line or a pair/edge directive swapped
+        for the other: the text parses, or fails with a LooseEndsError."""
+        lines = graph_to_text(g).splitlines()
+        swap = {"pair": "edge", "edge": "pair"}
+        pool = [i for i, line in enumerate(lines) if kind != "swap" or line.split()[0] in swap]
+        i = data.draw(st.sampled_from(pool))
+        words = lines[i].split()
+        if kind == "drop":
+            del words[data.draw(st.integers(0, len(words) - 1))]
+            lines[i] = " ".join(words)
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = " ".join([swap[words[0]]] + words[1:])
+        try:
+            parse_graphs("\n".join(lines) + "\n")
+        except LooseEndsError:
+            pass
 
     def test_bad_token(self):
         with pytest.raises(LooseEndsError):
