@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .config import SiteBounds
-from .graphs import canonical_signature, make_edge, make_edge_dir
+from .graphs import canonical_signature, ends_signature, make_edge, make_edge_dir
 
 
 def _vertex_multisets(k, max_mult, with_loops, ordered):
@@ -80,19 +80,14 @@ def _gen_connected(bounds, lone, pendants):
     """The lone edge, then on each vertex count every connected bundle of
     internal edges (ordered pairs when lone is directed) with every choice of
     pendant edges that pendants(spare arity per vertex, spare edges) yields,
-    one graph per canonical signature, sorted by it."""
-    seen, out = set(), []
-
-    def emit(g):
-        sig = canonical_signature(g)[0]
-        if sig not in seen:
-            seen.add(sig)
-            out.append(g)
-
-    if bounds.max_edges >= 1:
-        emit(lone)
+    one graph per canonical signature, sorted by it.  A candidate's
+    signature is read off its ends, and only the first with a signature is
+    built."""
+    cls, directed = type(lone), lone.directed
+    found = {canonical_signature(lone)[0]: lone} if bounds.max_edges >= 1 else {}
     for k in range(1, bounds.max_vertices + 1):
-        for bundle in _vertex_multisets(k, bounds.max_edges, True, ordered=lone.directed):
+        vs = [f"v{i}" for i in range(k)]
+        for bundle in _vertex_multisets(k, bounds.max_edges, True, ordered=directed):
             if not _connected_on_vertices(k, bundle):
                 continue
             deg = [0] * k
@@ -106,9 +101,19 @@ def _gen_connected(bounds, lone, pendants):
             if budget < 0:
                 continue
             for pend in pendants(spare, budget):
-                emit(_build(type(lone), k, bundle, pend))
-    out.sort(key=lambda g: canonical_signature(g)[0])
-    return out
+                sig = ends_signature(_ends(directed, vs, bundle, pend), vs, cls.end_sides)[0]
+                if sig not in found:
+                    found[sig] = _build(cls, k, bundle, pend)
+    return [found[sig] for sig in sorted(found)]
+
+
+def _ends(directed, vs, bundle, pend):
+    """The ends of the edges of _build's graph, in its edge order."""
+    ends = [(vs[j], vs[i]) if directed else (vs[i], vs[j]) for i, j in bundle]
+    for v, counts in zip(vs, pend):
+        ins, outs = counts if directed else (counts, 0)
+        ends += [(v, None)] * ins + [(None, v)] * outs
+    return ends
 
 
 def _build(cls, k, bundle, pend):
@@ -118,10 +123,7 @@ def _build(cls, k, bundle, pend):
     outputs) when directed.  Edges are e0, e1, .. in that order; the arcs of
     e{n} in a UGraph are e{n}+ and e{n}-, attached in that order."""
     directed, vs = cls.directed, [f"v{i}" for i in range(k)]
-    ends = [(vs[j], vs[i]) if directed else (vs[i], vs[j]) for i, j in bundle]
-    for v, counts in zip(vs, pend):
-        ins, outs = counts if directed else (counts, 0)
-        ends += [(v, None)] * ins + [(None, v)] * outs
+    ends = _ends(directed, vs, bundle, pend)
     names = [f"e{n}" for n in range(len(ends))]
     keys = names if directed else [(f"{e}+", f"{e}-") for e in names]
     prefix = "d" if directed else "u"

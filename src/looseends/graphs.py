@@ -28,7 +28,8 @@ names edges runs unchanged on either:
 ``port_table(g)`` keeps the ports at each vertex; boundaries, vertex stars
 and the etale square condition all read it.  Connectivity, shape, canonical
 signatures and isomorphism read the ends of the edges, one body for both
-flavors.
+flavors; ``ends_signature`` takes the signature off an ends list before
+any graph is built.
 """
 
 from __future__ import annotations
@@ -573,14 +574,13 @@ def relabel_dgraph(g: DGraph, edge_map, vertex_map, name=None):
     )
 
 
-def _ends_and_invariants(g):
-    """The ends of each edge in ``edge_keys`` order, and the local invariant
-    of each vertex: how many ends meet it on each port side, then how many
-    side-0 ends of loops meet it."""
-    s0, s1 = g.end_sides
-    loop = g.end_sides.count(0)
-    count = {v: [0] * (s1 + 2) for v in g.vertices}
-    ends = list(map(g.ends, g.edge_keys))
+def _invariants(ends, vertices, sides):
+    """The local invariant of each vertex, given the ends of the edges and
+    the side of each end's port: how many ends meet it on each side, then
+    how many side-0 ends of loops meet it."""
+    s0, s1 = sides
+    loop = sides.count(0)
+    count = {v: [0] * (s1 + 2) for v in vertices}
     for x, y in ends:
         if x is not None:
             count[x][s0] += 1
@@ -588,7 +588,7 @@ def _ends_and_invariants(g):
             count[y][s1] += 1
             if x == y:
                 count[y][-1] += loop
-    return ends, {v: tuple(c) for v, c in count.items()}
+    return {v: tuple(c) for v, c in count.items()}
 
 
 def _descriptors(ends, pos, ordered):
@@ -602,20 +602,23 @@ def _descriptors(ends, pos, ordered):
     return out
 
 
-def _ordered(g):
-    """Are g's edge ends told apart: do they meet vertices on two sides?"""
-    return g.end_sides[0] != g.end_sides[1]
-
-
 def canonical_signature(g):
     """Complete iso invariant: vertex count plus the multiset of edge end
     descriptors under the best vertex ordering.  Minimized over orderings
     compatible with the local vertex invariants; a graph without vertices
     has one ordering, the empty one."""
-    ends, inv = _ends_and_invariants(g)
-    ordered = _ordered(g)
+    return ends_signature(list(map(g.ends, g.edge_keys)), g.vertices, g.end_sides)
+
+
+def ends_signature(ends, vertices, sides):
+    """The signature part of canonical_signature for the graph that
+    from_ends would build from these ends, listed in any order, on these
+    vertices, for a class with these ``end_sides``; the witnessing order is
+    canonical_signature's when the vertices come sorted."""
+    inv = _invariants(ends, vertices, sides)
+    ordered = sides[0] != sides[1]  # the ends meet vertices on two sides
     groups = {}
-    for v in g.vertices:
+    for v in vertices:
         groups.setdefault(inv[v], []).append(v)
     keys = sorted(groups)
     spectrum = tuple(k for k in keys for _ in groups[k])
@@ -642,8 +645,9 @@ def iso(g, h):
         return None
     if len(g.edge_keys) != len(h.edge_keys):
         return None
-    g_ends, ginv = _ends_and_invariants(g)
-    h_ends, hinv = _ends_and_invariants(h)
+    g_ends, h_ends = list(map(g.ends, g.edge_keys)), list(map(h.ends, h.edge_keys))
+    ginv = _invariants(g_ends, g.vertices, g.end_sides)
+    hinv = _invariants(h_ends, h.vertices, h.end_sides)
     if sorted(ginv.values()) != sorted(hinv.values()):
         return None
     order = sorted(g.vertices, key=lambda v: (ginv[v], v))
@@ -673,7 +677,7 @@ def _match_edges(g, h, g_ends, h_ends, vmap):
     edge of h with its descriptor (the same-named one first, for identity
     witnesses), its first slot to that edge's first slot when the ends line
     up as they are, to its partner when they line up crosswise."""
-    ordered = _ordered(g)
+    ordered = g.end_sides[0] != g.end_sides[1]
     pos_g = {v: i for i, v in enumerate(sorted(vmap))}
     pos_h = {vmap[v]: i for v, i in pos_g.items()}
     pos_g[None] = pos_h[None] = -1
