@@ -420,31 +420,32 @@ def realize(x):
         h = type(g).from_ends(f"{g.name}|{g.slot_of(e)}", {e: (None, None)}, [])
         return h, EtaleMap(h, g, {s: s for s in h.slots}, {})
     ix = index(g)
-    ends, over = {}, {}  # over: H's edge -> the host slot under its first slot
+    ends, comp = {}, {}
     for e in ix.edges_in(ix.code(x)[3]):
         pair = g.ends(e)
         if e in x.glued:
-            ends[e], over[e] = pair, g.slot_of(e)
+            ends[e] = pair
+            s = g.slot_of(e)
+            comp[s] = s
+            comp[g.partner(s)] = g.partner(s)
             continue
         for i, v in enumerate(pair):
             if v in x.vertices:
-                half, ends[half] = _cut_half(g, e, i, v)
-                over[half] = g.partner(g.end_ports(e)[i][1])  # the end's own slot
+                half, ends[half], over = _cut_half(g, e, i, v)
+                comp.update(over)
     h = type(g).from_ends(f"{g.name}|{len(x.vertices)}v", ends, sorted(x.vertices))
-    comp = {}
-    for f, c in over.items():
-        s = h.slot_of(f)
-        comp[s], comp[h.partner(s)] = c, g.partner(c)
     return h, EtaleMap(h, g, comp, {v: v for v in x.vertices})
 
 
 def _cut_half(g, e, i, v):
-    """The key and ends of the half-edge at v left by cutting e at its
-    i-th end: the end's own arc a and a new arc a~, or e>in / e>out."""
+    """The key and ends of the half-edge at v left by cutting e at its i-th
+    end, and where its slots go in the host: the end's own arc a and a new
+    arc a~ over a's partner, or e>in / e>out over e."""
     if g.directed:
-        return f"{e}>{('in', 'out')[i]}", (v, None) if i == 0 else (None, v)
+        half = f"{e}>{('in', 'out')[i]}"
+        return half, ((v, None) if i == 0 else (None, v)), {half: e}
     a = e[i]
-    return (a, f"{a}~"), (v, None)
+    return (a, f"{a}~"), (v, None), {a: a, f"{a}~": g.dagger[a]}
 
 
 # ---------------------------------------------------------------------------

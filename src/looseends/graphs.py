@@ -611,10 +611,11 @@ def canonical_signature(g):
 
 
 def ends_signature(ends, vertices, sides):
-    """The signature part of canonical_signature for the graph that
-    from_ends would build from these ends, listed in any order, on these
-    vertices, for a class with these ``end_sides``; the witnessing order is
-    canonical_signature's when the vertices come sorted."""
+    """canonical_signature of the graph that from_ends would build from
+    these ends, listed in any order, on these vertices, for a class with
+    these ``end_sides``, without building it.  The signature does not depend
+    on the vertices' order; the witnessing order is canonical_signature's
+    when they come sorted."""
     inv = _invariants(ends, vertices, sides)
     ordered = sides[0] != sides[1]  # the ends meet vertices on two sides
     groups = {}
