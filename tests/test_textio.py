@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import os
 
 import pytest
@@ -7,14 +9,23 @@ from hypothesis import strategies as st
 from looseends.config import OperadCaps, SiteBounds
 from looseends.emb import enumerate_emb
 from looseends.errors import LooseEndsError
+from looseends.etale import enumerate_etale
+from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs
 from looseends.gmaps import enumerate_graph_maps
-from looseends.graphs import make_star
-from looseends.operads import free_cyclic, terminal_presentation
+from looseends.graphs import is_connected, make_star
+from looseends.operads import (
+    FLAVORS,
+    free_cyclic,
+    io_presentation,
+    monoid_dioperad,
+    terminal_presentation,
+)
 from looseends.presheaves import orientation_presheaf, terminal_presheaf
 from looseends.sites import build_site
 from looseends.textio import (
     emb_from_text,
     emb_to_text,
+    etale_to_text,
     graph_map_to_text,
     graph_to_text,
     operad_to_text,
@@ -183,3 +194,68 @@ class TestEtaleRoundTrip:
             text = etale_to_text("probe", m)
             name, parsed = parse_etale(text, graphs)
             assert parsed == m
+
+
+# sha256 of each writer's output over fixed inputs: the fixture graphs and
+# the U(3,4,3) and D(3,4,3) pools, the manifests of three small sites (which
+# write every hom-set map), the etale maps among the first six objects of
+# each site, and eight operads
+WRITER_PINS = {
+    "graph_to_text": "7eb08e8dc92b9a9d775af740c7f120334279a9d8a425c5cff35e724fce34ff3c",
+    "to_dot": "b5d35051c1ea5980dab8f9e4450d7ca67c3522e6f440fd98e6fedd073520af47",
+    "emb_to_text": "f61aa3ec387f605f825eaa2aea2f4aa238fc0967282eaea54543274ad3ff9381",
+    "site_to_manifest": "cb29882b4e5878b0cf09c44e130d89990a980fbc7761f3cf836f5fc881756b72",
+    "etale_to_text": "7660406120a77dc09e63221a8d50268d7845c8ec75a5f1b75e19449e7b4de3c1",
+    "operad_to_text": "9088ad43af237e146dff3b9ce19c9ad85ebf0748454ae5be300427929d32e967",
+}
+
+
+@functools.cache
+def _pin_graphs():
+    graphs = []
+    for fname in sorted(os.listdir(FIXTURES)):
+        if fname.endswith(".graph"):
+            graphs.extend(parse_graphs(fixture_text(fname)).values())
+    bounds = SiteBounds(3, 4, 3)
+    return graphs + list(gen_connected_ugraphs(bounds)) + list(gen_connected_dgraphs(bounds))
+
+
+@functools.cache
+def _pin_sites():
+    tags = (("U0", (1, 2, 2)), ("G", (1, 2, 2)), ("U", (2, 2, 3)))
+    return [build_site(tag, SiteBounds(*bounds)) for tag, bounds in tags]
+
+
+def _writer_outputs(writer):
+    if writer == "graph_to_text":
+        return [graph_to_text(g) for g in _pin_graphs()]
+    if writer == "to_dot":
+        return [to_dot(g) for g in _pin_graphs()]
+    if writer == "emb_to_text":
+        hosts = [g for g in _pin_graphs() if is_connected(g)]
+        return [emb_to_text(x) + "\n" for g in hosts for x in enumerate_emb(g)]
+    if writer == "site_to_manifest":
+        return [site_to_manifest(site) for site in _pin_sites()]
+    if writer == "etale_to_text":
+        out = []
+        for site in _pin_sites():
+            objects = site.objects[:6]
+            for g in objects:
+                for h in objects:
+                    maps = enumerate_etale(g, h)
+                    out.extend(etale_to_text(f"e{k}", m) for k, m in enumerate(maps))
+        return out
+    caps = OperadCaps(3, 16)
+    operads = [terminal_presentation(flavor, caps=caps) for flavor in FLAVORS]
+    operads += [io_presentation(caps=caps), monoid_dioperad(), free_cyclic(make_star(3))]
+    return [operad_to_text(P) for P in operads]
+
+
+def _writer_digest(writer):
+    return hashlib.sha256("".join(_writer_outputs(writer)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("writer", sorted(WRITER_PINS))
+def test_writer_bytes_are_pinned(writer):
+    """Every writer's bytes over the pinned inputs, as sha256."""
+    assert _writer_digest(writer) == WRITER_PINS[writer]
