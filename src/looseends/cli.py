@@ -335,11 +335,12 @@ def cmd_site_build(args):
 
 
 def cmd_nerve(args):
+    from .operads import validate_presentation
     from .presheaves import is_segal, nerve_presheaf
 
     _, _, caps = load_config(args)
     site = textio.site_from_manifest(read_file(args.site))
-    P = textio.parse_operad(read_file(args.operad), caps=caps)
+    P = validate_presentation(textio.parse_operad(read_file(args.operad), caps=caps))
     n = nerve_presheaf(P, site)
     out = {
         "operad": P.name,

@@ -310,6 +310,13 @@ def _validate(P, relist, check_associativity):
 
 
 def _check_shapes(P):
+    keys = [k for table in (P.actions, P.compositions, P.contractions) for k in table]
+    named = [k[0] for k in keys] + [k[3] for k in P.compositions]
+    for table in (P.identities, P.actions, P.compositions, P.contractions):
+        named += table.values()
+    unknown = set(named) - P.op_profile.keys()
+    if unknown:
+        fail("TableIncomplete", f"tables name unknown ops {sorted(unknown)!r}")
     for prof, names in P.ops.items():
         if len(names) > P.caps.max_ops_per_profile:
             fail("TableIncomplete", f"profile {prof!r} exceeds the op cap")

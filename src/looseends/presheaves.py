@@ -41,6 +41,9 @@ class Presheaf:
         return self.action[ref][elem]
 
     def validate(self):
+        for i in range(len(self.site.objects)):
+            if i not in self.values:
+                fail("SiteTooSmall", f"no value at object {i}")
         for (i, j), maps in self.site.homs.items():
             for pos in range(len(maps)):
                 table = self.action.get((i, j, pos))

@@ -218,7 +218,7 @@ def _object_pool(tag, bounds):
     return [g for g in pool if object_in_category(g, tag)]
 
 
-def build_site(tag, bounds=DEFAULT_BOUNDS, budget=DEFAULT_BUDGET, close=True):
+def build_site(tag, bounds=DEFAULT_BOUNDS, budget=DEFAULT_BUDGET):
     """Site with one object per iso class within bounds, full hom-sets, and
     closure under factorization middles and elementary covers."""
     objects = [
@@ -227,8 +227,7 @@ def build_site(tag, bounds=DEFAULT_BOUNDS, budget=DEFAULT_BUDGET, close=True):
     ]
     homs = {}
     _fill_homs(tag, objects, homs, budget)
-    if close:
-        _close(tag, objects, homs, budget)
+    _close(tag, objects, homs, budget)
     return Site(tag, objects, homs)
 
 

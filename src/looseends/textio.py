@@ -6,11 +6,14 @@ from __future__ import annotations
 import json
 import re
 
-from .emb import EmbEdge, enumerate_emb
+from .config import DEFAULT_CAPS
+from .emb import EmbEdge, enumerate_emb, region
 from .errors import fail
-from .gmaps import GraphMap
-from .graphs import UGraph
-from .operads import DecoratedGraph, OperadPresentation
+from .etale import EtaleMap
+from .gmaps import GraphMap, extend_tree_map
+from .graphs import extend_slot_map, sides, validate_dgraph, validate_ugraph
+from .operads import DIRECTED_FLAVORS, DecoratedGraph, OperadPresentation
+from .presheaves import Presheaf
 from .sites import Site
 
 # "~", "|" and ">" occur in the names emb.realize gives a realized class and
@@ -22,6 +25,15 @@ def check_token(tok):
     if not TOKEN.match(tok):
         fail("UnknownArc", f"bad token {tok!r}")
     return tok
+
+
+def _lines(text):
+    """Each line of text that holds something, as (lineno, line), with its
+    comment stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def _match(pattern, text, lineno):
@@ -38,27 +50,15 @@ def _match(pattern, text, lineno):
 
 
 def graph_to_text(g) -> str:
-    lines = []
-    if isinstance(g, UGraph):
-        lines.append(f"graph {g.name} undirected")
-        seen = set()
-        for a in g.arcs:
-            if a in seen:
-                continue
-            b = g.dagger[a]
-            seen.update((a, b))
-            lines.append(f"pair {a} {b}")
-        for v in g.vertices:
-            attached = " ".join(sorted(g.nbhd(v)))
-            lines.append(f"vertex {v} {attached}".rstrip())
-    else:
-        lines.append(f"graph {g.name} directed")
-        for e in g.edges:
-            lines.append(f"edge {e}")
-        for v in g.vertices:
-            ins = " ".join(sorted(g.in_of(v)))
-            outs = " ".join(sorted(g.out_of(v)))
+    lines = [f"graph {g.name} {'directed' if g.directed else 'undirected'}"]
+    # an edge is declared as itself, or as the pair of its arcs
+    lines += [f"edge {e}" if g.directed else f"pair {e[0]} {e[1]}" for e in g.edge_keys]
+    for v in g.vertices:
+        if g.directed:
+            ins, outs = (" ".join(sorted(es)) for es in (g.in_of(v), g.out_of(v)))
             lines.append(f"vertex {v} in {ins} out {outs}".replace("  ", " ").rstrip())
+        else:
+            lines.append(f"vertex {v} {' '.join(sorted(g.nbhd(v)))}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -66,10 +66,7 @@ def parse_graphs(text):
     """All graph blocks in a file; returns dict name -> graph."""
     out = {}
     block = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         words = line.split()
         if words[0] == "graph":
             if block is not None:
@@ -114,8 +111,6 @@ def parse_graphs(text):
 
 
 def _finish_graph(block):
-    from .graphs import validate_dgraph, validate_ugraph
-
     if block["directed"]:
         return validate_dgraph(block["name"], block["edges"], block["vertices"])
     return validate_ugraph(block["name"], block["pairs"], block["vertices"])
@@ -125,30 +120,20 @@ def _finish_graph(block):
 # embedding classes
 
 
-def edge_token(g, e):
-    """An edge named by one arc (undirected) or by itself (directed)."""
-    if isinstance(g, UGraph):
-        return min(e)
-    return e
-
-
 def edge_from_token(g, tok):
-    if isinstance(g, UGraph):
-        if tok not in g.dagger:
-            fail("UnknownArc", tok)
-        return g.edge_key(tok)
-    if tok not in set(g.edges):
-        fail("UnknownEdge", tok)
-    return tok
+    """The edge named by one of its slots: an arc, or the edge itself."""
+    if tok not in g.slots:
+        fail(g.unknown_code, tok)
+    return g.edge_of(tok)
 
 
 def emb_to_text(x) -> str:
     g = x.host
     if isinstance(x, EmbEdge):
-        return "{edge " + edge_token(g, x.edge) + "}"
+        return "{edge " + g.slot_of(x.edge) + "}"
     vs = " ".join(sorted(x.vertices))
     if x.glued:
-        zs = " ".join(sorted(edge_token(g, e) for e in x.glued))
+        zs = " ".join(sorted(g.slot_of(e) for e in x.glued))
         return "{vertices " + vs + "; uncut " + zs + "}"
     return "{vertices " + vs + "}"
 
@@ -172,8 +157,6 @@ def emb_from_text(g, text):
         if words and words[0] != "uncut":
             fail("UnknownArc", f"bad emb element {text!r}")
         glued = [edge_from_token(g, w) for w in words[1:]]
-    from .emb import region
-
     return region(g, vs, glued)
 
 
@@ -181,120 +164,90 @@ def emb_from_text(g, text):
 # graph maps and etale maps
 
 
+def _slot_rows(g, images):
+    """The slot lines of a map or etale block: each slot of g and its image,
+    the directive naming the slot as the format does, an arc or an edge."""
+    word = "edge" if g.directed else "arc"
+    return [f"{word} {s} |-> {images[s]}" for s in g.slots]
+
+
 def graph_map_to_text(name, m: GraphMap, category="U") -> str:
     header = f"map {name} : {m.source.name} -> {m.target.name}"
-    lines = [header + (f" in {category}" if category else "")]
-    if isinstance(m.source, UGraph):
-        for a in m.source.arcs:
-            lines.append(f"arc {a} |-> {m.phi0[a]}")
-    else:
-        for e in m.source.edges:
-            lines.append(f"edge {e} |-> {m.phi0[e]}")
+    lines = [header + (f" in {category}" if category else "")] + _slot_rows(m.source, m.phi0)
     for x in enumerate_emb(m.source):
         lines.append(f"embmap {emb_to_text(x)} |-> {emb_to_text(m.phi_hat[x])}")
     return "\n".join(lines) + "\n"
 
 
-def parse_graph_map(text, graphs):
-    """Parse one map block against a dict of named graphs."""
-    header = None
-    phi0 = {}
-    table = {}
-    vertex_rows = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("map "):
-            mm = re.match(r"map\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s*(?:in\s+(\S+))?", line)
-            if not mm:
-                fail("MalformedLine", f"line {lineno}: bad map header")
-            header = mm.groups()
-            continue
+def _read_block(text, graphs, word, directives, tail=""):
+    """Read a map or etale block: the header `word name : source -> target`
+    (then tail), which must come first, the slot lines, and the lines of the
+    given directives.  Returns the header's groups, the two graphs, the slot
+    map, each slot's partner going to its image's partner, and the
+    directives' lines as (lineno, directive, line)."""
+    header, slot_map, rest = None, {}, []
+    for lineno, line in _lines(text):
+        directive = line.split()[0]
         if header is None:
-            fail("MalformedLine", f"line {lineno}: content before map header")
-        src = graphs.get(header[1])
-        dst = graphs.get(header[2])
-        if src is None or dst is None:
-            fail("UnknownArc", f"line {lineno}: unknown source or target graph")
-        if line.startswith("arc ") or line.startswith("edge "):
-            mm = re.match(r"(?:arc|edge)\s+(\S+)\s*\|->\s*(\S+)", line)
-            if not mm:
-                fail("MalformedLine", f"line {lineno}: bad component line")
-            phi0[mm.group(1)] = mm.group(2)
-        elif line.startswith("vertex "):
-            mm = re.match(r"vertex\s+(\S+)\s*\|->\s*emb\s*(\{.*\})", line)
-            if not mm:
-                fail("MalformedLine", f"line {lineno}: bad vertex line")
-            vertex_rows[mm.group(1)] = emb_from_text(dst, mm.group(2))
-        elif line.startswith("embmap "):
-            mm = re.match(r"embmap\s*(\{.*?\})\s*\|->\s*(\{.*\})", line)
-            if not mm:
-                fail("MalformedLine", f"line {lineno}: bad embmap line")
-            table[emb_from_text(src, mm.group(1))] = emb_from_text(dst, mm.group(2))
+            if directive != word:
+                fail("MalformedLine", f"line {lineno}: content before {word} header")
+            pattern = rf"{word}\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+){tail}"
+            header = _match(pattern, line, lineno).groups()
+            src, dst = graphs.get(header[1]), graphs.get(header[2])
+            if src is None or dst is None:
+                fail("UnknownArc", f"line {lineno}: unknown source or target graph")
+        elif directive in ("arc", "edge"):
+            s, c = _match(r"(?:arc|edge)\s+(\S+)\s*\|->\s*(\S+)", line, lineno).groups()
+            for slot, g in ((s, src), (c, dst)):
+                if slot not in g.slots:
+                    fail(g.unknown_code, f"line {lineno}: no slot {slot!r} in {g.name}")
+            new = extend_slot_map(slot_map, [(s, c)], src, dst)
+            if new is None:
+                fail("NotInvolutive", f"line {lineno}: a second image for {s!r}")
+            slot_map.update(new)
+        elif directive in directives:
+            rest.append((lineno, directive, line))
         else:
             fail("MalformedLine", f"line {lineno}: unknown directive")
     if header is None:
-        fail("MalformedLine", "no map header found")
-    name, src_name, dst_name, category = header
-    src, dst = graphs[src_name], graphs[dst_name]
-    if isinstance(src, UGraph):
-        full0 = {}
-        for a, b in phi0.items():
-            full0[a] = b
-            full0[src.dagger[a]] = dst.dagger[b]
-        phi0 = full0
-    if vertex_rows and not table:
-        from .gmaps import extend_tree_map
+        fail("MalformedLine", f"no {word} header found")
+    return header, src, dst, slot_map, rest
 
-        return name, extend_tree_map(src, dst, phi0, {
-            v: x for v, x in vertex_rows.items()
-        }), category
-    m = GraphMap(src, dst, phi0, table, check=True)
-    return name, m, category
+
+def parse_graph_map(text, graphs):
+    """Parse one map block against a dict of named graphs."""
+    tail = r"(?:\s+in\s+(\S+))?"
+    header, src, dst, phi0, rest = _read_block(text, graphs, "map", ("vertex", "embmap"), tail)
+    table, vertex_rows = {}, {}
+    for lineno, directive, line in rest:
+        if directive == "vertex":
+            v, x = _match(r"vertex\s+(\S+)\s*\|->\s*emb\s*(\{.*\})", line, lineno).groups()
+            vertex_rows[v] = emb_from_text(dst, x)
+        else:
+            x, y = _match(r"embmap\s*(\{.*?\})\s*\|->\s*(\{.*\})", line, lineno).groups()
+            table[emb_from_text(src, x)] = emb_from_text(dst, y)
+    name, _, _, category = header
+    if vertex_rows and not table:
+        if vertex_rows.keys() != set(src.vertices) or phi0.keys() != set(src.slots):
+            fail("BoundaryIncompatible", "a tree map needs each slot's and vertex's image")
+        return name, extend_tree_map(src, dst, phi0, vertex_rows), category
+    return name, GraphMap(src, dst, phi0, table, check=True), category
 
 
 def etale_to_text(name, m) -> str:
     lines = [f"etale {name} : {m.source.name} -> {m.target.name}"]
-    if isinstance(m.source, UGraph):
-        for a in m.source.arcs:
-            lines.append(f"arc {a} |-> {m.component[a]}")
-    else:
-        for e in m.source.edges:
-            lines.append(f"edge {e} |-> {m.component[e]}")
-    for v in m.source.vertices:
-        lines.append(f"vertex {v} |-> {m.vertex_map[v]}")
+    lines += _slot_rows(m.source, m.component)
+    lines += [f"vertex {v} |-> {m.vertex_map[v]}" for v in m.source.vertices]
     return "\n".join(lines) + "\n"
 
 
 def parse_etale(text, graphs):
-    from .etale import EtaleMap
-
-    header = None
-    comp, vmap = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("etale "):
-            mm = re.match(r"etale\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)", line)
-            if not mm:
-                fail("MalformedLine", f"line {lineno}: bad etale header")
-            header = mm.groups()
-        elif line.startswith(("arc ", "edge ")):
-            mm = _match(r"(?:arc|edge)\s+(\S+)\s*\|->\s*(\S+)", line, lineno)
-            comp[mm.group(1)] = mm.group(2)
-        elif line.startswith("vertex "):
-            mm = _match(r"vertex\s+(\S+)\s*\|->\s*(\S+)", line, lineno)
-            vmap[mm.group(1)] = mm.group(2)
-        else:
-            fail("MalformedLine", f"line {lineno}: unknown directive")
-    if header is None:
-        fail("MalformedLine", "no etale header found")
-    name, src_name, dst_name = header
-    if src_name not in graphs or dst_name not in graphs:
-        fail("UnknownArc", "unknown source or target graph")
-    return name, EtaleMap(graphs[src_name], graphs[dst_name], comp, vmap)
+    (name, _, _), src, dst, comp, rest = _read_block(text, graphs, "etale", ("vertex",))
+    vmap = {}
+    for lineno, _, line in rest:
+        v, w = _match(r"vertex\s+(\S+)\s*\|->\s*(\S+)", line, lineno).groups()
+        vmap[v] = w
+    return name, EtaleMap(src, dst, comp, vmap)
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +260,12 @@ def operad_to_text(P: OperadPresentation) -> str:
     colors = " ".join(P.colors)
     lines.append(f"colors {colors}" + (f" involution {inv}" if inv else ""))
     for prof in sorted(P.ops, key=repr):
-        names = " ".join(P.ops[prof])
-        if P.directed:
-            ins, outs = prof
-            lines.append(f"ops ({' '.join(ins)} -> {' '.join(outs)}): {names}")
-        else:
-            lines.append(f"ops ({' '.join(prof)}): {names}")
+        profile = " -> ".join(" ".join(part) for part in sides(P, prof))
+        lines.append(f"ops ({profile}): {' '.join(P.ops[prof])}")
     for c in P.colors:
         lines.append(f"identity {c} = {P.identities[c]}")
     for (p, perm), q in sorted(P.actions.items(), key=repr):
-        if P.directed:
-            pi, po = perm
-            perm_text = " ".join(map(str, pi)) + " | " + " ".join(map(str, po))
-        else:
-            perm_text = " ".join(map(str, perm))
+        perm_text = " | ".join(" ".join(map(str, part)) for part in sides(P, perm))
         lines.append(f"act {p} ({perm_text}) = {q}")
     for (p, i, j, q), r in sorted(P.compositions.items(), key=repr):
         lines.append(f"compose {p} {i} {j} {q} = {r}")
@@ -330,19 +275,13 @@ def operad_to_text(P: OperadPresentation) -> str:
 
 
 def parse_operad(text, caps=None) -> OperadPresentation:
-    from .config import DEFAULT_CAPS
-    from .operads import DIRECTED_FLAVORS
-
     caps = caps or DEFAULT_CAPS
     name = flavor = None
     colors, dagger = (), {}
     ops, op_profile = {}, {}
     compositions, contractions, actions, identities = {}, {}, {}, {}
     directed = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         words = line.split()
         if words[0] == "operad":
             name, flavor = _match(r"operad\s+(\S+)\s+flavor\s+(\S+)", line, lineno).groups()
@@ -423,24 +362,44 @@ def site_to_manifest(site: Site) -> str:
     return json.dumps(data, indent=1, sort_keys=True)
 
 
+def _field(value, kind, what):
+    """value, when it has the type the manifest writer gives it."""
+    if not isinstance(value, kind):
+        fail("MalformedLine", f"site manifest: {what} is not a JSON {kind.__name__}")
+    return value
+
+
 def site_from_manifest(text) -> Site:
-    data = json.loads(text)
+    try:
+        data = _field(json.loads(text), dict, "the manifest")
+    except ValueError as e:
+        fail("MalformedLine", f"site manifest: {e}")
     if data.get("version") != MANIFEST_VERSION:
         fail("SiteTooSmall", "unknown site manifest version")
     objects = []
-    for block in data["objects"]:
-        (g,) = parse_graphs(block).values()
-        objects.append(g)
+    for block in _field(data.get("objects"), list, "objects"):
+        graphs = parse_graphs(_field(block, str, "an object"))
+        if len(graphs) != 1:
+            fail("MalformedLine", "site manifest: an object is not one graph block")
+        objects.extend(graphs.values())
     graphs = {g.name: g for g in objects}
+    if len(graphs) != len(objects):
+        fail("MalformedLine", "site manifest: two objects share a name")
     homs = {}
-    for key, rows in data["homs"].items():
-        i, j = key.split("->")
+    for key, rows in _field(data.get("homs"), dict, "homs").items():
+        mm = re.fullmatch(r"(\d+)->(\d+)", key)
+        if mm is None or max(int(mm[1]), int(mm[2])) >= len(objects):
+            fail("MalformedLine", f"site manifest: no hom-set {key!r}")
+        i, j = int(mm[1]), int(mm[2])
         maps = []
-        for row in rows:
-            _, m, _ = parse_graph_map(row["text"], graphs)
+        for row in _field(rows, list, f"hom-set {key}"):
+            text = _field(_field(row, dict, "a map row").get("text"), str, "a map's text")
+            _, m, _ = parse_graph_map(text, graphs)
+            if m.source != objects[i] or m.target != objects[j]:
+                fail("MalformedLine", f"site manifest: {m!r} in hom-set {key}")
             maps.append(m)
-        homs[(int(i), int(j))] = tuple(maps)
-    return Site(data["tag"], objects, homs)
+        homs[(i, j)] = tuple(maps)
+    return Site(_field(data.get("tag"), str, "tag"), objects, homs)
 
 
 def morphism_names(site: Site):
@@ -478,10 +437,7 @@ def parse_presheaf(text, site: Site):
     values = {}
     action = {}
     names = morphism_names(site)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         if line.startswith("presheaf "):
             name = _match(r"presheaf\s+(\S+)(?:\s+on\s+\S+)?", line, lineno).group(1)
         elif line.startswith("at "):
@@ -504,16 +460,19 @@ def parse_presheaf(text, site: Site):
             fail("MalformedLine", f"line {lineno}: unknown directive")
     if name is None:
         fail("MalformedLine", "no presheaf header")
-    from .presheaves import Presheaf
-
+    for ref in site.all_refs():
+        if not values.get(ref[1]):  # the one table on an empty value, written as no line
+            action.setdefault(ref, {})
     return Presheaf(site, values, action, name=name)
 
 
 def _from_token(tok, host, lineno):
     """The value written as tok, at an object whose graph is host."""
     try:
-        return _unjson(json.loads(tok), host)
-    except (ValueError, KeyError) as e:
+        value = _unjson(json.loads(tok), host)
+        hash(value)  # values key the action tables
+        return value
+    except (ValueError, KeyError, TypeError) as e:
         fail("SiteTooSmall", f"line {lineno}: bad value {tok!r}: {e}")
 
 
@@ -533,54 +492,22 @@ def _unjson(v, host):
 
 
 def to_dot(g) -> str:
-    lines = []
-    if isinstance(g, UGraph):
-        lines.append(f'graph "{g.name}" {{')
-        lines.append("  node [shape=circle];")
-        for v in g.vertices:
-            lines.append(f'  "{v}";')
-        tips = 0
-        seen = set()
-        for a in g.arcs:
-            if a in seen:
-                continue
-            b = g.dagger[a]
-            seen.update((a, b))
-            va, vb = g.t.get(a), g.t.get(b)
-            ends = []
-            for arc, vv in ((a, va), (b, vb)):
-                if vv is None:
-                    tip = f"tip{tips}"
-                    tips += 1
-                    lines.append(f'  "{tip}" [shape=point, style=invis];')
-                    ends.append(f'"{tip}"')
-                else:
-                    ends.append(f'"{vv}"')
-            lines.append(f'  {ends[0]} -- {ends[1]} [label="{a}"];')
-        lines.append("}")
-    else:
-        lines.append(f'digraph "{g.name}" {{')
+    # a directed edge is drawn from its tail, so its ends are read backwards
+    kind, connector, step = ("digraph", "->", -1) if g.directed else ("graph", "--", 1)
+    lines = [f'{kind} "{g.name}" {{']
+    if step < 0:
         lines.append("  rankdir=TB;")
-        lines.append("  node [shape=circle];")
-        for v in g.vertices:
-            lines.append(f'  "{v}";')
-        tips = 0
-        for e in g.edges:
-            tail, head = g.outputs.get(e), g.inputs.get(e)
-            if tail is None:
-                tip = f"tip{tips}"
+    lines.append("  node [shape=circle];")
+    lines += [f'  "{v}";' for v in g.vertices]
+    tips = 0
+    for e in g.edge_keys:
+        ends = []
+        for v in g.ends(e)[::step]:
+            if v is None:
+                v = f"tip{tips}"
                 tips += 1
-                lines.append(f'  "{tip}" [shape=point, style=invis];')
-                tail_txt = f'"{tip}"'
-            else:
-                tail_txt = f'"{tail}"'
-            if head is None:
-                tip = f"tip{tips}"
-                tips += 1
-                lines.append(f'  "{tip}" [shape=point, style=invis];')
-                head_txt = f'"{tip}"'
-            else:
-                head_txt = f'"{head}"'
-            lines.append(f'  {tail_txt} -> {head_txt} [label="{e}"];')
-        lines.append("}")
+                lines.append(f'  "{v}" [shape=point, style=invis];')
+            ends.append(f'"{v}"')
+        lines.append(f'  {ends[0]} {connector} {ends[1]} [label="{g.slot_of(e)}"];')
+    lines.append("}")
     return "\n".join(lines) + "\n"

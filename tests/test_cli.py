@@ -353,6 +353,10 @@ def u0_manifest(tmp_path_factory):
         ("validate", "graph g directed\npair a b\n", "MalformedLine"),
         ("map-check", "edge 0 |-> 1\n", "MalformedLine"),
         ("map-check", "map m : L1 -> L1\nbogus 0\n", "MalformedLine"),
+        ("map-check", "map m : theta -> theta\narc zz |-> e\n", "UnknownArc"),
+        ("map-check", "map m : theta -> theta\narc e |-> qq\n", "UnknownArc"),
+        ("map-check", "map m : theta -> nowhere\n", "UnknownArc"),
+        ("map-check", "map m : L1 -> L1\nedge 0 |-> 0 and more\n", "MalformedLine"),
     ],
     ids=[
         "operad-header",
@@ -367,6 +371,10 @@ def u0_manifest(tmp_path_factory):
         "graph-flavor",
         "map-before-header",
         "map-directive",
+        "map-source-slot",
+        "map-target-slot",
+        "map-graph",
+        "map-trailing-text",
     ],
 )
 def test_malformed_line_is_named(command, text, code, u0_manifest, tmp_path, capsys):
@@ -374,7 +382,8 @@ def test_malformed_line_is_named(command, text, code, u0_manifest, tmp_path, cap
     that line (the last one here), never with a traceback."""
     path = tmp_path / "input.txt"
     path.write_text(text)
-    extra = {"segal": ["--site", str(u0_manifest)], "map-check": [fx("linear.graph")]}
+    graph_files = [fx("linear.graph"), fx("theta.graph")]
+    extra = {"segal": ["--site", str(u0_manifest)], "map-check": graph_files}
     status, out = run(capsys, command, str(path), *extra.get(command, []), "--json")
     body = json.loads(out)
     assert status == 1
@@ -397,19 +406,29 @@ def test_error_names_its_code_once(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "kind, text",
+    "kind, text, code",
     [
-        ("map", "\n"),
-        ("etale", "vertex 1 |-> 1\n"),
-        ("etale", "etale f : L1 -> L1\nbogus 0\n"),
-        ("presheaf", 'at 0: "*"\n'),
+        ("map", "\n", "MalformedLine"),
+        ("etale", "vertex 1 |-> 1\n", "MalformedLine"),
+        ("etale", "etale f : L1 -> L1\nbogus 0\n", "MalformedLine"),
+        ("presheaf", 'at 0: "*"\n', "MalformedLine"),
+        ("etale", "vertex 1 |-> 1\netale f : L1 -> L1\n", "MalformedLine"),
+        ("etale", "etale f : L1 -> L1\nedge zz |-> 0\n", "UnknownEdge"),
     ],
-    ids=["map-header", "etale-header", "etale-directive", "presheaf-header"],
+    ids=[
+        "map-header",
+        "etale-header",
+        "etale-directive",
+        "presheaf-header",
+        "etale-before-header",
+        "etale-slot",
+    ],
 )
-def test_text_readers_name_malformed_lines(kind, text):
-    """A missing map, etale or presheaf header, and an etale file's line
-    that no pattern reads, fail MalformedLine; no command reads etale
-    files, so the readers are called directly."""
+def test_text_readers_name_malformed_lines(kind, text, code):
+    """A missing map, etale or presheaf header, an etale file's line that no
+    pattern reads or that comes before its header, fail MalformedLine, and
+    an etale slot its source lacks fails UnknownEdge; no command reads
+    etale files, so the readers are called directly."""
     from looseends.errors import LooseEndsError
     from looseends.graphs import make_linear
     from looseends.sites import Site
@@ -423,7 +442,39 @@ def test_text_readers_name_malformed_lines(kind, text):
     }[kind]
     with pytest.raises(LooseEndsError) as ei:
         read(text)
-    assert ei.value.code == "MalformedLine"
+    assert ei.value.code == code
+
+
+@pytest.mark.parametrize(
+    "manifest, presheaf, code, detail",
+    [
+        ("{\n", None, "MalformedLine", "site manifest"),
+        ("[1]\n", None, "MalformedLine", "not a JSON dict"),
+        ('{"version": 1, "tag": "U0", "homs": {}}\n', None, "MalformedLine", "objects"),
+        ("0-0", None, "MalformedLine", "'0-0'"),
+        ('{"version": 2}\n', None, "SiteTooSmall", "version"),
+        (None, 'presheaf X on s\nalong m0_0_0: "*" |-> "*"\n', "SiteTooSmall", "object 0"),
+    ],
+    ids=["not-json", "not-object", "no-objects", "hom-key", "version", "no-value"],
+)
+def test_bad_manifest_or_presheaf_is_named(
+    manifest, presheaf, code, detail, u0_manifest, tmp_path, capsys
+):
+    """A site manifest segal cannot read, and a presheaf with no value at an
+    object, fail with a named code and nothing on stderr; "0-0" stands for
+    the U0 manifest with its hom key "0->0" written so."""
+    site = tmp_path / "site.json"
+    if manifest == "0-0":
+        manifest = u0_manifest.read_text().replace('"0->0"', '"0-0"')
+    site.write_text(manifest or u0_manifest.read_text())
+    path = tmp_path / "input.psh"
+    path.write_text(presheaf or 'presheaf X on s\nat 0: "*"\n')
+    status = main(["segal", str(path), "--site", str(site), "--json"])
+    captured = capsys.readouterr()
+    body = json.loads(captured.out)
+    assert status == 1
+    assert (body["error"], captured.err) == (code, "")
+    assert detail in body["detail"]
 
 
 def test_factorize_report_reads_back(tmp_path, capsys):

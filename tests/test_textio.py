@@ -11,16 +11,17 @@ from looseends.emb import enumerate_emb
 from looseends.errors import LooseEndsError
 from looseends.etale import enumerate_etale
 from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs
-from looseends.gmaps import enumerate_graph_maps
-from looseends.graphs import is_connected, make_star
+from looseends.gmaps import enumerate_graph_maps, restrict_tree_map
+from looseends.graphs import is_connected, make_star, shape
 from looseends.operads import (
     FLAVORS,
     free_cyclic,
     io_presentation,
     monoid_dioperad,
     terminal_presentation,
+    validate_presentation,
 )
-from looseends.presheaves import orientation_presheaf, terminal_presheaf
+from looseends.presheaves import nerve_presheaf, orientation_presheaf, terminal_presheaf
 from looseends.sites import build_site
 from looseends.textio import (
     emb_from_text,
@@ -29,6 +30,7 @@ from looseends.textio import (
     graph_map_to_text,
     graph_to_text,
     operad_to_text,
+    parse_etale,
     parse_graph_map,
     parse_graphs,
     parse_operad,
@@ -259,3 +261,121 @@ def _writer_digest(writer):
 def test_writer_bytes_are_pinned(writer):
     """Every writer's bytes over the pinned inputs, as sha256."""
     assert _writer_digest(writer) == WRITER_PINS[writer]
+
+
+# ---------------------------------------------------------------------------
+# the other parsers: round trips and single-line mutations on small sites
+
+
+@functools.cache
+def _fuzz_sites():
+    return build_site("U0", SiteBounds(1, 2, 2)), build_site("G", SiteBounds(1, 2, 2))
+
+
+def _fuzz_graphs(site):
+    return {g.name: g for g in site.objects}
+
+
+@functools.cache
+def _fuzz_operads():
+    caps = OperadCaps(2, 16)
+    return (
+        terminal_presentation("cyclic", caps=caps),
+        terminal_presentation("dioperad", caps=caps),
+        io_presentation(caps=caps),
+        monoid_dioperad(),
+        free_cyclic(make_star(2)),
+    )
+
+
+def _tree_shorthand(name, m, category):
+    """A tree map written by its slot and vertex images, as degeneracy.map
+    is, in place of its embmap table."""
+    lines = graph_map_to_text(name, m, category).splitlines()
+    rows = [f"vertex {v} |-> emb {emb_to_text(x)}" for v, x in restrict_tree_map(m)[1].items()]
+    return "\n".join([line for line in lines if not line.startswith("embmap")] + rows) + "\n"
+
+
+@functools.cache
+def _fuzz_samples(fmt):
+    """(text, read, want) triples: a text, the reader that reads it back as
+    a writer's input (then checks it as the CLI does) and writes it again,
+    and the text that writer gives."""
+    sites = _fuzz_sites()
+    out = []
+    if fmt in ("map", "tree-map"):
+        for site in sites:
+            graphs = _fuzz_graphs(site)
+            for i, j, pos in site.all_refs():
+                m, name = site.morph((i, j, pos)), f"m{i}_{j}_{pos}"
+                text = want = graph_map_to_text(name, m, site.tag)
+                if fmt == "tree-map":
+                    if not (m.source.vertices and shape(m.source).is_tree):
+                        continue
+                    text = _tree_shorthand(name, m, site.tag)
+                read = lambda t, g=graphs: graph_map_to_text(*parse_graph_map(t, g))  # noqa: E731
+                out.append((text, read, want))
+        return out
+    elif fmt == "etale":
+        for site in sites:
+            graphs = _fuzz_graphs(site)
+            for g in site.objects:
+                for h in site.objects:
+                    for m in enumerate_etale(g, h):
+                        read = lambda t, g=graphs: etale_to_text(*parse_etale(t, g))  # noqa: E731
+                        out.append((etale_to_text("f", m), read))
+    elif fmt == "operad":
+        for P in _fuzz_operads():
+            read = lambda t, caps=P.caps: operad_to_text(  # noqa: E731
+                validate_presentation(parse_operad(t, caps=caps))
+            )
+            out.append((operad_to_text(P), read))
+    elif fmt == "presheaf":
+        site = sites[0]
+        nerve = nerve_presheaf(_fuzz_operads()[0], site)
+        for X in (terminal_presheaf(site), orientation_presheaf(site), nerve):
+            read = lambda t: presheaf_to_text(parse_presheaf(t, site).validate())  # noqa: E731
+            out.append((presheaf_to_text(X), read))
+    else:
+        for site in sites:
+            out.append((site_to_manifest(site), lambda t: site_to_manifest(site_from_manifest(t))))
+    return [(text, read, text) for text, read in out]
+
+
+FORMATS = ["map", "tree-map", "etale", "operad", "presheaf", "manifest"]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_other_formats_round_trip(fmt):
+    """Each writer's text reads back and writes again to the same bytes; a
+    tree map's shorthand reads back to its full table."""
+    samples = _fuzz_samples(fmt)
+    assert samples
+    for text, read, want in samples:
+        assert read(text) == want
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["drop", "duplicate", "rename"]), st.data())
+def test_other_formats_single_line_mutations(fmt, kind, data):
+    """A dropped token, a duplicated line, or a token renamed to a name no
+    graph, color or morphism has: the text reads back (and passes the
+    check the CLI makes), or fails with a LooseEndsError."""
+    text, read, _ = data.draw(st.sampled_from(_fuzz_samples(fmt)))
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    words = lines[i].split()
+    if kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif words:
+        k = data.draw(st.integers(0, len(words) - 1))
+        if kind == "drop":
+            del words[k]
+        else:
+            words[k] = "zz"
+        lines[i] = " ".join(words)
+    try:
+        read("\n".join(lines) + "\n")
+    except LooseEndsError:
+        pass
