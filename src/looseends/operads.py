@@ -310,11 +310,11 @@ def _validate(P, relist, check_associativity):
 
 
 def _check_shapes(P):
-    keys = [k for table in (P.actions, P.compositions, P.contractions) for k in table]
-    named = [k[0] for k in keys] + [k[3] for k in P.compositions]
-    for table in (P.identities, P.actions, P.compositions, P.contractions):
-        named += table.values()
-    unknown = set(named) - P.op_profile.keys()
+    named = set(P.identities.values())
+    for table in (P.actions, P.compositions, P.contractions):
+        named.update(table.values(), (key[0] for key in table))
+    named.update(key[3] for key in P.compositions)
+    unknown = named - P.op_profile.keys()
     if unknown:
         fail("TableIncomplete", f"tables name unknown ops {sorted(unknown)!r}")
     for prof, names in P.ops.items():

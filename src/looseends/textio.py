@@ -51,7 +51,6 @@ def _match(pattern, text, lineno):
 
 def graph_to_text(g) -> str:
     lines = [f"graph {g.name} {'directed' if g.directed else 'undirected'}"]
-    # an edge is declared as itself, or as the pair of its arcs
     lines += [f"edge {e}" if g.directed else f"pair {e[0]} {e[1]}" for e in g.edge_keys]
     for v in g.vertices:
         if g.directed:

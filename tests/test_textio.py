@@ -296,16 +296,35 @@ def _tree_shorthand(name, m, category):
     return "\n".join([line for line in lines if not line.startswith("embmap")] + rows) + "\n"
 
 
+def _reread_map(graphs, text):
+    return graph_map_to_text(*parse_graph_map(text, graphs))
+
+
+def _reread_etale(graphs, text):
+    return etale_to_text(*parse_etale(text, graphs))
+
+
+def _reread_operad(caps, text):
+    return operad_to_text(validate_presentation(parse_operad(text, caps=caps)))
+
+
+def _reread_presheaf(site, text):
+    return presheaf_to_text(parse_presheaf(text, site).validate())
+
+
+def _reread_manifest(text):
+    return site_to_manifest(site_from_manifest(text))
+
+
 @functools.cache
 def _fuzz_samples(fmt):
-    """(text, read, want) triples: a text, the reader that reads it back as
-    a writer's input (then checks it as the CLI does) and writes it again,
-    and the text that writer gives."""
+    """(text, read, want) triples: a text, the reader that reads it back (then
+    checks it as the CLI does) and writes it again, and what read gives."""
     sites = _fuzz_sites()
     out = []
     if fmt in ("map", "tree-map"):
         for site in sites:
-            graphs = _fuzz_graphs(site)
+            read = functools.partial(_reread_map, _fuzz_graphs(site))
             for i, j, pos in site.all_refs():
                 m, name = site.morph((i, j, pos)), f"m{i}_{j}_{pos}"
                 text = want = graph_map_to_text(name, m, site.tag)
@@ -313,33 +332,26 @@ def _fuzz_samples(fmt):
                     if not (m.source.vertices and shape(m.source).is_tree):
                         continue
                     text = _tree_shorthand(name, m, site.tag)
-                read = lambda t, g=graphs: graph_map_to_text(*parse_graph_map(t, g))  # noqa: E731
                 out.append((text, read, want))
-        return out
     elif fmt == "etale":
         for site in sites:
-            graphs = _fuzz_graphs(site)
+            read = functools.partial(_reread_etale, _fuzz_graphs(site))
             for g in site.objects:
                 for h in site.objects:
-                    for m in enumerate_etale(g, h):
-                        read = lambda t, g=graphs: etale_to_text(*parse_etale(t, g))  # noqa: E731
-                        out.append((etale_to_text("f", m), read))
+                    out += [(etale_to_text("f", m), read, None) for m in enumerate_etale(g, h)]
     elif fmt == "operad":
         for P in _fuzz_operads():
-            read = lambda t, caps=P.caps: operad_to_text(  # noqa: E731
-                validate_presentation(parse_operad(t, caps=caps))
-            )
-            out.append((operad_to_text(P), read))
+            out.append((operad_to_text(P), functools.partial(_reread_operad, P.caps), None))
     elif fmt == "presheaf":
         site = sites[0]
+        read = functools.partial(_reread_presheaf, site)
         nerve = nerve_presheaf(_fuzz_operads()[0], site)
         for X in (terminal_presheaf(site), orientation_presheaf(site), nerve):
-            read = lambda t: presheaf_to_text(parse_presheaf(t, site).validate())  # noqa: E731
-            out.append((presheaf_to_text(X), read))
+            out.append((presheaf_to_text(X), read, None))
     else:
-        for site in sites:
-            out.append((site_to_manifest(site), lambda t: site_to_manifest(site_from_manifest(t))))
-    return [(text, read, text) for text, read in out]
+        out += [(site_to_manifest(site), _reread_manifest, None) for site in sites]
+    # a writer's own text reads back to itself
+    return [(text, read, want or text) for text, read, want in out]
 
 
 FORMATS = ["map", "tree-map", "etale", "operad", "presheaf", "manifest"]
@@ -361,7 +373,7 @@ def test_other_formats_round_trip(fmt):
 def test_other_formats_single_line_mutations(fmt, kind, data):
     """A dropped token, a duplicated line, or a token renamed to a name no
     graph, color or morphism has: the text reads back (and passes the
-    check the CLI makes), or fails with a LooseEndsError."""
+    checks the CLI makes), or fails with a LooseEndsError."""
     text, read, _ = data.draw(st.sampled_from(_fuzz_samples(fmt)))
     lines = text.splitlines()
     i = data.draw(st.integers(0, len(lines) - 1))
