@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from looseends.errors import LooseEndsError
@@ -11,7 +13,7 @@ from looseends.etale import (
     lift_embedding_directed,
     validate_etale,
 )
-from looseends.config import SiteBounds
+from looseends.config import Budget, SiteBounds
 from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs, gen_trees_u
 from looseends.graphs import (
     isomorphic,
@@ -338,3 +340,71 @@ def test_single_entry_mutations_pin_error_codes():
         "SquareNotCommuting": 3261,
         "NeighborhoodNotBijective": 2222,
     }
+
+
+def _etale_digest(pool):
+    """sha256 over the keys of enumerate_etale's maps, pair by pair in order."""
+    digest, count = hashlib.sha256(), 0
+    for h in pool:
+        for g in pool:
+            maps = enumerate_etale(h, g)
+            count += len(maps)
+            digest.update(repr([m._key for m in maps]).encode())
+    return digest.hexdigest(), count
+
+
+def test_etale_maps_are_pinned():
+    """Every etale map between a lone edge or a SiteBounds(2, 4, 3) host and
+    another, by flavor: 21 undirected and 72 directed graphs."""
+    bounds = SiteBounds(2, 4, 3)
+    undirected = [make_edge()] + gen_connected_ugraphs(bounds)
+    directed = [make_edge_dir()] + gen_connected_dgraphs(bounds)
+    assert (len(undirected), len(directed)) == (21, 72)
+    assert _etale_digest(undirected) == (
+        "31f1ec82f5abab8475a501890e40826adf0c837ffd17713fb0681a08d89ac24a",
+        418,
+    )
+    assert _etale_digest(directed) == (
+        "d10fe55f2425a8e7377fc67bda46e9ae5b5e11be473a62f12f5be2c7dec7c04d",
+        881,
+    )
+
+
+def _directed_loop():
+    """One vertex with a loop, an input leg a and an output leg b."""
+    return validate_dgraph("dloop", ["l", "a", "b"], [("v", ["l", "a"], ["l", "b"])])
+
+
+@pytest.mark.parametrize(
+    "source, target, maps, nodes",
+    [
+        ("star4", "example18", 24, 52),
+        ("star4", "loop_with_legs", 24, 49),
+        ("theta", "theta", 12, 2322),
+        ("star2", "theta", 0, 2),
+        ("star1,2", "diamond", 2, 6),
+        ("star2,2", "dloop", 4, 9),
+        ("dloop", "dloop", 1, 6),
+        ("dloop", "diamond", 0, 2),
+    ],
+)
+def test_etale_search_nodes_are_pinned(request, source, target, maps, nodes):
+    """The exact node count of enumerate_etale on a pair: Budget(nodes)
+    is enough and Budget(nodes - 1) is not."""
+    graphs = {
+        "star2": make_star(2),
+        "star4": make_star(4),
+        "star1,2": make_star_dir(1, 2),
+        "star2,2": make_star_dir(2, 2),
+        "dloop": _directed_loop(),
+    }
+
+    def graph(name):
+        return graphs[name] if name in graphs else request.getfixturevalue(name)
+
+    h, g = graph(source), graph(target)
+    assert len(enumerate_etale(h, g, budget=Budget(nodes))) == maps
+    with pytest.raises(LooseEndsError) as ei:
+        enumerate_etale(h, g, budget=Budget(nodes - 1))
+    assert ei.value.code == "SearchBudgetExceeded"
+    assert str(ei.value).endswith(f": {nodes} nodes used")
