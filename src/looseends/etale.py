@@ -12,7 +12,7 @@ import itertools
 
 from .config import DEFAULT_BUDGET
 from .errors import LooseEndsError, fail
-from .graphs import DGraph, UGraph, is_connected, port_table
+from .graphs import DGraph, is_connected, port_table
 
 
 class EtaleMap:
@@ -108,10 +108,12 @@ def compose_etale(g: EtaleMap, f: EtaleMap) -> EtaleMap:
 def enumerate_etale(h, g, budget=DEFAULT_BUDGET):
     """All etale maps h -> g in a deterministic order.
 
-    Vertex images are assigned first; neighborhoods then extend by one
-    bijection choice per vertex; finally global arc consistency is checked.
+    Vertex images are assigned first, each to a vertex with as many ports on
+    each side; the ports at each vertex then go one to one onto the ports at
+    its image, side by side, in every order; edges at no vertex take every
+    target slot.  EtaleMap validates each candidate.
     """
-    if isinstance(h, UGraph) != isinstance(g, UGraph):
+    if h.directed != g.directed:
         fail("SourceTargetMismatch", "mixed directedness")
     counter = itertools.count(1)
 
@@ -120,154 +122,64 @@ def enumerate_etale(h, g, budget=DEFAULT_BUDGET):
         if used > budget.nodes:
             fail("SearchBudgetExceeded", f"enumerate_etale {h.name} -> {g.name}: {used} nodes used")
 
+    # The engine of oracle_embedding_classes, so it splits ports and fills
+    # in free edges itself rather than through the slot-map helpers of
+    # gmaps' search: the oracles share no code with the fast path.
+    mine, theirs = {}, {}
+
+    def split(graph, v, cache):
+        """The slots of the ports at v with their partners, one sorted list
+        per side; cached, since only vertices passing the degree test are split."""
+        if v not in cache:
+            cache[v] = parts = [[] for _ in set(graph.end_sides)]
+            for side, s in sorted(port_table(graph)[v]):
+                parts[side].append((s, graph.partner(s)))
+        return cache[v]
+
+    verts = sorted(h.vertices, key=lambda v: (-h.degree(v), v))
     out = []
-    if isinstance(h, UGraph):
-        _enumerate_etale_u(h, g, out, tick)
-    else:
-        _enumerate_etale_d(h, g, out, tick)
+
+    def assign(i, vmap):
+        if i == len(verts):
+            map_ports(vmap)
+            return
+        v = verts[i]
+        degree = h.degree(v)
+        for w in g.vertices:
+            tick()
+            if g.degree(w) != degree:
+                continue
+            # equal degrees: equal first sides make equal second sides
+            if len(split(g, w, theirs)[0]) != len(split(h, v, mine)[0]):
+                continue
+            vmap[v] = w
+            assign(i + 1, vmap)
+        vmap.pop(v, None)
+
+    def map_ports(vmap):
+        slots = [s for v in verts for part in mine[v] for s in part]
+        pools = [itertools.permutations(part) for v in verts for part in theirs[vmap[v]]]
+        for perms in itertools.product(*pools):
+            if verts:  # a vertexless source has no assignment to count
+                tick()
+            phi = {}
+            for (s, s_), (c, c_) in zip(slots, itertools.chain.from_iterable(perms)):
+                if phi.setdefault(s, c) != c or phi.setdefault(s_, c_) != c_:
+                    break
+            else:
+                free = [s for s in map(h.slot_of, h.edge_keys) if s not in phi]
+                for images in itertools.product(g.slots, repeat=len(free)):
+                    tick()
+                    for s, c in zip(free, images):
+                        phi[s], phi[h.partner(s)] = c, g.partner(c)
+                    try:
+                        out.append(EtaleMap(h, g, phi, vmap))
+                    except LooseEndsError:
+                        pass
+
+    assign(0, {})
     out.sort(key=lambda m: m._key)
     return out
-
-
-def _enumerate_etale_u(h, g, out, tick):
-    verts = sorted(h.vertices, key=lambda v: (-h.degree(v), v))
-
-    def vertex_arcs(vmap):
-        """Extend vertex assignment over neighborhood bijections, then close
-        over the involution and check totality."""
-        choices = []
-        for v in verts:
-            mine = sorted(h.nbhd(v))
-            theirs = sorted(g.nbhd(vmap[v]))
-            if len(mine) != len(theirs):
-                return
-            choices.append((mine, theirs))
-        for assignment in itertools.product(
-            *(itertools.permutations(theirs) for _, theirs in choices)
-        ):
-            tick()
-            arc_map = {}
-            ok = True
-            for (mine, _), perm in zip(choices, assignment):
-                for a, b in zip(mine, perm):
-                    arc_map[a] = b
-            # close over the involution; free arcs (both ends boundary) are
-            # only possible in an edge-only graph handled below
-            for a in h.arcs:
-                if a in arc_map:
-                    partner = h.dagger[a]
-                    want = g.dagger[arc_map[a]]
-                    if partner in arc_map and arc_map[partner] != want:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            full = dict(arc_map)
-            for a in h.arcs:
-                if a in full and h.dagger[a] not in full:
-                    full[h.dagger[a]] = g.dagger[full[a]]
-            free = sorted({h.edge_key(a) for a in h.arcs if a not in full})
-            for images in itertools.product(sorted(g.arcs), repeat=len(free)):
-                tick()
-                total = dict(full)
-                for (a0, a1), b in zip(free, images):
-                    total[a0], total[a1] = b, g.dagger[b]
-                try:
-                    out.append(EtaleMap(h, g, total, dict(vmap)))
-                except LooseEndsError:
-                    continue
-
-    if not verts:
-        for e_arcs in [(a, h.dagger[a]) for a in sorted(h.arcs)][:1]:
-            a0, a1 = e_arcs
-            for b in sorted(g.arcs):
-                tick()
-                out.append(EtaleMap(h, g, {a0: b, a1: g.dagger[b]}, {}))
-        return
-
-    def assign(i, vmap):
-        if i == len(verts):
-            vertex_arcs(vmap)
-            return
-        v = verts[i]
-        for w in sorted(g.vertices):
-            tick()
-            if len(g.nbhd(w)) != len(h.nbhd(v)):
-                continue
-            vmap[v] = w
-            assign(i + 1, vmap)
-            del vmap[v]
-
-    assign(0, {})
-
-
-def _enumerate_etale_d(h, g, out, tick):
-    verts = sorted(h.vertices, key=lambda v: (-h.degree(v), v))
-
-    if not verts:
-        (e,) = h.edges if len(h.edges) == 1 else (None,)
-        if e is None:
-            return
-        for d in sorted(g.edges):
-            tick()
-            out.append(EtaleMap(h, g, {e: d}, {}))
-        return
-
-    def slot_maps(vmap):
-        per_vertex = []
-        for v in verts:
-            ins_mine, ins_theirs = sorted(h.in_of(v)), sorted(g.in_of(vmap[v]))
-            outs_mine, outs_theirs = sorted(h.out_of(v)), sorted(g.out_of(vmap[v]))
-            if len(ins_mine) != len(ins_theirs) or len(outs_mine) != len(outs_theirs):
-                return
-            per_vertex.append((ins_mine, ins_theirs, outs_mine, outs_theirs))
-        pools = []
-        for ins_mine, ins_theirs, outs_mine, outs_theirs in per_vertex:
-            pools.append(
-                [
-                    (pi, po)
-                    for pi in itertools.permutations(ins_theirs)
-                    for po in itertools.permutations(outs_theirs)
-                ]
-            )
-        for assignment in itertools.product(*pools):
-            tick()
-            edge_map = {}
-            ok = True
-            for (ins_mine, _, outs_mine, _), (pi, po) in zip(per_vertex, assignment):
-                for e, d in itertools.chain(zip(ins_mine, pi), zip(outs_mine, po)):
-                    if edge_map.get(e, d) != d:
-                        ok = False
-                        break
-                    edge_map[e] = d
-                if not ok:
-                    break
-            if not ok:
-                continue
-            free = sorted(e for e in h.edges if e not in edge_map)
-            for images in itertools.product(sorted(g.edges), repeat=len(free)):
-                tick()
-                total = dict(edge_map)
-                total.update(zip(free, images))
-                try:
-                    out.append(EtaleMap(h, g, total, dict(vmap)))
-                except LooseEndsError:
-                    continue
-
-    def assign(i, vmap):
-        if i == len(verts):
-            slot_maps(vmap)
-            return
-        v = verts[i]
-        for w in sorted(g.vertices):
-            tick()
-            if len(g.in_of(w)) != len(h.in_of(v)) or len(g.out_of(w)) != len(h.out_of(v)):
-                continue
-            vmap[v] = w
-            assign(i + 1, vmap)
-            del vmap[v]
-
-    assign(0, {})
 
 
 def lift_embedding_directed(f: EtaleMap, host: DGraph):

@@ -16,6 +16,8 @@ from looseends.etale import (
 from looseends.config import Budget, SiteBounds
 from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs, gen_trees_u
 from looseends.graphs import (
+    DGraph,
+    UGraph,
     isomorphic,
     make_edge,
     make_edge_dir,
@@ -122,6 +124,16 @@ def test_enumerate_etale_edge_counts(example18):
     assert len(enumerate_etale(make_edge(), example18)) == len(example18.arcs)
     d = make_linear(3)
     assert len(enumerate_etale(make_edge_dir(), d)) == len(d.edges)
+
+
+def test_vertexless_sources_agree_across_flavors():
+    """Two loose edges map into a star by any slot for each edge, in both
+    flavors: 6 * 6 ways into star3, 3 * 3 ways into the (1, 2)-star."""
+    loose = (None, None)
+    two_u = UGraph.from_ends("two", {("a", "a*"): loose, ("b", "b*"): loose}, [])
+    two_d = DGraph.from_ends("two", {"a": loose, "b": loose}, [])
+    assert len(enumerate_etale(two_u, make_star(3))) == 36
+    assert len(enumerate_etale(two_d, make_star_dir(1, 2))) == 9
 
 
 def test_enumerate_etale_star_into_edge_empty():
