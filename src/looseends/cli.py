@@ -405,7 +405,7 @@ def cmd_kan(args):
     if args.presheaf == "terminal":
         Z = terminal_presheaf(els.directed)
     else:
-        Z = textio.parse_presheaf(read_file(args.presheaf), els.directed)
+        Z = textio.parse_presheaf(read_file(args.presheaf), els.directed).check_total()
     f_shriek = left_kan_formula(els, Z)
     objs = range(len(els.base.objects))
     if args.object is not None:

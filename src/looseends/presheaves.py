@@ -40,7 +40,9 @@ class Presheaf:
     def act(self, ref, elem):
         return self.action[ref][elem]
 
-    def validate(self):
+    def check_total(self):
+        """A value at every object, and every action total on its target's
+        value and into its source's; validate adds the costlier functor laws."""
         for i in range(len(self.site.objects)):
             if i not in self.values:
                 fail("SiteTooSmall", f"no value at object {i}")
@@ -54,6 +56,10 @@ class Presheaf:
                         fail("SiteTooSmall", f"partial action at {(i, j, pos)}")
                     if table[elem] not in self.values[i]:
                         fail("SiteTooSmall", "action leaves the value set")
+        return self
+
+    def validate(self):
+        self.check_total()
         for i in range(len(self.site.objects)):
             ref = self.site.identity_ref(i)
             for elem in self.values[i]:

@@ -8,7 +8,7 @@ import re
 
 from .config import DEFAULT_CAPS
 from .emb import EmbEdge, enumerate_emb, region
-from .errors import fail
+from .errors import LooseEndsError, fail
 from .etale import EtaleMap
 from .gmaps import GraphMap, extend_tree_map
 from .graphs import extend_slot_map, sides, validate_dgraph, validate_ugraph
@@ -43,6 +43,14 @@ def _match(pattern, text, lineno):
     if mm is None:
         fail("MalformedLine", f"line {lineno}: cannot read {text!r}")
     return mm
+
+
+def _on_line(lineno, read, *args):
+    """read(*args), a failure naming line lineno."""
+    try:
+        return read(*args)
+    except LooseEndsError as e:
+        fail(e.code, f"line {lineno}: {e.message}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +202,7 @@ def _read_block(text, graphs, word, directives, tail=""):
             header = _match(pattern, line, lineno).groups()
             src, dst = graphs.get(header[1]), graphs.get(header[2])
             if src is None or dst is None:
-                fail("UnknownArc", f"line {lineno}: unknown source or target graph")
+                fail("UnknownGraph", f"line {lineno}: unknown source or target graph")
         elif directive in ("arc", "edge"):
             s, c = _match(r"(?:arc|edge)\s+(\S+)\s*\|->\s*(\S+)", line, lineno).groups()
             for slot, g in ((s, src), (c, dst)):
@@ -221,10 +229,10 @@ def parse_graph_map(text, graphs):
     for lineno, directive, line in rest:
         if directive == "vertex":
             v, x = _match(r"vertex\s+(\S+)\s*\|->\s*emb\s*(\{.*\})", line, lineno).groups()
-            vertex_rows[v] = emb_from_text(dst, x)
+            vertex_rows[v] = _on_line(lineno, emb_from_text, dst, x)
         else:
             x, y = _match(r"embmap\s*(\{.*?\})\s*\|->\s*(\{.*\})", line, lineno).groups()
-            table[emb_from_text(src, x)] = emb_from_text(dst, y)
+            table[_on_line(lineno, emb_from_text, src, x)] = _on_line(lineno, emb_from_text, dst, y)
     name, _, _, category = header
     if vertex_rows and not table:
         if vertex_rows.keys() != set(src.vertices) or phi0.keys() != set(src.slots):

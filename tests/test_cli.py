@@ -189,6 +189,18 @@ def test_oracle_commands(capsys):
     assert json.loads(out)["data"]["agree"]
 
 
+def test_oracle_etale_counts_maps_from_loose_edges(tmp_path, capsys):
+    """Two loose edges into the 3-star: each edge takes any of six arcs."""
+    path = tmp_path / "two.graph"
+    path.write_text(
+        "graph a_two undirected\npair a a*\npair b b*\n"
+        "graph b_star undirected\npair 1 1*\npair 2 2*\npair 3 3*\nvertex v 1 2 3\n"
+    )
+    code, out = run(capsys, "oracle", "etale", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["data"] == {"source": "a_two", "target": "b_star", "maps": 36}
+
+
 def test_workspace_root_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LOOSEENDS_ROOT", FIXTURES)
     code, out = run(capsys, "validate", "theta.graph")
@@ -355,8 +367,14 @@ def u0_manifest(tmp_path_factory):
         ("map-check", "map m : L1 -> L1\nbogus 0\n", "MalformedLine"),
         ("map-check", "map m : theta -> theta\narc zz |-> e\n", "UnknownArc"),
         ("map-check", "map m : theta -> theta\narc e |-> qq\n", "UnknownArc"),
-        ("map-check", "map m : theta -> nowhere\n", "UnknownArc"),
+        ("map-check", "map m : theta -> nowhere\n", "UnknownGraph"),
         ("map-check", "map m : L1 -> L1\nedge 0 |-> 0 and more\n", "MalformedLine"),
+        (
+            "map-check",
+            "map m : theta -> theta\nembmap {vertices zz} |-> {vertices u}\n",
+            "UnknownVertex",
+        ),
+        ("map-check", "map m : theta -> theta\nvertex u |-> emb {edge zz}\n", "UnknownArc"),
     ],
     ids=[
         "operad-header",
@@ -375,6 +393,8 @@ def u0_manifest(tmp_path_factory):
         "map-target-slot",
         "map-graph",
         "map-trailing-text",
+        "map-embmap",
+        "map-vertex",
     ],
 )
 def test_malformed_line_is_named(command, text, code, u0_manifest, tmp_path, capsys):
@@ -414,6 +434,7 @@ def test_error_names_its_code_once(tmp_path, capsys):
         ("presheaf", 'at 0: "*"\n', "MalformedLine"),
         ("etale", "vertex 1 |-> 1\netale f : L1 -> L1\n", "MalformedLine"),
         ("etale", "etale f : L1 -> L1\nedge zz |-> 0\n", "UnknownEdge"),
+        ("etale", "etale f : L1 -> nowhere\n", "UnknownGraph"),
     ],
     ids=[
         "map-header",
@@ -422,13 +443,15 @@ def test_error_names_its_code_once(tmp_path, capsys):
         "presheaf-header",
         "etale-before-header",
         "etale-slot",
+        "etale-graph",
     ],
 )
 def test_text_readers_name_malformed_lines(kind, text, code):
     """A missing map, etale or presheaf header, an etale file's line that no
     pattern reads or that comes before its header, fail MalformedLine, and
-    an etale slot its source lacks fails UnknownEdge; no command reads
-    etale files, so the readers are called directly."""
+    an etale slot its source lacks fails UnknownEdge and a header naming an
+    absent graph UnknownGraph; no command reads etale files, so the readers
+    are called directly."""
     from looseends.errors import LooseEndsError
     from looseends.graphs import make_linear
     from looseends.sites import Site
@@ -475,6 +498,20 @@ def test_bad_manifest_or_presheaf_is_named(
     assert status == 1
     assert (body["error"], captured.err) == (code, "")
     assert detail in body["detail"]
+
+
+def test_kan_checks_a_presheaf_it_reads(u0_manifest, tmp_path, capsys):
+    """kan fails a presheaf with no value at an object before using it,
+    with a named code and nothing on stderr."""
+    path = tmp_path / "z.psh"
+    path.write_text('presheaf Z on s\nat 0: "*"\n')
+    argv = ["kan", "--site", str(u0_manifest), "--functor", "O0-to-U0"]
+    status = main(argv + ["--presheaf", str(path), "--json"])
+    captured = capsys.readouterr()
+    body = json.loads(captured.out)
+    assert status == 1
+    assert (body["error"], captured.err) == ("SiteTooSmall", "")
+    assert "no value at object 1" in body["detail"]
 
 
 def test_factorize_report_reads_back(tmp_path, capsys):
