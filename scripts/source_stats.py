@@ -1,36 +1,70 @@
 #!/usr/bin/env python3
-"""Count source lines and flavor-fork lines under src/looseends.
+"""Count source lines, verification lines and flavor-fork lines under src/looseends.
 
 A flavor-fork line is one that tests the graph or operad flavor: it matches
 ``\\.directed``, ``undirected`` or an ``isinstance`` test against ``UGraph``
-or ``DGraph``.  Prints one row per module and the totals, so the net source
-line figure and the fork count come from one command:
+or ``DGraph``.  Verification lines are those of the brute-force oracles and
+of ``enumerate_etale`` (``VERIFY``), and of the private module-level helpers
+that only they call within their module; the rest is the production path.
+Prints one row per module and the totals, so the net source line figure,
+the verification share and the fork count come from one command:
 
     python3 scripts/source_stats.py
 """
 
 import argparse
+import ast
 import os
 import re
 
 FORK = re.compile(r"\.directed|undirected|isinstance\([^)]*(UGraph|DGraph)")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "looseends")
+VERIFY = {
+    "oracle_embedding_classes",
+    "enumerate_path_cycles",
+    "has_directed_cycle_oracle",
+    "limit_families_bruteforce",
+    "left_kan_oracle",
+    "elements_equivalence_check",
+    "validate_presentation_reference",
+    "enumerate_etale",
+}
+
+
+def verify_lines(source):
+    """The lines of the module's VERIFY functions and of the private
+    functions that only they, directly or through each other, refer to."""
+    tree = ast.parse(source)
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    users = {name: set() for name in defs}
+    for node in tree.body:
+        user = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id in users and sub.id != user:
+                users[sub.id].add(user)
+    verify = VERIFY & defs.keys()
+    grown = True
+    while grown:
+        helpers = {n for n, who in users.items() if n.startswith("_") and who and who <= verify}
+        grown = not helpers <= verify
+        verify |= helpers
+    return sum(defs[n].end_lineno - defs[n].lineno + 1 for n in verify)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=SRC, help="package directory to count")
     args = ap.parse_args()
-    total_lines = total_forks = 0
-    print(f"{'module':<16}{'lines':>7}{'forks':>7}")
+    totals = [0, 0, 0]
+    print(f"{'module':<16}{'lines':>7}{'verify':>8}{'forks':>7}")
     for name in sorted(f for f in os.listdir(args.src) if f.endswith(".py")):
         with open(os.path.join(args.src, name)) as fh:
-            lines = fh.read().splitlines()
-        forks = sum(1 for line in lines if FORK.search(line))
-        total_lines += len(lines)
-        total_forks += forks
-        print(f"{name:<16}{len(lines):>7}{forks:>7}")
-    print(f"{'total':<16}{total_lines:>7}{total_forks:>7}")
+            source = fh.read()
+        lines = source.splitlines()
+        row = [len(lines), verify_lines(source), sum(1 for line in lines if FORK.search(line))]
+        totals = [t + n for t, n in zip(totals, row)]
+        print(f"{name:<16}{row[0]:>7}{row[1]:>8}{row[2]:>7}")
+    print(f"{'total':<16}{totals[0]:>7}{totals[1]:>8}{totals[2]:>7}")
 
 
 if __name__ == "__main__":

@@ -41,3 +41,20 @@ def test_count_unions_prints_a_spectrum_per_host():
     assert all(shape.match(line) for line in lines), lines
     # unions need not be unique: some host has a pair with several
     assert any(line.endswith(" *") for line in lines)
+
+
+def test_source_stats_counts_verification_lines():
+    """Each module's row splits off the lines of the oracles and of
+    enumerate_etale; the total row sums the columns."""
+    import ast
+
+    lines = run_script("source_stats.py")
+    assert lines[0].split() == ["module", "lines", "verify", "forks"]
+    rows = {row.split()[0]: list(map(int, row.split()[1:])) for row in lines[1:]}
+    assert rows.pop("total") == [sum(col) for col in zip(*rows.values())]
+    assert all(verify <= total for total, verify, _ in rows.values())
+    assert rows["cli.py"][1] == rows["gmaps.py"][1] == 0
+    with open(os.path.join(ROOT, "src", "looseends", "etale.py")) as fh:
+        tree = ast.parse(fh.read())
+    (node,) = [n for n in tree.body if getattr(n, "name", None) == "enumerate_etale"]
+    assert rows["etale.py"][1] == node.end_lineno - node.lineno + 1
