@@ -26,11 +26,11 @@ def main():
     bounds = SiteBounds(args.vertices, args.edges, args.arity)
 
     for tag in ("U", "U0", "Ucyc"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         site = build_site(tag, bounds)
         n_maps = sum(len(v) for v in site.homs.values())
         print(f"{tag}: {len(site.objects)} objects, {n_maps} maps"
-              f" ({time.time()-t0:.1f}s)")
+              f" ({time.perf_counter() - t0:.1f}s)")
         o = orientation_presheaf(site)
         print(f"  orientation presheaf Segal: {is_segal(o)[0]}")
         els = build_elements_site(site, rooted_only=(tag == "Ucyc"))

@@ -14,22 +14,27 @@ from .config import SiteBounds
 from .graphs import canonical_signature, ends_signature, make_edge, make_edge_dir
 
 
-def _vertex_multisets(k, max_mult, with_loops, ordered):
-    """Multisets of vertex pairs: candidate internal-edge bundles."""
-    if ordered:
-        slots = [(i, j) for i in range(k) for j in range(k) if with_loops or i != j]
-    else:
-        slots = [(i, j) for i in range(k) for j in range(i if with_loops else i + 1, k)]
-        slots = [(min(p), max(p)) for p in slots]
-    out = []
+def _vertex_multisets(k, max_mult, max_degree, ordered):
+    """Candidate internal-edge bundles, each with its degree per vertex: the
+    multisets of at most max_mult vertex pairs (ordered when ordered) with no
+    vertex of degree over max_degree.  Each pair is taken 0, 1, 2, .. times
+    in turn, up to the first count that puts a vertex over the cap."""
+    slots = [(i, j) for i in range(k) for j in range(0 if ordered else i, k)]
+    out, deg = [], [0] * k
 
     def rec(idx, current, total):
         if idx == len(slots):
-            out.append(tuple(current))
+            out.append((tuple(current), tuple(deg)))
             return
         rec(idx + 1, current, total)
-        for mult in range(1, max_mult - total + 1):
+        i, j = slots[idx]
+        room = (max_degree - deg[i]) // 2 if i == j else max_degree - max(deg[i], deg[j])
+        for mult in range(1, min(max_mult - total, room) + 1):
+            deg[i] += mult
+            deg[j] += mult
             rec(idx + 1, current + [slots[idx]] * mult, total + mult)
+            deg[i] -= mult
+            deg[j] -= mult
 
     rec(0, [], 0)
     return out
@@ -87,19 +92,11 @@ def _gen_connected(bounds, lone, pendants):
     found = {canonical_signature(lone)[0]: lone} if bounds.max_edges >= 1 else {}
     for k in range(1, bounds.max_vertices + 1):
         vs = [f"v{i}" for i in range(k)]
-        for bundle in _vertex_multisets(k, bounds.max_edges, True, ordered=directed):
+        for bundle, deg in _vertex_multisets(k, bounds.max_edges, bounds.max_arity, directed):
             if not _connected_on_vertices(k, bundle):
-                continue
-            deg = [0] * k
-            for i, j in bundle:
-                deg[i] += 1
-                deg[j] += 1
-            if any(d > bounds.max_arity for d in deg):
                 continue
             spare = [bounds.max_arity - d for d in deg]
             budget = bounds.max_edges - len(bundle)
-            if budget < 0:
-                continue
             for pend in pendants(spare, budget):
                 sig = ends_signature(_ends(directed, vs, bundle, pend), vs, cls.end_sides)[0]
                 if sig not in found:

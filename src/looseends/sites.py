@@ -47,13 +47,12 @@ from .graphs import (
 
 
 class Site:
-    def __init__(self, tag, objects, homs):
+    def __init__(self, tag, objects, homs, by_signature=None):
         self.tag = tag
         self.objects = list(objects)
         self.homs = dict(homs)
-        self._sig_index = {}
-        for i, g in enumerate(self.objects):
-            self._sig_index.setdefault(canonical_signature(g)[0], []).append(i)
+        if by_signature is not None:  # _signature_index(objects), kept by build_site
+            self._by_signature = by_signature
         self._covers = {}
 
     def __repr__(self):
@@ -71,6 +70,11 @@ class Site:
         for (i, j), maps in sorted(self.homs.items()):
             for pos in range(len(maps)):
                 yield (i, j, pos)
+
+    @cached_property
+    def _by_signature(self):
+        """_signature_index(objects), when __init__ was not given it."""
+        return _signature_index(self.objects)
 
     @cached_property
     def _positions(self):
@@ -141,10 +145,23 @@ class Site:
 
     def find_object(self, g):
         """Index of the object isomorphic to g, or None."""
-        for i in self._sig_index.get(canonical_signature(g)[0], []):
-            if isomorphic(self.objects[i], g):
-                return i
-        return None
+        return _find(self.objects, self._by_signature, g, canonical_signature(g)[0])
+
+
+def _signature_index(objects):
+    """Canonical signature -> the indices of the objects that have it."""
+    out = {}
+    for i, g in enumerate(objects):
+        out.setdefault(canonical_signature(g)[0], []).append(i)
+    return out
+
+
+def _find(objects, by_signature, g, sig):
+    """Index of the object isomorphic to g, whose signature is sig, or None."""
+    for i in by_signature.get(sig, ()):
+        if isomorphic(objects[i], g):
+            return i
+    return None
 
 
 def _image_positions(table, source, target):
@@ -225,51 +242,61 @@ def build_site(tag, bounds=DEFAULT_BOUNDS, budget=DEFAULT_BUDGET):
         type(g).from_ends(f"{tag}{i}", ends_by_edge(g), g.vertices)
         for i, g in enumerate(_object_pool(tag, bounds))
     ]
+    by_signature = _signature_index(objects)
     homs = {}
     _fill_homs(tag, objects, homs, budget)
-    _close(tag, objects, homs, budget)
-    return Site(tag, objects, homs)
+    _close(tag, objects, homs, by_signature, budget)
+    return Site(tag, objects, homs, by_signature)
 
 
-def _fill_homs(tag, objects, homs, budget):
+def _fill_homs(tag, objects, homs, budget, start=0):
+    """Fill hom(i, j) for every pair with i or j at least start, row by row."""
     for i, g in enumerate(objects):
-        for j, h in enumerate(objects):
-            if (i, j) not in homs:
-                homs[(i, j)] = tuple(enumerate_graph_maps(g, h, tag=tag, budget=budget))
+        for j in range(0 if i >= start else start, len(objects)):
+            homs[(i, j)] = tuple(enumerate_graph_maps(g, objects[j], tag=tag, budget=budget))
 
 
-def _close(tag, objects, homs, budget):
+def _close(tag, objects, homs, by_signature, budget):
     """Add the missing middle objects of active-inert factorizations, then
-    the missing elementary covers, one at a time, until none is missing."""
+    the missing elementary covers, one at a time, until none is missing.
+    Objects only grow, so a hom-set whose middles are all present, an object
+    whose covers are, or a class whose realization is, is not looked at
+    again; each class is realized once."""
+    realized, present = {}, set()  # Emb class -> (realization, its signature)
+
+    def first_missing(classes, within=None):
+        """(realization, signature) of the first missing class, in category within if given."""
+        for x in classes:
+            if x in present:
+                continue
+            if x not in realized:
+                h = realize(x)[0]
+                realized[x] = h, canonical_signature(h)[0]
+            h, sig = realized[x]
+            if within is None or object_in_category(h, within):
+                if _find(objects, by_signature, h, sig) is None:
+                    return h, sig
+                present.add(x)
+        return None
+
+    dirty, covered = set(homs), 0  # hom keys not yet seen complete; objects that are
     while True:
-        missing = _missing_middle(objects, homs)
-        if missing is None:
-            missing = _missing_cover(tag, objects)
-        if missing is None:
+        missing = None
+        for key in sorted(dirty):
+            missing = first_missing(m.phi_hat[id_element(m.source)] for m in homs[key])
+            if missing:
+                break
+            dirty.remove(key)
+        while not missing and covered < len(objects):
+            missing = first_missing(elementary_classes(objects[covered]), tag)
+            covered += missing is None
+        if not missing:
             return
-        name = f"{tag}{len(objects)}"
-        objects.append(type(missing).from_ends(name, ends_by_edge(missing), missing.vertices))
-        _fill_homs(tag, objects, homs, budget)
-
-
-def _missing_middle(objects, homs):
-    for _, maps in sorted(homs.items()):
-        for m in maps:
-            mid, _ = realize(m.phi_hat[id_element(m.source)])
-            if not any(isomorphic(g, mid) for g in objects):
-                return mid
-    return None
-
-
-def _missing_cover(tag, objects):
-    """An elementary cover (a vertex star or the edge) of some object that
-    no object is isomorphic to and that lies in the category."""
-    for g in objects:
-        for x in elementary_classes(g):
-            h, _ = realize(x)
-            if object_in_category(h, tag) and not any(isomorphic(o, h) for o in objects):
-                return h
-    return None
+        (h, sig), n = missing, len(objects)
+        objects.append(type(h).from_ends(f"{tag}{n}", ends_by_edge(h), h.vertices))
+        by_signature.setdefault(sig, []).append(n)
+        _fill_homs(tag, objects, homs, budget, n)
+        dirty.update([(i, n) for i in range(n)] + [(n, j) for j in range(n + 1)])
 
 
 # ---------------------------------------------------------------------------

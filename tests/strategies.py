@@ -13,15 +13,11 @@ def bundles(k, directed, arity=3, internal=5):
     """The connected bundles of at most `internal` internal edges on k
     vertices, no vertex meeting more than arity of them, with each
     vertex's degree."""
-    out = []
-    for bundle in _vertex_multisets(k, internal, True, ordered=directed):
-        degree = [0] * k
-        for i, j in bundle:
-            degree[i] += 1
-            degree[j] += 1
-        if _connected_on_vertices(k, bundle) and max(degree) <= arity:
-            out.append((bundle, tuple(degree)))
-    return out
+    return [
+        (bundle, degree)
+        for bundle, degree in _vertex_multisets(k, internal, arity, directed)
+        if _connected_on_vertices(k, bundle)
+    ]
 
 
 @st.composite

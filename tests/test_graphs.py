@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from looseends.config import SiteBounds
 from looseends.errors import LooseEndsError
-from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs
+from looseends.gen import _vertex_multisets, gen_connected_dgraphs, gen_connected_ugraphs
 from looseends.graphs import (
     DGraph,
     UGraph,
@@ -309,6 +309,45 @@ def test_signatures_and_witnesses_are_pinned():
     assert digest.hexdigest() == (
         "17e888523fbddbe2a661dbb6ef910d08f1d91dc5da8b1efda4b722c495b1f0db"
     )
+
+
+def _uncapped_multisets(k, max_mult, ordered):
+    """Every multiset of at most max_mult vertex pairs, loops included, in
+    the order of a search trying each pair 0, 1, 2, .. times in turn."""
+    if ordered:
+        slots = [(i, j) for i in range(k) for j in range(k)]
+    else:
+        slots = [(i, j) for i in range(k) for j in range(i, k)]
+    out = []
+
+    def rec(idx, current, total):
+        if idx == len(slots):
+            out.append(tuple(current))
+            return
+        rec(idx + 1, current, total)
+        for mult in range(1, max_mult - total + 1):
+            rec(idx + 1, current + [slots[idx]] * mult, total + mult)
+
+    rec(0, [], 0)
+    return out
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_degree_capped_bundles_match_the_filtered_list(k, ordered):
+    """The bundles that stop at the degree cap are the uncapped list's
+    bundles within the cap, in the same order, each with its degrees."""
+    uncapped = _uncapped_multisets(k, 5, ordered)
+    for cap in (1, 2, 3, 4):
+        expected = []
+        for bundle in uncapped:
+            degree = [0] * k
+            for i, j in bundle:
+                degree[i] += 1
+                degree[j] += 1
+            if max(degree) <= cap:
+                expected.append((bundle, tuple(degree)))
+        assert _vertex_multisets(k, 5, cap, ordered) == expected
 
 
 @st.composite
