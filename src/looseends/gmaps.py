@@ -282,11 +282,6 @@ def vertex_functor(m: GraphMap):
     return table
 
 
-def compose_pointed(inner, outer):
-    """Composite of vertex_functor tables: V(psi . phi) = V(phi) . V(psi)."""
-    return {w: (inner.get(v) if v is not None else None) for w, v in outer.items()}
-
-
 # ---------------------------------------------------------------------------
 # category membership
 
@@ -323,8 +318,8 @@ def morphism_in_category(m: GraphMap, tag) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# enumeration of graph maps (the site builder; A04 checks it against
-# extend_tree_map)
+# enumeration of graph maps (A04 checks it against extend_tree_map) and of
+# active maps (the site builder)
 
 
 def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
@@ -338,20 +333,63 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
     region is a union of two classes placed before it (``HostIndex.splits``)
     and a graph map preserves unions, so its image is among the unions of
     their images, with the pushed boundary.  Every complete candidate is
-    validated in full, and the maps are sorted by ``_sort_key``.
+    validated in full, and the maps are sorted by ``_sort_key``.  This is
+    the reference search: sites assemble their hom-sets from
+    ``enumerate_active_maps`` instead, and tests compare the two.
     """
     if g.directed != gp.directed:
         return []
     if tag is not None and not (object_in_category(g, tag) and object_in_category(gp, tag)):
         return []
+    out = _search(g, gp, budget, "enumerate_graph_maps")
+    if tag == "G":
+        out = [m for m in out if is_structured(m.phi_hat[id_element(g)])]
+    out.sort(key=_sort_key)
+    return out
+
+
+def enumerate_active_maps(g, gp, budget=DEFAULT_BUDGET):
+    """The active maps g -> gp in hom-set order: those maps of
+    ``enumerate_graph_maps`` that send the whole source to the whole target.
+
+    Boundary compatibility at the whole source then matches the boundary of
+    g one to one with the boundary of gp, side by side.  So only hosts with
+    boundaries of equal size per side have active maps, and the search
+    takes one more rule: a boundary slot of g goes to a boundary slot of gp
+    on its side, no two to one.  The whole of an acyclic target is
+    structured, so G needs no filter here.
+    """
+    ends = [sides(h, index(h).profiles[id_element(h)]) for h in (g, gp)]
+    if [len(side) for side in ends[0]] != [len(side) for side in ends[1]]:
+        return []  # also when the flavors differ: one side against two
+    onto = {s: (d, frozenset(to)) for d, (side, to) in enumerate(zip(*ends)) for s in side}
+    out = [m for m in _search(g, gp, budget, "enumerate_active_maps", onto) if is_active(m)]
+    out.sort(key=_sort_key)
+    return out
+
+
+def _search(g, gp, budget, name, onto=None):
+    """The validated graph maps g -> gp found by propagation, unsorted.
+    With onto, a dict slot -> (side, slots of gp), each slot of g that keys
+    it goes to one of its slots, and no two on one side to one slot.  Nodes
+    count against budget, and running out names the search and the pair."""
     used = 0
 
     def tick():
         nonlocal used
         used += 1
         if used > budget.nodes:
-            where = f"enumerate_graph_maps {g.name} -> {gp.name}"
-            fail("SearchBudgetExceeded", f"{where}: {used} nodes used")
+            fail("SearchBudgetExceeded", f"{name} {g.name} -> {gp.name}: {used} nodes used")
+
+    def fits(new):
+        hit = {(onto[s][0], phi0[s]) for s in onto if s in phi0}
+        for s, c in new.items():
+            if s in onto:
+                side, to = onto[s]
+                if c not in to or (side, c) in hit:
+                    return False
+                hit.add((side, c))
+        return True
 
     enumerate_emb(g)
     enumerate_emb(gp)  # both hosts must be connected
@@ -383,7 +421,7 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
                 tick()
                 pairs = zip(itertools.chain(*free), itertools.chain(*perms))
                 new = extend_slot_map(phi0, pairs, g, gp)
-                if new is None:
+                if new is None or onto and not fits(new):
                     continue
                 phi0.update(new)
                 phi1[verts[i]] = y
@@ -401,11 +439,9 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
             tick()
             if i == len(splits):
                 try:
-                    cand = GraphMap(g, gp, full0, table, check=True)
+                    out.append(GraphMap(g, gp, full0, table, check=True))
                 except LooseEndsError:
-                    return
-                if tag != "G" or is_structured(cand.phi_hat[id_element(g)]):
-                    out.append(cand)
+                    pass
                 return
             x, a, b = splits[i]
             for y in unions(table[a], table[b]):
@@ -416,7 +452,6 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
         rec(0)
 
     place(0)
-    out.sort(key=_sort_key)
     return out
 
 

@@ -1,11 +1,18 @@
 """Finite truncations of the graph categories.
 
 A site holds iso-class representatives within size bounds and complete
-hom-sets between them.  Composition is a lookup: on first use every morphism
-compiles to a code, the target positions of the images of its source's slots
-and of its source's Emb classes, in the source's order.  Codes compose index
-by index, and one dict per site maps a code back to the morphism's position
-in its hom-set.  Sites are closed under the middle objects of active-inert
+hom-sets between them.  The hom-sets are assembled, not searched pair by
+pair: every map is an active map onto its middle, the realization of one
+class of the target's Emb, followed by the middle's inclusion, uniquely up
+to a unique iso of the middle.  So an active search runs only between
+objects with boundaries of equal size, and each hom-set is composed from
+its results and one inclusion per class (see _Build).
+
+Composition is a lookup: on first use every morphism compiles to a code,
+the target positions of the images of its source's slots and of its
+source's Emb classes, in the source's order.  Codes compose index by index,
+and one dict per site maps a code back to the morphism's position in its
+hom-set.  Sites are closed under the middle objects of active-inert
 factorizations and under the elementary covers (vertex stars and the edge)
 that the Segal condition needs; both can exceed the edge bound.  The
 category of elementary covers of each object is built once, on first use.
@@ -22,14 +29,25 @@ import itertools
 from functools import cached_property
 
 from .config import DEFAULT_BOUNDS, DEFAULT_BUDGET
-from .emb import EmbEdge, edge_element, enumerate_emb, id_element, index, realize
+from .emb import (
+    EmbEdge,
+    edge_element,
+    enumerate_emb,
+    id_element,
+    index,
+    is_structured,
+    pushforward,
+    realize,
+)
 from .errors import fail
-from .etale import EtaleMap, compose_etale
+from .etale import EtaleMap
 from .gen import gen_connected_dgraphs, gen_connected_ugraphs
 from .gmaps import (
     DIRECTED_TAGS,
     GraphMap,
-    enumerate_graph_maps,
+    _sort_key,
+    compose,
+    enumerate_active_maps,
     identity_map,
     is_inert,
     map_from_embedding,
@@ -43,6 +61,7 @@ from .graphs import (
     iso,
     isomorphic,
     shape,
+    sides,
 )
 
 
@@ -204,14 +223,7 @@ def elementary_over(site, i):
         k = site.find_object(h)
         if k is None:
             fail("SiteTooSmall", f"no site object for an elementary cover of {g.name}")
-        rep = site.objects[k]
-        w = iso(rep, h)
-        if w is None:
-            fail("SiteTooSmall", "iso lookup failed")
-        comp_map, vmap = w
-        rho = EtaleMap(rep, h, comp_map, vmap, check=False)
-        cover = map_from_embedding(compose_etale(incl, rho))
-        covers[x] = site.locate(k, i, cover)
+        covers[x] = site.locate(k, i, _inclusion(site.objects[k], h, incl))
     arrows = []
     for x, ref_x in covers.items():
         for y, ref_y in covers.items():
@@ -242,61 +254,150 @@ def build_site(tag, bounds=DEFAULT_BOUNDS, budget=DEFAULT_BUDGET):
         type(g).from_ends(f"{tag}{i}", ends_by_edge(g), g.vertices)
         for i, g in enumerate(_object_pool(tag, bounds))
     ]
-    by_signature = _signature_index(objects)
-    homs = {}
-    _fill_homs(tag, objects, homs, budget)
-    _close(tag, objects, homs, by_signature, budget)
-    return Site(tag, objects, homs, by_signature)
+    build = _Build(tag, objects, budget)
+    build.close()
+    return Site(tag, objects, build.homs(), build.by_signature)
 
 
-def _fill_homs(tag, objects, homs, budget, start=0):
-    """Fill hom(i, j) for every pair with i or j at least start, row by row."""
-    for i, g in enumerate(objects):
-        for j in range(0 if i >= start else start, len(objects)):
-            homs[(i, j)] = tuple(enumerate_graph_maps(g, objects[j], tag=tag, budget=budget))
+class _Build:
+    """The state of one build_site: the objects so far, and what is found
+    about them once and kept until the hom-sets are assembled.
 
+    Every map G_i -> G_j is an active map onto the middle H_x, the
+    realization of x = phi_hat(whole G_i), then the inclusion of H_x; the
+    factorization is unique up to a unique iso of the middle.  So hom(i, j)
+    is compose(incl_x . rho_x, alpha) over the classes x of Emb(G_j) whose
+    middle is an object K_x, with rho_x : K_x -> H_x one iso, and over the
+    active maps alpha : G_i -> K_x; G counts only structured classes.  An
+    active map matches boundaries one to one, so only the classes of G_j
+    with a boundary of G_i's size are looked at, and each of them is
+    realized once, for the closure and the inclusions alike.
+    """
 
-def _close(tag, objects, homs, by_signature, budget):
-    """Add the missing middle objects of active-inert factorizations, then
-    the missing elementary covers, one at a time, until none is missing.
-    Objects only grow, so a hom-set whose middles are all present, an object
-    whose covers are, or a class whose realization is, is not looked at
-    again; each class is realized once."""
-    realized, present = {}, set()  # Emb class -> (realization, its signature)
+    def __init__(self, tag, objects, budget):
+        self.tag, self.objects, self.budget = tag, objects, budget
+        self.by_signature = _signature_index(objects)
+        self.sizes = []  # per object: the size of its boundary, side by side
+        self.classes = []  # per object: boundary size -> the classes that count
+        self.realized = {}  # class -> [realization, its embedding, signature, object]
+        self._grow()
 
-    def first_missing(classes, within=None):
-        """(realization, signature) of the first missing class, in category within if given."""
-        for x in classes:
-            if x in present:
-                continue
-            if x not in realized:
-                h = realize(x)[0]
-                realized[x] = h, canonical_signature(h)[0]
-            h, sig = realized[x]
-            if within is None or object_in_category(h, within):
-                if _find(objects, by_signature, h, sig) is None:
-                    return h, sig
-                present.add(x)
+    def _grow(self):
+        """Sort the classes of each object added since the last call by
+        the size of their boundary."""
+        for g in self.objects[len(self.sizes) :]:
+            profiles, by_size = index(g).profiles, {}
+            for x in enumerate_emb(g):
+                if self.tag != "G" or is_structured(x):
+                    by_size.setdefault(_size(g, profiles[x]), []).append(x)
+            self.sizes.append(_size(g, profiles[id_element(g)]))
+            self.classes.append(by_size)
+
+    def through(self, i, j):
+        """The classes of G_j that a map from G_i may factor through."""
+        return self.classes[j].get(self.sizes[i], ())
+
+    def realization(self, x):
+        """[realization, its embedding, its signature, the object isomorphic
+        to it or None] of the class x, realized once."""
+        out = self.realized.get(x)
+        if out is None:
+            h, incl = realize(x)
+            out = self.realized[x] = [h, incl, canonical_signature(h)[0], None]
+        if out[3] is None:  # objects only grow: once found, found for good
+            out[3] = _find(self.objects, self.by_signature, out[0], out[2])
+        return out
+
+    def first_missing_middle(self, i, j):
+        """The middle of the first map of hom(i, j), in hom order, whose
+        middle is no object, or None."""
+        best = None
+        for x in self.through(i, j):
+            h, incl, _, k = self.realization(x)
+            alphas = enumerate_active_maps(self.objects[i], h, self.budget) if k is None else ()
+            if alphas:
+                iota = map_from_embedding(incl)
+                first = min(_sort_key(compose(iota, a)) for a in alphas)
+                if best is None or first < best[0]:
+                    best = first, x
+        return best and best[1]
+
+    def missing_cover(self, g):
+        """The first elementary class of g whose realization is in the
+        category and no object, or None."""
+        for x in elementary_classes(g):
+            h, _, _, k = self.realization(x)
+            if k is None and object_in_category(h, self.tag):
+                return x
         return None
 
-    dirty, covered = set(homs), 0  # hom keys not yet seen complete; objects that are
-    while True:
-        missing = None
-        for key in sorted(dirty):
-            missing = first_missing(m.phi_hat[id_element(m.source)] for m in homs[key])
-            if missing:
-                break
-            dirty.remove(key)
-        while not missing and covered < len(objects):
-            missing = first_missing(elementary_classes(objects[covered]), tag)
-            covered += missing is None
-        if not missing:
-            return
-        (h, sig), n = missing, len(objects)
-        objects.append(type(h).from_ends(f"{tag}{n}", ends_by_edge(h), h.vertices))
-        by_signature.setdefault(sig, []).append(n)
-        _fill_homs(tag, objects, homs, budget, n)
-        dirty.update([(i, n) for i in range(n)] + [(n, j) for j in range(n + 1)])
+    def close(self):
+        """Add the missing middle objects of active-inert factorizations,
+        then the missing elementary covers, one at a time, until none is
+        missing.  Objects only grow, so a hom key whose middles are all
+        present, or an object whose covers are, is not looked at again."""
+        n = len(self.objects)
+        dirty, covered = {(i, j) for i in range(n) for j in range(n)}, 0
+        while True:
+            missing = None
+            for key in sorted(dirty):
+                missing = self.first_missing_middle(*key)
+                if missing is not None:
+                    break
+                dirty.remove(key)
+            while missing is None and covered < len(self.objects):
+                missing = self.missing_cover(self.objects[covered])
+                covered += missing is None
+            if missing is None:
+                return
+            h, _, sig, _ = self.realization(missing)
+            n = len(self.objects)
+            self.objects.append(type(h).from_ends(f"{self.tag}{n}", ends_by_edge(h), h.vertices))
+            self.by_signature.setdefault(sig, []).append(n)
+            self._grow()
+            dirty.update([(i, n) for i in range(n)] + [(n, j) for j in range(n + 1)])
+
+    def homs(self):
+        """Every hom-set, assembled and sorted by _sort_key, row by row; the
+        active maps from G_i are kept for row i only."""
+        n, rows, out = len(self.objects), {}, {}
+        for i, g in enumerate(self.objects):
+            active = {}  # object k -> the active maps G_i -> G_k
+            for j in range(n):
+                maps = []
+                for x in self.through(i, j):
+                    h, incl, _, k = self.realization(x)
+                    if k is None:
+                        continue  # no object maps actively onto its middle
+                    if x not in rows:
+                        rows[x] = _inclusion(self.objects[k], h, incl)
+                    if k not in active:
+                        active[k] = enumerate_active_maps(g, self.objects[k], self.budget)
+                    maps += (compose(rows[x], a) for a in active[k])
+                maps.sort(key=_sort_key)
+                out[(i, j)] = tuple(maps)
+        return out
+
+
+def _size(g, profile):
+    """The size of a boundary profile, side by side."""
+    return tuple(map(len, sides(g, profile)))
+
+
+def _inclusion(rep, h, incl):
+    """incl . rho : rep -> host as an inert graph map, for (h, incl) the
+    realization of a class and rho one iso rep -> h.  It holds the host
+    index's own classes, so maps composed with it do too, as searched maps
+    do."""
+    w = iso(rep, h)
+    if w is None:
+        fail("SiteTooSmall", "iso lookup failed")
+    comp = {s: incl.component[c] for s, c in w[0].items()}
+    vmap = {v: incl.vertex_map[u] for v, u in w[1].items()}
+    m = EtaleMap(rep, incl.target, comp, vmap, check=False)
+    own = {x: x for x in enumerate_emb(m.target)}
+    phi_hat = {y: own[pushforward(m, y)] for y in enumerate_emb(rep)}
+    return GraphMap(rep, m.target, comp, phi_hat, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +423,6 @@ def orient(g: UGraph, x, name=None) -> DGraph:
         fail("NotBoundaryArc", "both arcs of one edge set to +1")
     ends = {a: (g.t.get(a), g.t.get(g.dagger[a])) for a in sorted(x)}
     return DGraph.from_ends(name or f"{g.name}@{len(x)}", ends, g.vertices)
-
-
-def canonical_orientation(d: DGraph):
-    """The +1 arcs of underlying(d): the e+ side."""
-    return frozenset(f"{e}+" for e in d.edges)
 
 
 def root_orientation(g: UGraph, r):

@@ -1,7 +1,11 @@
+import random
+
 import hypothesis
 import pytest
 
+from looseends.config import SiteBounds
 from looseends.graphs import UGraph, validate_dgraph, validate_ugraph
+from looseends.sites import build_site
 
 hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("ci")
@@ -64,3 +68,32 @@ def diamond():
         ["e0", "e1", "e2", "e3"],
         [("u", ["e0"], ["e1", "e2"]), ("v", ["e1", "e2"], ["e3"])],
     )
+
+
+# The sites whose hom-sets are checked against the reference search, with
+# how many of their pairs of objects to check (None: all): the five base
+# sites of acceptance criterion A05, O and Omega, whose closures add
+# objects, and a seeded sample of the pairs of U past desk scale.
+DIFFERENTIAL_SITES = {
+    "U": ("U", SiteBounds(2, 3, 3), None),
+    "U0": ("U0", SiteBounds(2, 4, 3), None),
+    "Ucyc": ("Ucyc", SiteBounds(2, 4, 3), None),
+    "Delta": ("Delta", SiteBounds(4, 5, 2), None),
+    "G": ("G", SiteBounds(2, 3, 3), None),
+    "O": ("O", SiteBounds(2, 3, 3), None),
+    "Omega": ("Omega", SiteBounds(3, 4, 3), None),
+    "U(3,4,3)": ("U", SiteBounds(3, 4, 3), 300),
+}
+
+
+@pytest.fixture(scope="session", params=list(DIFFERENTIAL_SITES))
+def differential_site(request):
+    """(tag, site, pairs (i, j) of object indices to check), built once
+    per session for the tests of test_gmaps and test_sites that share it."""
+    tag, bounds, sample = DIFFERENTIAL_SITES[request.param]
+    site = build_site(tag, bounds)
+    n = len(site.objects)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    if sample is not None:
+        pairs = sorted(random.Random(request.param).sample(pairs, sample))
+    return tag, site, pairs

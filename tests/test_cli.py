@@ -540,3 +540,13 @@ def test_factorize_report_reads_back(tmp_path, capsys):
             assert code == 0 and body["ok"]
             assert body["data"][part] is True and body["data"]["in_category"] is True
     assert middles == ["L0|0", "L2|1v"]
+
+
+def test_site_build_out_of_budget_names_the_search(capsys):
+    """A site build that runs out of search nodes exits 1 and names the
+    active search and the pair it was on."""
+    status, out = run(capsys, "site-build", "--category", "U0", "--budget", "5", "--json")
+    body = json.loads(out)
+    assert status == 1
+    assert body["error"] == "SearchBudgetExceeded"
+    assert body["detail"].startswith("enumerate_active_maps U0")

@@ -25,7 +25,7 @@ from looseends.gen import _build, gen_trees_u
 from looseends.gmaps import (
     GraphMap,
     compose,
-    compose_pointed,
+    enumerate_active_maps,
     enumerate_graph_maps,
     extend_tree_map,
     factorize,
@@ -322,6 +322,11 @@ class TestFactorize:
             # all middles isomorphic to the canonical one
             for a, i in found:
                 assert isomorphic(a.target, alpha.target)
+
+
+def compose_pointed(inner, outer):
+    """Composite of vertex_functor tables: V(psi . phi) = V(phi) . V(psi)."""
+    return {w: (inner.get(v) if v is not None else None) for w, v in outer.items()}
 
 
 class TestVertexFunctor:
@@ -738,10 +743,25 @@ def test_tree_maps_past_a04_extend_from_their_vertex_data(h, g):
 
 
 def test_search_budget_message_names_the_search(path2):
-    with pytest.raises(LooseEndsError) as ei:
-        enumerate_graph_maps(path2, path2, budget=Budget(nodes=5))
-    assert ei.value.code == "SearchBudgetExceeded"
-    assert str(ei.value) == (
-        "SearchBudgetExceeded: enumerate_graph_maps path2 -> path2: 6 nodes used"
-    )
-    assert len(enumerate_graph_maps(path2, path2)) == 20
+    for search, maps in ((enumerate_graph_maps, 20), (enumerate_active_maps, 6)):
+        with pytest.raises(LooseEndsError) as ei:
+            search(path2, path2, budget=Budget(nodes=5))
+        assert ei.value.code == "SearchBudgetExceeded"
+        assert str(ei.value) == (
+            f"SearchBudgetExceeded: {search.__name__} path2 -> path2: 6 nodes used"
+        )
+        assert len(search(path2, path2)) == maps
+
+
+def test_active_search_finds_the_active_maps_of_the_full_search(differential_site):
+    """On every checked pair of objects, the active search returns, in
+    order, the maps of the reference search that send the whole source to
+    the whole target."""
+    tag, site, pairs = differential_site
+    found = 0
+    for i, j in pairs:
+        g, h = site.objects[i], site.objects[j]
+        want = [m for m in enumerate_graph_maps(g, h, tag) if is_active(m)]
+        assert enumerate_active_maps(g, h) == want, (i, j)
+        found += len(want)
+    assert found > len(site.objects)  # more than the identities

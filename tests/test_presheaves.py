@@ -28,12 +28,16 @@ from looseends.presheaves import (
 from looseends.sites import (
     build_elements_site,
     build_site,
-    canonical_orientation,
     orient,
     orientations,
     restrict_orientation,
     root,
 )
+
+
+def canonical_orientation(d):
+    """The +1 arcs of underlying(d): the e+ side."""
+    return frozenset(f"{e}+" for e in d.edges)
 
 
 def slice_restriction(els, X, aug):

@@ -9,7 +9,13 @@ import pytest
 from looseends.config import SiteBounds
 from looseends.emb import EmbEdge, EmbRegion, enumerate_emb, id_element, realize
 from looseends.errors import LooseEndsError
-from looseends.gmaps import GraphMap, _sort_key, compose, object_in_category
+from looseends.gmaps import (
+    GraphMap,
+    _sort_key,
+    compose,
+    enumerate_graph_maps,
+    object_in_category,
+)
 from looseends.graphs import isomorphic
 from looseends.presheaves import elementary_over
 from looseends.sites import (
@@ -136,6 +142,18 @@ def test_lookup_error_codes(u0_site):
         assert _error_code(site.locate, i, j, bad) == "SiteTooSmall"
     copy = GraphMap(m.source, m.target, dict(m.phi0), dict(m.phi_hat), check=False)
     assert site.locate(i, j, copy) == (i, j, 0)
+
+
+def test_hom_sets_are_the_full_search(differential_site):
+    """Every checked hom-set, assembled from active maps and inclusions, is
+    what the reference search finds between the two objects, in order."""
+    tag, site, pairs = differential_site
+    found = 0
+    for i, j in pairs:
+        want = enumerate_graph_maps(site.objects[i], site.objects[j], tag=tag)
+        assert list(site.hom(i, j)) == want, (i, j)
+        found += len(want)
+    assert found > len(site.objects)  # more than the identities
 
 
 def test_sites_close_under_elementary_covers():
