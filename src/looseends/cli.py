@@ -402,14 +402,16 @@ def cmd_kan(args):
     )
 
     els = _build_elements(args)
+    objs = range(len(els.base.objects))
+    if args.object is not None:
+        if args.object not in objs:
+            raise UsageError(f"--object must be in 0..{len(objs) - 1}, got {args.object}")
+        objs = [args.object]
     if args.presheaf == "terminal":
         Z = terminal_presheaf(els.directed)
     else:
         Z = textio.parse_presheaf(read_file(args.presheaf), els.directed).check_total()
     f_shriek = left_kan_formula(els, Z)
-    objs = range(len(els.base.objects))
-    if args.object is not None:
-        objs = [args.object]
     rows = []
     for i in objs:
         rows.append(

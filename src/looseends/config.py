@@ -26,7 +26,3 @@ class OperadCaps:
 DEFAULT_BUDGET = Budget()
 DEFAULT_BOUNDS = SiteBounds()
 DEFAULT_CAPS = OperadCaps()
-
-# bounds for hom-set-heavy presheaf sites; the full DEFAULT_BOUNDS site is
-# still used for the per-graph oracles (Emb bijection, shape checks)
-SMALL_BOUNDS = SiteBounds(max_vertices=2, max_edges=4, max_arity=3)

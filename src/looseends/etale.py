@@ -92,11 +92,6 @@ def is_embedding(f: EtaleMap) -> bool:
     return f.vertex_injective
 
 
-def identity_etale(g) -> EtaleMap:
-    comp = {s: s for s in g.slots}
-    return EtaleMap(g, g, comp, {v: v for v in g.vertices}, check=False)
-
-
 def compose_etale(g: EtaleMap, f: EtaleMap) -> EtaleMap:
     if f.target != g.source:
         fail("SourceTargetMismatch", f"{f.target.name} vs {g.source.name}")
@@ -223,10 +218,3 @@ def lift_embedding_directed(f: EtaleMap, host: DGraph):
 def _host_edge_of_arc(b):
     # arcs of underlying() are named e+ / e-
     return b[:-1]
-
-
-def boundary_mono(f: EtaleMap) -> bool:
-    """Empirical check that boundary arcs inject into the target arc set."""
-    g = f.source
-    image = [f.component[a] for a in g.boundary]
-    return len(image) == len(set(image))

@@ -23,16 +23,9 @@ import itertools
 from .config import OperadCaps
 from .errors import fail
 from .gmaps import is_active, is_inert
-from .graphs import UGraph, iso, make_star, validate_ugraph
+from .graphs import UGraph, iso, make_edge, make_star, shape, validate_ugraph
 from .operads import OperadPresentation, _close_tables, flavor_has_contraction
 from .presheaves import Presheaf
-
-
-def _edge_object(site):
-    for i, g in enumerate(site.objects):
-        if not g.vertices and len(set(g.edges())) == 1:
-            return i
-    fail("SiteTooSmall", "no edge object")
 
 
 def _ref(site, i, j, arcs, images, active=False):
@@ -78,10 +71,12 @@ def presentation_from_segal(X: Presheaf, flavor, caps=None, name=None):
         fail("FlavorMismatch", "extraction implemented for undirected sites")
     arity_cap = 0
     for g in site.objects:
-        if len(g.vertices) == 1 and not any(g.is_internal_edge(e) for e in g.edges()):
+        if shape(g).is_star:
             arity_cap = max(arity_cap, len(g.boundary))
     caps = caps or OperadCaps(max_arity=arity_cap, max_ops_per_profile=64)
-    e = _edge_object(site)
+    e = site.find_object(make_edge())
+    if e is None:
+        fail("SiteTooSmall", "no edge object")
     a0, a1 = sorted(site.objects[e].arcs)
     colors = tuple(X.value(e))
     swap = _ref(site, e, e, [a0], [a1])

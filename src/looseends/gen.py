@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .config import SiteBounds
-from .graphs import canonical_signature, ends_signature, make_edge, make_edge_dir
+from .graphs import canonical_signature, ends_connected, ends_signature, make_edge, make_edge_dir
 
 
 def _vertex_multisets(k, max_mult, max_degree, ordered):
@@ -38,24 +38,6 @@ def _vertex_multisets(k, max_mult, max_degree, ordered):
 
     rec(0, [], 0)
     return out
-
-
-def _connected_on_vertices(k, bundle):
-    if k <= 1:
-        return True
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in bundle:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return len({find(i) for i in range(k)}) == 1
 
 
 def gen_connected_ugraphs(bounds: SiteBounds):
@@ -93,7 +75,7 @@ def _gen_connected(bounds, lone, pendants):
     for k in range(1, bounds.max_vertices + 1):
         vs = [f"v{i}" for i in range(k)]
         for bundle, deg in _vertex_multisets(k, bounds.max_edges, bounds.max_arity, directed):
-            if not _connected_on_vertices(k, bundle):
+            if not ends_connected(bundle, k):
                 continue
             spare = [bounds.max_arity - d for d in deg]
             budget = bounds.max_edges - len(bundle)

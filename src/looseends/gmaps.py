@@ -349,8 +349,9 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
 
 
 def enumerate_active_maps(g, gp, budget=DEFAULT_BUDGET):
-    """The active maps g -> gp in hom-set order: those maps of
-    ``enumerate_graph_maps`` that send the whole source to the whole target.
+    """The active maps g -> gp, in search order: those maps of
+    ``enumerate_graph_maps`` that send the whole source to the whole target;
+    the site builder sorts them once they are composed with inclusions.
 
     Boundary compatibility at the whole source then matches the boundary of
     g one to one with the boundary of gp, side by side.  So only hosts with
@@ -363,9 +364,7 @@ def enumerate_active_maps(g, gp, budget=DEFAULT_BUDGET):
     if [len(side) for side in ends[0]] != [len(side) for side in ends[1]]:
         return []  # also when the flavors differ: one side against two
     onto = {s: (d, frozenset(to)) for d, (side, to) in enumerate(zip(*ends)) for s in side}
-    out = [m for m in _search(g, gp, budget, "enumerate_active_maps", onto) if is_active(m)]
-    out.sort(key=_sort_key)
-    return out
+    return [m for m in _search(g, gp, budget, "enumerate_active_maps", onto) if is_active(m)]
 
 
 def _search(g, gp, budget, name, onto=None):

@@ -16,7 +16,8 @@ names edges runs unchanged on either:
 - ``edge_of(s)`` / ``slot_of(e)``: the edge key of a slot, and the first
   slot of an edge key.
 - ``edge_keys``: the sorted edge keys, built on first use.
-- ``ends(e)``: the vertices at the two ends of e, ``None`` at a loose end.
+- ``ends(e)``: the vertices at the two ends of e, ``None`` at a loose end;
+  ``is_internal_edge(e)`` reads off it that neither end is loose.
 - ``end_ports(e)``: the port (side, slot) through which each end of e meets
   a vertex, aligned with ``ends(e)``: the partner arc of the end's own arc,
   or the edge as an input (side 0) and as an output (side 1).  ``end_sides``
@@ -28,8 +29,8 @@ names edges runs unchanged on either:
 ``port_table(g)`` keeps the ports at each vertex; boundaries, vertex stars
 and the etale square condition all read it.  Connectivity, shape, canonical
 signatures and isomorphism read the ends of the edges, one body for both
-flavors; ``ends_signature`` takes the signature off an ends list before
-any graph is built.
+flavors; ``ends_signature`` and ``ends_connected`` take the signature and
+connectivity off an ends list before any graph is built.
 """
 
 from __future__ import annotations
@@ -41,7 +42,25 @@ from functools import cached_property
 from .errors import fail
 
 
-class UGraph:
+class _Graph:
+    """What the two flavors share: equality and hashing by the presentation
+    key ``_key``, and the internal-edge test read off ``ends``."""
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, _Graph) and self._key == other._key)
+
+    @cached_property
+    def _hash(self):
+        return hash(self._key)
+
+    def __hash__(self):
+        return self._hash
+
+    def is_internal_edge(self, e):
+        return None not in self.ends(e)
+
+
+class UGraph(_Graph):
     """Undirected graph with loose ends.
 
     dagger is the involution on arcs; t maps each dangling arc to the vertex
@@ -98,16 +117,6 @@ class UGraph:
                 t[b] = y
         return cls(name, dagger, t, vertices)
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, UGraph) and self._key == other._key)
-
-    @cached_property
-    def _hash(self):
-        return hash(self._key)
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"UGraph({self.name!r}, {len(self.arcs)} arcs, {len(self.vertices)} vertices)"
 
@@ -149,14 +158,11 @@ class UGraph:
     def edges(self):
         return self.edge_keys
 
-    def is_internal_edge(self, e):
-        return all(a in self.t for a in e)
-
     def degree(self, v):
         return len(self._nbhd[v])
 
 
-class DGraph:
+class DGraph(_Graph):
     """Directed graph with loose ends.
 
     inputs[e] = v means e is an input of v; outputs[e] = w means e is an
@@ -203,16 +209,6 @@ class DGraph:
         outputs = {e: w for e, (_, w) in ends.items() if w is not None}
         return cls(name, list(ends), inputs, outputs, vertices)
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, DGraph) and self._key == other._key)
-
-    @cached_property
-    def _hash(self):
-        return hash(self._key)
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"DGraph({self.name!r}, {len(self.edges)} edges, {len(self.vertices)} vertices)"
 
@@ -241,9 +237,6 @@ class DGraph:
     @property
     def graph_outputs(self):
         return tuple(sorted(e for e in self.edges if e not in self.inputs))
-
-    def is_internal_edge(self, e):
-        return e in self.inputs and e in self.outputs
 
     def degree(self, v):
         return len(self._in[v]) + len(self._out[v])
@@ -485,12 +478,11 @@ class GraphShape:
     is_simply_connected: bool
 
 
-def _incidence(g):
-    """(nodes, links, components) of the bipartite incidence multigraph,
-    onto which the geometric realization retracts: one node per vertex and
-    per edge, one link per end that meets a vertex."""
-    node = {v: i for i, v in enumerate(g.vertices)}
-    parent = list(range(len(node) + len(g.edge_keys)))
+def _incidence(ends, n):
+    """(nodes, links, components) of the incidence multigraph onto which the
+    realization retracts, for vertices 0, .., n-1 and edges with these ends
+    (None: loose): a node per vertex and edge, a link per attached end."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -498,20 +490,34 @@ def _incidence(g):
             x = parent[x]
         return x
 
-    links = 0
-    for k, e in enumerate(g.edge_keys, len(node)):
-        for v in g.ends(e):
-            if v is not None:
-                links += 1
-                a, b = find(node[v]), find(k)
-                if a != b:
-                    parent[a] = b
-    return len(parent), links, sum(1 for i, p in enumerate(parent) if i == p)
+    links = alone = 0
+    for x, y in ends:
+        if x is None or y is None:
+            links += x is not y  # one end attached; with none, the edge is alone
+            alone += x is y
+        else:
+            links += 2
+            a, b = find(x), find(y)
+            if a != b:
+                parent[a] = b
+    return n + len(ends), links, alone + sum(1 for i, p in enumerate(parent) if i == p)
+
+
+def _indexed_ends(g):
+    """The ends of g's edges as vertex indices, None at a loose end."""
+    node = {v: i for i, v in enumerate(g.vertices)}
+    node[None] = None
+    return [(node[x], node[y]) for x, y in map(g.ends, g.edge_keys)]
+
+
+def ends_connected(ends, n) -> bool:
+    """Is the graph on vertices 0, .., n-1 with edges of these ends connected?"""
+    nodes, _, parts = _incidence(ends, n)
+    return nodes > 0 and parts == 1
 
 
 def is_connected(g) -> bool:
-    nodes, _, parts = _incidence(g)
-    return nodes > 0 and parts == 1
+    return ends_connected(_indexed_ends(g), len(g.vertices))
 
 
 def has_directed_cycle(d: DGraph) -> bool:
@@ -540,7 +546,7 @@ def has_directed_cycle(d: DGraph) -> bool:
 
 
 def shape(g) -> GraphShape:
-    nodes, links, parts = _incidence(g)
+    nodes, links, parts = _incidence(_indexed_ends(g), len(g.vertices))
     connected = nodes > 0 and parts == 1
     tree = simply = connected and links - nodes + parts == 0  # cycle rank 0
     edge = connected and not g.vertices

@@ -787,9 +787,6 @@ class DecoratedGraph:
     def color(self, key):
         return dict(self.coloring)[key]
 
-    def op_at(self, v):
-        return dict(self.decoration)[v]
-
 
 def star_boundary_order(g, v):
     """Canonical listing of the star boundary at v: the sorted ports at v."""
@@ -933,12 +930,6 @@ def evaluate(P, d: DecoratedGraph, rng=None):
     return current
 
 
-def evaluate_normalized(P, d: DecoratedGraph):
-    """Evaluate and relist ports canonically (sorted) for comparisons."""
-    t = evaluate(P, d)
-    return act_to(P, t, joined(P, map(tuple, map(sorted, sides(P, t.ports)))))
-
-
 # ---------------------------------------------------------------------------
 # transporting decorations and the nerve action
 
@@ -998,12 +989,6 @@ def nerve_action(P, m, d: DecoratedGraph, regions=None) -> DecoratedGraph:
 
 # ---------------------------------------------------------------------------
 # homs between free cyclic operads
-
-
-def generator_op(P, h, v):
-    """The canonical generator op of free_cyclic(h) at vertex v."""
-    order = star_boundary_order(h, v)
-    return "<" + ",".join(order) + ">"
 
 
 def operad_homs(PH, h, PG, g):

@@ -111,9 +111,6 @@ def representable(site, k):
 
 def orientation_presheaf(site):
     """Involutive plus/minus labelings of arcs, one free choice per edge."""
-    for g in site.objects:
-        if not isinstance(g, UGraph):
-            fail("FlavorMismatch", "the orientation presheaf lives on undirected sites")
 
     def values(i):
         return sorted(orientations(site.objects[i]), key=sorted)
@@ -172,28 +169,23 @@ def segal_map(X: Presheaf, i):
 
 
 def _limit_families(X, covers, arrows, keys):
-    """Backtracking construction of all compatible families."""
+    """Backtracking construction of all compatible families, in product
+    order.  An arrow (x, y, ref) asks fam[x] == X.act(ref, fam[y]), and is
+    checked once, when the later of its two covers is placed."""
     where = {x: n for n, x in enumerate(keys)}
-    by_target = {}
+    checks = [[] for _ in keys]
     for x, y, ref in arrows:
-        by_target.setdefault(y, []).append((where[x], ref))
+        checks[max(where[x], where[y])].append((where[x], where[y], ref))
     families = [()]
-    for pos, y in enumerate(keys):
-        # arrows from covers already placed in the family
-        earlier = [(n, ref) for n, ref in by_target.get(y, []) if n < pos]
+    for key, check in zip(keys, checks):
         new = []
         for fam in families:
-            for val in X.value(covers[y][0]):
-                if all(fam[n] == X.act(ref, val) for n, ref in earlier):
-                    new.append(fam + (val,))
+            for val in X.value(covers[key][0]):
+                fam2 = fam + (val,)
+                if all(fam2[nx] == X.act(ref, fam2[ny]) for nx, ny, ref in check):
+                    new.append(fam2)
         families = new
-    # filter by arrows pointing at earlier keys
-    checks = [(where[x], where[y], ref) for x, y, ref in arrows]
-    return [
-        fam
-        for fam in families
-        if all(fam[nx] == X.act(ref, fam[ny]) for nx, ny, ref in checks)
-    ]
+    return families
 
 
 def limit_families_bruteforce(X: Presheaf, i):

@@ -6,7 +6,7 @@ pair: every map is an active map onto its middle, the realization of one
 class of the target's Emb, followed by the middle's inclusion, uniquely up
 to a unique iso of the middle.  So an active search runs only between
 objects with boundaries of equal size, and each hom-set is composed from
-its results and one inclusion per class (see _Build).
+its results and one inclusion per class, then sorted once (see _Build).
 
 Composition is a lookup: on first use every morphism compiles to a code,
 the target positions of the images of its source's slots and of its
@@ -66,12 +66,10 @@ from .graphs import (
 
 
 class Site:
-    def __init__(self, tag, objects, homs, by_signature=None):
+    def __init__(self, tag, objects, homs):
         self.tag = tag
         self.objects = list(objects)
         self.homs = dict(homs)
-        if by_signature is not None:  # _signature_index(objects), kept by build_site
-            self._by_signature = by_signature
         self._covers = {}
 
     def __repr__(self):
@@ -92,7 +90,7 @@ class Site:
 
     @cached_property
     def _by_signature(self):
-        """_signature_index(objects), when __init__ was not given it."""
+        """_signature_index(objects), built on the first find_object."""
         return _signature_index(self.objects)
 
     @cached_property
@@ -198,13 +196,10 @@ def _image_positions(table, source, target):
 
 
 def elementary_classes(g):
-    """The classes of Emb(g) that elementary covers realize: the edges and
-    the vertex stars."""
-    return [
-        x
-        for x in enumerate_emb(g)
-        if isinstance(x, EmbEdge) or (len(x.vertices) == 1 and not x.glued)
-    ]
+    """The classes of Emb(g) that elementary covers realize, in Emb order:
+    the edges, then the vertex stars."""
+    ix = index(g)
+    return [*ix.edge_class.values(), *ix.stars.values()]
 
 
 def elementary_over(site, i):
@@ -256,7 +251,7 @@ def build_site(tag, bounds=DEFAULT_BOUNDS, budget=DEFAULT_BUDGET):
     ]
     build = _Build(tag, objects, budget)
     build.close()
-    return Site(tag, objects, build.homs(), build.by_signature)
+    return Site(tag, objects, build.homs())
 
 
 class _Build:
@@ -358,8 +353,9 @@ class _Build:
             dirty.update([(i, n) for i in range(n)] + [(n, j) for j in range(n + 1)])
 
     def homs(self):
-        """Every hom-set, assembled and sorted by _sort_key, row by row; the
-        active maps from G_i are kept for row i only."""
+        """Every hom-set, assembled and sorted by _sort_key, row by row: the
+        one place a hom-set is put in order.  The active maps from G_i are
+        kept, in search order, for row i only."""
         n, rows, out = len(self.objects), {}, {}
         for i, g in enumerate(self.objects):
             active = {}  # object k -> the active maps G_i -> G_k
@@ -404,8 +400,15 @@ def _inclusion(rep, h, incl):
 # orientations
 
 
+def _require_arcs(g):
+    """Fail FlavorMismatch when g is directed: orientations pick arcs."""
+    if g.directed:
+        fail("FlavorMismatch", f"{g.name} is a directed graph; orientations need arcs")
+
+
 def orientations(g: UGraph):
     """All orientations as frozensets of +1 arcs (one arc per edge)."""
+    _require_arcs(g)
     return [frozenset(picks) for picks in itertools.product(*g.edge_keys)]
 
 
@@ -417,6 +420,7 @@ def restrict_orientation(x, phi0, source: UGraph):
 def orient(g: UGraph, x, name=None) -> DGraph:
     """Directed structure from an orientation: an arc a with x(a) = +1 and
     t(a) = v makes its edge an input of v.  Edges are named by +1 arcs."""
+    _require_arcs(g)
     if not x <= set(g.arcs) or len(x) != len(set(g.edges())):
         fail("NotBoundaryArc", "not an orientation: needs one +1 arc per edge")
     if any(g.dagger[a] in x for a in x):
@@ -427,6 +431,7 @@ def orient(g: UGraph, x, name=None) -> DGraph:
 
 def root_orientation(g: UGraph, r):
     """Orientation of a tree pointing every edge toward the boundary arc r."""
+    _require_arcs(g)
     if r not in g.boundary:
         fail("NotBoundaryArc", f"{r!r}")
     if not shape(g).is_tree:

@@ -4,8 +4,8 @@ import functools
 
 from hypothesis import strategies as st
 
-from looseends.gen import _build, _connected_on_vertices, _vertex_multisets
-from looseends.graphs import DGraph, UGraph
+from looseends.gen import _build, _vertex_multisets
+from looseends.graphs import DGraph, UGraph, ends_connected
 
 
 @functools.cache
@@ -16,7 +16,7 @@ def bundles(k, directed, arity=3, internal=5):
     return [
         (bundle, degree)
         for bundle, degree in _vertex_multisets(k, internal, arity, directed)
-        if _connected_on_vertices(k, bundle)
+        if ends_connected(bundle, k)
     ]
 
 

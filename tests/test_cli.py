@@ -514,6 +514,44 @@ def test_kan_checks_a_presheaf_it_reads(u0_manifest, tmp_path, capsys):
     assert "no value at object 1" in body["detail"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orient", fx("diamond.graph"), "--plus", "e0"],
+        ["orient", fx("diamond.graph"), "--root", "e0"],
+        ["kan", "--functor", "O-to-U"],
+        ["elements-check"],
+    ],
+    ids=["orient-plus", "orient-root", "kan", "elements-check"],
+)
+def test_directed_input_to_orientations_fails_flavor_mismatch(argv, tmp_path, capsys):
+    """Orienting, rooting or taking the elements of a directed graph or
+    site fails FlavorMismatch with exit 1, never with a traceback."""
+    if argv[0] != "orient":
+        manifest = tmp_path / "delta.json"
+        site_build = ["site-build", "--category", "Delta", "--vertices", "1", "--edges", "2"]
+        assert main(site_build + ["-o", str(manifest)]) == 0
+        argv = argv + ["--site", str(manifest)]
+    capsys.readouterr()
+    status = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert json.loads(captured.out)["error"] == "FlavorMismatch"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("index", ["999", "3", "-1"])
+def test_kan_object_out_of_range_exits_2(index, u0_manifest, capsys):
+    """kan --object names a base object by its index 0..n-1 (U0 at these
+    bounds has three); any other index is a usage error."""
+    argv = ["kan", "--site", str(u0_manifest), "--functor", "O0-to-U0", "--object", index]
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --object must be in 0..2, got {index}\n"
+
+
 def test_factorize_report_reads_back(tmp_path, capsys):
     """The middle and both maps of a factorize report read back, and
     map-check finds each in the input map's category."""

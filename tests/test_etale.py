@@ -5,10 +5,8 @@ import pytest
 from looseends.errors import LooseEndsError
 from looseends.etale import (
     EtaleMap,
-    boundary_mono,
     compose_etale,
     enumerate_etale,
-    identity_etale,
     is_embedding,
     lift_embedding_directed,
     validate_etale,
@@ -29,6 +27,17 @@ from looseends.graphs import (
     validate_dgraph,
     validate_ugraph,
 )
+
+
+def identity_etale(g):
+    comp = {s: s for s in g.slots}
+    return EtaleMap(g, g, comp, {v: v for v in g.vertices}, check=False)
+
+
+def boundary_mono(f):
+    """Do the source's boundary arcs inject into the target's arcs?"""
+    image = [f.component[a] for a in f.source.boundary]
+    return len(image) == len(set(image))
 
 
 @pytest.fixture

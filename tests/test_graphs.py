@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 
 from looseends.config import SiteBounds
 from looseends.errors import LooseEndsError
+from looseends.emb import index
 from looseends.gen import _vertex_multisets, gen_connected_dgraphs, gen_connected_ugraphs
 from looseends.graphs import (
     DGraph,
     UGraph,
     canonical_signature,
     ends_by_edge,
+    ends_connected,
     enumerate_path_cycles,
     has_directed_cycle,
     has_directed_cycle_oracle,
+    is_connected,
     iso,
     isomorphic,
     make_edge,
@@ -309,6 +312,39 @@ def test_signatures_and_witnesses_are_pinned():
     assert digest.hexdigest() == (
         "17e888523fbddbe2a661dbb6ef910d08f1d91dc5da8b1efda4b722c495b1f0db"
     )
+
+
+def _mask_connected(h):
+    """Connectivity by the host index's mask search, apart from the
+    incidence count: a lone edge, or vertices that the internal edges join
+    and no edge with both ends loose."""
+    if not h.vertices:
+        return len(h.edge_keys) == 1
+    ix = index(h)
+    full = ix.vertex_mask(h.vertices)
+    loose = any(h.ends(e) == (None, None) for e in h.edge_keys)
+    return not loose and ix.connected(full, ix.internal(full))
+
+
+def test_ends_connected_agrees_with_is_connected():
+    """On A03's hosts of both flavors, and on each of them less one edge,
+    which may fall apart: connectivity read off the ends as vertex indices
+    is is_connected of the graph built from the same ends, and the host
+    index's mask search agrees."""
+    bounds = SiteBounds(3, 6, 3)
+    apart = 0
+    for g in gen_connected_ugraphs(bounds) + gen_connected_dgraphs(bounds):
+        node = {v: i for i, v in enumerate(g.vertices)}
+        for drop in (None, *g.edge_keys):
+            ends = {e: g.ends(e) for e in g.edge_keys if e != drop}
+            if not ends and not g.vertices:
+                continue  # the empty graph is rejected
+            h = type(g).from_ends(g.name, ends, g.vertices)
+            indexed = [tuple(map(node.get, pair)) for pair in ends.values()]
+            connected = ends_connected(indexed, len(g.vertices))
+            assert connected == is_connected(h) == _mask_connected(h), (g.name, drop)
+            apart += not connected
+    assert apart > 0
 
 
 def _uncapped_multisets(k, max_mult, ordered):

@@ -11,6 +11,7 @@ from looseends.operads import (
     terminal_presentation,
 )
 from looseends.presheaves import (
+    _limit_families,
     elementary_over,
     elements_equivalence_check,
     is_segal,
@@ -159,11 +160,19 @@ class TestSegal:
         assert verdict
 
     def test_limit_matches_bruteforce(self, u_site):
+        """The Segal map's image is the oracle's limit.  So is the backtracked
+        limit with the cover keys reversed: in key order edges come first and
+        every arrow runs from an earlier cover to a later one, reversed from a
+        later to an earlier, so the arrow check is taken on both sides."""
         o = orientation_presheaf(u_site)
         for i in range(len(u_site.objects)):
             mapping, bij = segal_map(o, i)
             brute = limit_families_bruteforce(o, i)
             assert set(mapping.values()) == set(brute)
+            covers, arrows = u_site.covers(i)
+            keys = sorted(covers, key=lambda x: x.sort_key())[::-1]
+            reversed_limit = _limit_families(o, covers, arrows, keys)
+            assert set(reversed_limit) == {fam[::-1] for fam in brute}, i
 
     def test_perturbed_not_segal(self, u_site):
         from looseends.presheaves import doubled_value_fixture

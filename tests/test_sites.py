@@ -213,6 +213,19 @@ def test_closure_is_complete_and_pinned(tag, bounds, n_pool, pinned):
     assert (len(site.objects), n_maps, digest.hexdigest()) == pinned
 
 
+def test_elementary_classes_are_the_edges_and_stars(differential_site):
+    """On every object, elementary_classes, read off the host index, is Emb
+    filtered by the edge and vertex-star test, in Emb order."""
+    _, site, _ = differential_site
+    for g in site.objects:
+        want = [
+            x
+            for x in enumerate_emb(g)
+            if isinstance(x, EmbEdge) or (len(x.vertices) == 1 and not x.glued)
+        ]
+        assert elementary_classes(g) == want, g.name
+
+
 def test_elements_functor_data_is_pinned(els):
     """The pairs, the object map, the morphism map and the size of every
     directed hom-set of each elements site, read through ``hom`` over all
