@@ -588,3 +588,102 @@ def test_site_build_out_of_budget_names_the_search(capsys):
     assert status == 1
     assert body["error"] == "SearchBudgetExceeded"
     assert body["detail"].startswith("enumerate_active_maps U0")
+
+
+@pytest.fixture(scope="module")
+def pin_inputs(u0_manifest, tmp_path_factory):
+    """The inputs of the pinned reports: the U0 manifest, a Delta manifest
+    at two vertices and three edges, a presheaf on it with a doubled value
+    (not Segal), and a one-vertex undirected tree."""
+    from looseends.presheaves import doubled_value_fixture
+    from looseends.textio import presheaf_to_text, site_from_manifest
+
+    root = tmp_path_factory.mktemp("pins")
+    delta = root / "delta.json"
+    argv = ["site-build", "--category", "Delta", "--vertices", "2", "--edges", "3"]
+    assert main(argv + ["-o", str(delta)]) == 0
+    bad, _ = doubled_value_fixture(site_from_manifest(delta.read_text()))
+    (root / "bad.psh").write_text(presheaf_to_text(bad))
+    (root / "tree.graph").write_text("graph t undirected\npair a a*\npair b b*\nvertex v a b\n")
+    return {"u0": str(u0_manifest), "delta": str(delta), "root": str(root)}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, text, json_digest",
+    [
+        (
+            ["extend-tree-map", fx("degeneracy.map"), fx("linear.graph")],
+            "map: map collapse : L1 -> L0 in Delta\nedge 0 |-> 0\nedge 1 |-> 0\n"
+            "embmap {edge 0} |-> {edge 0}\nembmap {edge 1} |-> {edge 0}\n"
+            "embmap {vertices 1} |-> {edge 0}\n\n",
+            "73eef96e06f4d15a41a6d88d676c5ec19c549a571dc4e14e788e5ddf8e180cce",
+        ),
+        (
+            ["elements-check", "--site", "{u0}", "--functor", "O0-to-U0"],
+            "objects: 5\nhom_pairs: 25\nmismatches:\n",
+            "d097d91d6bb66729316f9c9ca061b5625fb1585ad1d67fbc91c1512adc54ab1b",
+        ),
+        (
+            ["oracle", "treemaps", fx("linear.graph"), "--graph", "L1,L2"],
+            "maps: 6\nextension_round_trips: 6\n",
+            "5cc1aa833f490f290528d2f939e933199484f5516a9ed26cc36ed93286629d50",
+        ),
+        (
+            ["oracle", "shape", fx("diamond.graph")],
+            "graph: diamond\nagree: True\n",
+            "31c95feeb22b62104b21c920bf160eb2a449f962a1eda934edcecf3945c7ce29",
+        ),
+        (
+            ["nerve", fx("flip.operad"), "--site", "{delta}", "--segal"],
+            "operad: flip\nvalues:\n  0: 1\n  1: 2\n  2: 4\nsegal: True\n",
+            "fe1657539f7d43bd637180d4721a77d0fa1ba0c97ae2e88fe9b7c04cd6c7bc4f",
+        ),
+        (
+            ["site-build", "--category", "U0", "--vertices", "1", "--edges", "1"],
+            "b39f971e0cb026c7c8bc8bfc10129ad1647206136797f16a9f3cc278dba70e69",
+            "d8511624099f28d4b78325a6d1d8cdb6e4c6509fb13c16f66d0f0fbfeb0e4bc5",
+        ),
+        (
+            ["kan", "--site", "{u0}", "--functor", "O0-to-U0", "--object", "1"],
+            "functor: O0-to-U0\nobjects:\n    object: U01\n    summands: 1\n"
+            "    matches_oracle: True\n",
+            "c3cc3933947fa19f9ec73ba670f51ebad408b4e2e3cd55e724d57a49ff85f37e",
+        ),
+        (
+            ["free-cyclic", "{root}/tree.graph"],
+            "aa8837fa7194b30641c9bb5eb9c5048b74547470fd2aba9581fb1045391c4f4f",
+            "75fab402e05bff0d313bc803025ee8bc87b116420437b12ea0b59d6c69a0f6c9",
+        ),
+        (
+            ["segal", "{root}/bad.psh", "--site", "{delta}"],
+            "presheaf: 1+dup\nsegal: False\nviolation:\n  object: 2\n  name: Delta2\n",
+            "b25d9777b742f95053031b8cd691e10d66ae792e152b212e9d55a21d6960d9dc",
+        ),
+    ],
+    ids=[
+        "extend-tree-map",
+        "elements-check",
+        "oracle-treemaps",
+        "oracle-shape-directed",
+        "nerve-segal",
+        "site-build-stdout",
+        "kan-object",
+        "free-cyclic",
+        "segal-violation",
+    ],
+)
+def test_command_reports_are_pinned(argv, text, json_digest, pin_inputs, capsys):
+    """The text report (in full, or its sha256 where it is long) and the
+    sha256 of the JSON report of a successful run of each command path that
+    no other test runs; none of these reports names an input path."""
+    argv = [a.format(**pin_inputs) for a in argv]
+    status, out = run(capsys, *argv)
+    assert status == 0
+    assert (out if "\n" in text else sha256(out)) == text
+    status, out = run(capsys, *argv, "--json")
+    assert status == 0
+    assert sha256(out) == json_digest
