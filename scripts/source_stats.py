@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Count source lines, verification lines and flavor-fork lines under src/looseends.
 
-A flavor-fork line is one that tests the graph or operad flavor: it matches
-``\\.directed``, ``undirected`` or an ``isinstance`` test against ``UGraph``
-or ``DGraph``.  Verification lines are those of the brute-force oracles and
-of ``enumerate_etale`` (``VERIFY``), and of the private module-level helpers
+A flavor-fork line is a line of code that tests the graph or operad flavor:
+with its comments and docstrings taken out, it matches ``\\.directed``,
+``undirected`` or an ``isinstance`` test against ``UGraph`` or ``DGraph``.
+Verification lines are those of the brute-force oracles and of
+``enumerate_etale`` (``VERIFY``), and of the private module-level helpers
 that only they call within their module; the rest is the production path.
 Prints one row per module and the totals, so the net source line figure,
 the verification share and the fork count come from one command:
@@ -14,11 +15,14 @@ the verification share and the fork count come from one command:
 
 import argparse
 import ast
+import io
 import os
 import re
+import tokenize
 
 FORK = re.compile(r"\.directed|undirected|isinstance\([^)]*(UGraph|DGraph)")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "looseends")
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 VERIFY = {
     "oracle_embedding_classes",
     "enumerate_path_cycles",
@@ -51,6 +55,22 @@ def verify_lines(source):
     return sum(defs[n].end_lineno - defs[n].lineno + 1 for n in verify)
 
 
+def code_lines(source):
+    """The module's lines with comments and docstrings blanked; string
+    literals (f-strings with their expressions) are code and stay."""
+    lines = source.splitlines()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            for n in range(doc.lineno - 1, doc.end_lineno):
+                lines[n] = ""
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=SRC, help="package directory to count")
@@ -60,8 +80,8 @@ def main():
     for name in sorted(f for f in os.listdir(args.src) if f.endswith(".py")):
         with open(os.path.join(args.src, name)) as fh:
             source = fh.read()
-        lines = source.splitlines()
-        row = [len(lines), verify_lines(source), sum(1 for line in lines if FORK.search(line))]
+        forks = sum(1 for line in code_lines(source) if FORK.search(line))
+        row = [len(source.splitlines()), verify_lines(source), forks]
         totals = [t + n for t, n in zip(totals, row)]
         print(f"{name:<16}{row[0]:>7}{row[1]:>8}{row[2]:>7}")
     print(f"{'total':<16}{totals[0]:>7}{totals[1]:>8}{totals[2]:>7}")

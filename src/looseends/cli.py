@@ -6,18 +6,16 @@ or a versioned JSON document with --json; both are byte-stable across runs
 for fixed inputs.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
 import sys
 
+from . import emb as emb_mod
+from . import etale, gmaps, operads, presheaves, sites, textio
+from . import graphs as graphs_mod
 from .config import Budget, OperadCaps, SiteBounds
 from .errors import LooseEndsError
-from . import emb as emb_mod
-from . import graphs as graphs_mod
-from . import textio
 
 REPORT_SCHEMA = 1
 
@@ -46,20 +44,24 @@ def main(argv=None):
         parser.print_help()
         return 2
     try:
-        payload = args.func(args)
+        status, body = 0, {"ok": True, "data": args.func(args)}
     except LooseEndsError as e:
-        emit(args, {"ok": False, "error": e.code, "detail": e.message})
-        return 1
+        status, body = 1, {"ok": False, "error": e.code, "detail": e.message}
     except (OSError, UnicodeDecodeError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    emit(args, {"ok": True, "data": payload})
-    return 0
+    try:
+        emit(args, body)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped reading: drop the rest of the report quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 def emit(args, body):
     body = {"schema": REPORT_SCHEMA, "command": args.command, **body}
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(body, indent=1, sort_keys=True, default=repr))
         return
     if not body["ok"]:
@@ -170,6 +172,22 @@ def pick_graph_pair(graphs, spec):
     return [pick_graph(graphs, n) for n in names]
 
 
+def read_graph(args):
+    """The graph that --graph picks from the graph files."""
+    return pick_graph(load_graphs(args.files), args.graph)
+
+
+def read_maps(args):
+    """(name, map, category) of each map file, read against the graph files."""
+    graphs = load_graphs(args.graphs)
+    return [textio.parse_graph_map(read_file(p), graphs) for p in args.maps]
+
+
+def read_site(args):
+    """The site of the --site manifest."""
+    return textio.site_from_manifest(read_file(args.site))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -199,8 +217,7 @@ def cmd_validate(args):
 
 
 def cmd_emb(args):
-    graphs = load_graphs(args.files)
-    g = pick_graph(graphs, args.graph)
+    g = read_graph(args)
     rows = []
     if graphs_mod.is_connected(g):
         elements = emb_mod.enumerate_emb(g)
@@ -224,10 +241,8 @@ def cmd_emb(args):
 
 
 def cmd_unions(args):
-    graphs = load_graphs(args.files)
-    g = pick_graph(graphs, args.graph)
-    x = textio.emb_from_text(g, args.pair[0])
-    y = textio.emb_from_text(g, args.pair[1])
+    g = read_graph(args)
+    x, y = (textio.emb_from_text(g, text) for text in args.pair)
     us = emb_mod.unions(x, y)
     return {
         "graph": g.name,
@@ -237,18 +252,14 @@ def cmd_unions(args):
 
 
 def cmd_ssb(args):
-    graphs = load_graphs(args.files)
-    g = pick_graph(graphs, args.graph)
+    g = read_graph(args)
     rows = [textio.emb_to_text(x) for x in emb_mod.enumerate_ssb(g)]
     total = len(emb_mod.enumerate_emb(g))
     return {"graph": g.name, "structured": rows, "emb_count": total}
 
 
 def cmd_map_check(args):
-    from . import gmaps
-
-    graphs = load_graphs(args.graphs)
-    name, m, category = textio.parse_graph_map(read_file(args.map), graphs)
+    ((name, m, category),) = read_maps(args)
     out = {
         "map": name,
         "source": m.source.name,
@@ -262,21 +273,14 @@ def cmd_map_check(args):
 
 
 def cmd_compose(args):
-    from . import gmaps
-
-    graphs = load_graphs(args.graphs)
-    _, outer, outer_cat = textio.parse_graph_map(read_file(args.maps[0]), graphs)
-    _, inner, inner_cat = textio.parse_graph_map(read_file(args.maps[1]), graphs)
+    (_, outer, outer_cat), (_, inner, inner_cat) = read_maps(args)
     m = gmaps.compose(outer, inner, check=True)
     category = outer_cat if outer_cat == inner_cat else None
     return {"composite": textio.graph_map_to_text("composite", m, category=category)}
 
 
 def cmd_factorize(args):
-    from . import gmaps
-
-    graphs = load_graphs(args.graphs)
-    name, m, category = textio.parse_graph_map(read_file(args.map), graphs)
+    ((name, m, category),) = read_maps(args)
     alpha, iota = gmaps.factorize(m)
     return {
         "map": name,
@@ -287,17 +291,14 @@ def cmd_factorize(args):
 
 
 def cmd_extend_tree_map(args):
-    graphs = load_graphs(args.graphs)
-    name, m, category = textio.parse_graph_map(read_file(args.map), graphs)
+    ((name, m, category),) = read_maps(args)
     return {"map": textio.graph_map_to_text(name, m, category=category or "U0")}
 
 
 def cmd_operad_check(args):
-    from .operads import validate_presentation
-
     _, _, caps = load_config(args)
     P = textio.parse_operad(read_file(args.operad), caps=caps)
-    validate_presentation(P)
+    operads.validate_presentation(P)
     return {
         "operad": P.name,
         "flavor": P.flavor,
@@ -308,20 +309,14 @@ def cmd_operad_check(args):
 
 
 def cmd_free_cyclic(args):
-    from .operads import free_cyclic
-
     _, _, caps = load_config(args)
-    graphs = load_graphs(args.files)
-    g = pick_graph(graphs, args.graph)
-    P = free_cyclic(g, caps=caps)
+    P = operads.free_cyclic(read_graph(args), caps=caps)
     return {"operad": textio.operad_to_text(P)}
 
 
 def cmd_site_build(args):
-    from .sites import build_site
-
     budget, bounds, _ = load_config(args)
-    site = build_site(args.category, bounds, budget)
+    site = sites.build_site(args.category, bounds, budget)
     text = textio.site_to_manifest(site)
     if args.output:
         with open(workspace_path(args.output), "w") as fh:
@@ -335,19 +330,16 @@ def cmd_site_build(args):
 
 
 def cmd_nerve(args):
-    from .operads import validate_presentation
-    from .presheaves import is_segal, nerve_presheaf
-
     _, _, caps = load_config(args)
-    site = textio.site_from_manifest(read_file(args.site))
-    P = validate_presentation(textio.parse_operad(read_file(args.operad), caps=caps))
-    n = nerve_presheaf(P, site)
+    site = read_site(args)
+    P = operads.validate_presentation(textio.parse_operad(read_file(args.operad), caps=caps))
+    n = presheaves.nerve_presheaf(P, site)
     out = {
         "operad": P.name,
         "values": {i: len(n.value(i)) for i in range(len(site.objects))},
     }
     if args.segal:
-        verdict, report = is_segal(n)
+        verdict, report = presheaves.is_segal(n)
         out["segal"] = verdict
         if report:
             out["violation"] = report
@@ -359,12 +351,10 @@ def cmd_nerve(args):
 
 
 def cmd_segal(args):
-    from .presheaves import is_segal
-
-    site = textio.site_from_manifest(read_file(args.site))
+    site = read_site(args)
     X = textio.parse_presheaf(read_file(args.presheaf), site)
     X.validate()
-    verdict, report = is_segal(X)
+    verdict, report = presheaves.is_segal(X)
     out = {"presheaf": X.name, "segal": verdict}
     if report:
         out["violation"] = report
@@ -372,35 +362,23 @@ def cmd_segal(args):
 
 
 def cmd_orient(args):
-    from .sites import orient, root
-
-    graphs = load_graphs(args.files)
-    g = pick_graph(graphs, args.graph)
+    g = read_graph(args)
     if args.root:
-        d = root(g, args.root, name=f"{g.name}_rooted")
+        d = sites.root(g, args.root, name=f"{g.name}_rooted")
     elif args.plus is None:
         raise UsageError("orient needs --plus or --root")
     else:
         plus = frozenset(args.plus.split(","))
-        d = orient(g, plus, name=f"{g.name}_oriented")
+        d = sites.orient(g, plus, name=f"{g.name}_oriented")
     return {"graph": textio.graph_to_text(d)}
 
 
 def _build_elements(args):
-    from .sites import build_elements_site
-
-    base = textio.site_from_manifest(read_file(args.site))
     rooted = args.functor == "Omega-to-Ucyc"
-    return build_elements_site(base, rooted_only=rooted)
+    return sites.build_elements_site(read_site(args), rooted_only=rooted)
 
 
 def cmd_kan(args):
-    from .presheaves import (
-        kan_formula_matches_oracle,
-        left_kan_formula,
-        terminal_presheaf,
-    )
-
     els = _build_elements(args)
     objs = range(len(els.base.objects))
     if args.object is not None:
@@ -408,28 +386,24 @@ def cmd_kan(args):
             raise UsageError(f"--object must be in 0..{len(objs) - 1}, got {args.object}")
         objs = [args.object]
     if args.presheaf == "terminal":
-        Z = terminal_presheaf(els.directed)
+        Z = presheaves.terminal_presheaf(els.directed)
     else:
         Z = textio.parse_presheaf(read_file(args.presheaf), els.directed).check_total()
-    f_shriek = left_kan_formula(els, Z)
+    f_shriek = presheaves.left_kan_formula(els, Z)
     rows = []
     for i in objs:
         rows.append(
             {
                 "object": els.base.objects[i].name,
                 "summands": len(f_shriek.value(i)),
-                "matches_oracle": kan_formula_matches_oracle(els, Z, i),
+                "matches_oracle": presheaves.kan_formula_matches_oracle(els, Z, i),
             }
         )
     return {"functor": args.functor, "objects": rows}
 
 
 def cmd_elements_check(args):
-    from .presheaves import elements_equivalence_check
-
-    els = _build_elements(args)
-    report = elements_equivalence_check(els)
-    return report
+    return presheaves.elements_equivalence_check(_build_elements(args))
 
 
 def cmd_export_dot(args):
@@ -445,10 +419,9 @@ def cmd_export_dot(args):
 
 
 def cmd_oracle(args):
-    budget, bounds, _ = load_config(args)
+    budget, _, _ = load_config(args)
     if args.kind == "emb":
-        graphs = load_graphs(args.files)
-        g = pick_graph(graphs, args.graph)
+        g = read_graph(args)
         classes = emb_mod.oracle_embedding_classes(g)
         encoded = emb_mod.enumerate_emb(g)
         return {
@@ -458,19 +431,16 @@ def cmd_oracle(args):
             "agree": len(classes) == len(encoded),
         }
     if args.kind == "etale":
-        from .etale import enumerate_etale
-
         graphs = load_graphs(args.files)
         names = sorted(graphs)
         if args.graph:
             src, dst = pick_graph_pair(graphs, args.graph)
         else:
             src, dst = graphs[names[0]], graphs[names[-1]]
-        maps = enumerate_etale(src, dst, budget=budget)
+        maps = etale.enumerate_etale(src, dst, budget=budget)
         return {"source": src.name, "target": dst.name, "maps": len(maps)}
     if args.kind == "shape":
-        graphs = load_graphs(args.files)
-        g = pick_graph(graphs, args.graph)
+        g = read_graph(args)
         s = graphs_mod.shape(g)
         if isinstance(g, graphs_mod.UGraph):
             cycles = graphs_mod.enumerate_path_cycles(g)
@@ -479,125 +449,104 @@ def cmd_oracle(args):
         agree = graphs_mod.has_directed_cycle(g) == graphs_mod.has_directed_cycle_oracle(g)
         return {"graph": g.name, "agree": agree}
     if args.kind == "treemaps":
-        from .gmaps import enumerate_graph_maps, extend_tree_map, restrict_tree_map
-
         src, dst = pick_graph_pair(load_graphs(args.files), args.graph)
-        maps = enumerate_graph_maps(src, dst, budget=budget)
+        maps = gmaps.enumerate_graph_maps(src, dst, budget=budget)
         round_trips = 0
         for m in maps:
-            phi0, phi1 = restrict_tree_map(m)
-            if extend_tree_map(src, dst, phi0, phi1) == m:
+            phi0, phi1 = gmaps.restrict_tree_map(m)
+            if gmaps.extend_tree_map(src, dst, phi0, phi1) == m:
                 round_trips += 1
         return {"maps": len(maps), "extension_round_trips": round_trips}
-    raise LooseEndsError("UnknownArc", f"unknown oracle kind {args.kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+# the flags that several commands declare alike
+FLAGS = {
+    "config": dict(help="key=value settings file"),
+    "budget": dict(type=int, help="search node budget"),
+    "site": dict(required=True, help="site manifest"),
+}
+FUNCTORS = ["O-to-U", "O0-to-U0", "Omega-to-Ucyc"]
+
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="JSON report")
-    common.add_argument("--config", help="key=value settings file")
-    common.add_argument("--budget", type=int, help="search node budget")
-    common.add_argument("--vertices", type=int, help="site vertex bound")
-    common.add_argument("--edges", type=int, help="site edge bound")
-    common.add_argument("--arity", type=int, help="site arity bound")
     parser = argparse.ArgumentParser(
         prog="looseends",
         description="graphs with loose ends: embeddings, graph maps, operads,"
         " Segal presheaves, Kan extensions",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command")
 
-    def cmd(name, fn, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
+    def cmd(name, fn, about, *flags):
+        """A command taking --json and the given FLAGS."""
+        p = sub.add_parser(name, help=about)
         p.set_defaults(func=fn)
+        p.add_argument("--json", action="store_true", help="JSON report")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
         return p
 
-    p = cmd("validate", cmd_validate, help="validate graph files")
-    p.add_argument("files", nargs="+")
+    def graph_files(p):
+        p.add_argument("files", nargs="+")
+        p.add_argument("--graph")
 
-    p = cmd("emb", cmd_emb, help="list embedding classes with boundaries")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--graph")
+    def map_files(p, count=1):
+        p.add_argument("maps", nargs=count, metavar="map")
+        p.add_argument("graphs", nargs="+")
 
-    p = cmd("unions", cmd_unions, help="unions of two embedding classes")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--graph")
+    cmd("validate", cmd_validate, "validate graph files").add_argument("files", nargs="+")
+    graph_files(cmd("emb", cmd_emb, "list embedding classes with boundaries"))
+    p = cmd("unions", cmd_unions, "unions of two embedding classes")
+    graph_files(p)
     p.add_argument("--pair", nargs=2, required=True, metavar="EMB")
+    graph_files(cmd("ssb", cmd_ssb, "structured subgraphs of an acyclic graph"))
 
-    p = cmd("ssb", cmd_ssb, help="structured subgraphs of an acyclic graph")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--graph")
+    map_files(cmd("map-check", cmd_map_check, "validate a graph map file"))
+    map_files(cmd("compose", cmd_compose, "compose two graph maps"), count=2)
+    map_files(cmd("factorize", cmd_factorize, "active-inert factorization"))
+    map_files(cmd("extend-tree-map", cmd_extend_tree_map, "extend vertex data"))
 
-    p = cmd("map-check", cmd_map_check, help="validate a graph map file")
-    p.add_argument("map")
-    p.add_argument("graphs", nargs="+")
-
-    p = cmd("compose", cmd_compose, help="compose two graph maps")
-    p.add_argument("maps", nargs=2)
-    p.add_argument("graphs", nargs="+")
-
-    p = cmd("factorize", cmd_factorize, help="active-inert factorization")
-    p.add_argument("map")
-    p.add_argument("graphs", nargs="+")
-
-    p = cmd("extend-tree-map", cmd_extend_tree_map, help="extend vertex data")
-    p.add_argument("map")
-    p.add_argument("graphs", nargs="+")
-
-    p = cmd("operad-check", cmd_operad_check, help="validate an operad file")
+    p = cmd("operad-check", cmd_operad_check, "validate an operad file", "config")
     p.add_argument("operad")
+    graph_files(cmd("free-cyclic", cmd_free_cyclic, "free cyclic operad on a tree", "config"))
 
-    p = cmd("free-cyclic", cmd_free_cyclic, help="free cyclic operad on a tree")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--graph")
-
-    p = cmd("site-build", cmd_site_build, help="build a truncated site")
-    p.add_argument("--category", required=True)
+    p = cmd("site-build", cmd_site_build, "build a truncated site", "config", "budget")
+    p.add_argument("--category", required=True, choices=gmaps.CATEGORY_TAGS)
     p.add_argument("-o", "--output")
+    p.add_argument("--vertices", type=int, help="site vertex bound")
+    p.add_argument("--edges", type=int, help="site edge bound")
+    p.add_argument("--arity", type=int, help="site arity bound")
 
-    p = cmd("nerve", cmd_nerve, help="nerve of an operad on a site")
+    p = cmd("nerve", cmd_nerve, "nerve of an operad on a site", "site", "config")
     p.add_argument("operad")
-    p.add_argument("--site", required=True)
     p.add_argument("--segal", action="store_true")
     p.add_argument("-o", "--output")
 
-    p = cmd("segal", cmd_segal, help="check the Segal condition")
+    p = cmd("segal", cmd_segal, "check the Segal condition", "site")
     p.add_argument("presheaf")
-    p.add_argument("--site", required=True)
 
-    p = cmd("orient", cmd_orient, help="directed structure from an orientation")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--graph")
+    p = cmd("orient", cmd_orient, "directed structure from an orientation")
+    graph_files(p)
     p.add_argument("--plus", help="comma-separated +1 arcs")
     p.add_argument("--root", help="boundary arc for tree rooting")
 
-    p = cmd("kan", cmd_kan, help="left Kan extension along a forgetful functor")
-    p.add_argument("--site", required=True, help="base (undirected) site manifest")
-    p.add_argument(
-        "--functor",
-        required=True,
-        choices=["O-to-U", "O0-to-U0", "Omega-to-Ucyc"],
-    )
+    p = cmd("kan", cmd_kan, "left Kan extension along a forgetful functor", "site")
+    p.add_argument("--functor", required=True, choices=FUNCTORS)
     p.add_argument("--presheaf", default="terminal")
     p.add_argument("--object", type=int)
 
-    p = cmd("elements-check", cmd_elements_check, help="category of elements")
-    p.add_argument("--site", required=True)
-    p.add_argument("--functor", default="O-to-U", choices=["O-to-U", "O0-to-U0", "Omega-to-Ucyc"])
+    p = cmd("elements-check", cmd_elements_check, "category of elements", "site")
+    p.add_argument("--functor", default="O-to-U", choices=FUNCTORS)
 
-    p = cmd("export-dot", cmd_export_dot, help="write DOT files")
+    p = cmd("export-dot", cmd_export_dot, "write DOT files")
     p.add_argument("files", nargs="+")
     p.add_argument("--outdir")
 
-    p = cmd("oracle", cmd_oracle, help="run a brute-force oracle")
+    p = cmd("oracle", cmd_oracle, "run a brute-force oracle", "config", "budget")
     p.add_argument("kind", choices=["emb", "etale", "shape", "treemaps"])
-    p.add_argument("files", nargs="+")
-    p.add_argument("--graph")
+    graph_files(p)
 
     return parser
 

@@ -292,7 +292,7 @@ CATEGORY_TAGS = ("U", "Ucyc", "U0") + DIRECTED_TAGS
 
 def object_in_category(g, tag) -> bool:
     if tag not in CATEGORY_TAGS:
-        fail("UnknownEdge", f"unknown category tag {tag!r}")
+        fail("UnknownCategory", f"unknown category tag {tag!r}")
     if g.directed != (tag in DIRECTED_TAGS):
         return False
     s = shape(g)

@@ -10,7 +10,7 @@ from .config import DEFAULT_CAPS
 from .emb import EmbEdge, enumerate_emb, region
 from .errors import LooseEndsError, fail
 from .etale import EtaleMap
-from .gmaps import GraphMap, extend_tree_map
+from .gmaps import CATEGORY_TAGS, GraphMap, extend_tree_map
 from .graphs import extend_slot_map, sides, validate_dgraph, validate_ugraph
 from .operads import DIRECTED_FLAVORS, DecoratedGraph, OperadPresentation
 from .presheaves import Presheaf
@@ -203,6 +203,8 @@ def _read_block(text, graphs, word, directives, tail=""):
             src, dst = graphs.get(header[1]), graphs.get(header[2])
             if src is None or dst is None:
                 fail("UnknownGraph", f"line {lineno}: unknown source or target graph")
+            if word == "map" and header[3] not in (None, *CATEGORY_TAGS):
+                fail("UnknownCategory", f"line {lineno}: unknown category {header[3]!r}")
         elif directive in ("arc", "edge"):
             s, c = _match(r"(?:arc|edge)\s+(\S+)\s*\|->\s*(\S+)", line, lineno).groups()
             for slot, g in ((s, src), (c, dst)):

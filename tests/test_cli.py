@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from looseends.cli import main
+from looseends.cli import build_parser, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -375,6 +378,7 @@ def u0_manifest(tmp_path_factory):
             "UnknownVertex",
         ),
         ("map-check", "map m : theta -> theta\nvertex u |-> emb {edge zz}\n", "UnknownArc"),
+        ("map-check", "map m : L1 -> L1 in XYZ\n", "UnknownCategory"),
     ],
     ids=[
         "operad-header",
@@ -395,6 +399,7 @@ def u0_manifest(tmp_path_factory):
         "map-trailing-text",
         "map-embmap",
         "map-vertex",
+        "map-category",
     ],
 )
 def test_malformed_line_is_named(command, text, code, u0_manifest, tmp_path, capsys):
@@ -687,3 +692,83 @@ def test_command_reports_are_pinned(argv, text, json_digest, pin_inputs, capsys)
     status, out = run(capsys, *argv, "--json")
     assert status == 0
     assert sha256(out) == json_digest
+
+
+SETTINGS = {
+    "validate": ["--json"],
+    "emb": ["--json"],
+    "unions": ["--json"],
+    "ssb": ["--json"],
+    "map-check": ["--json"],
+    "compose": ["--json"],
+    "factorize": ["--json"],
+    "extend-tree-map": ["--json"],
+    "operad-check": ["--json", "--config"],
+    "free-cyclic": ["--json", "--config"],
+    "site-build": ["--json", "--config", "--budget", "--vertices", "--edges", "--arity"],
+    "nerve": ["--json", "--config"],
+    "segal": ["--json"],
+    "orient": ["--json"],
+    "kan": ["--json"],
+    "elements-check": ["--json"],
+    "export-dot": ["--json"],
+    "oracle": ["--json", "--config", "--budget"],
+}
+
+
+def test_each_command_takes_only_the_settings_it_reads(capsys):
+    """--json, --config, --budget and the site bounds are declared on the
+    commands that read them (28 pairs) and not on the top-level parser; a
+    setting a command does not read, or one put before the command, exits 2."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    names = {flag for flags in SETTINGS.values() for flag in flags}
+    declared = {
+        name: [s for a in p._actions for s in a.option_strings if s in names]
+        for name, p in sub.choices.items()
+    }
+    assert declared == SETTINGS
+    assert sum(map(len, declared.values())) == 28
+    assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"]
+    graph = fx("theta.graph")
+    for argv in (["--json", "validate", graph], ["validate", graph, "--budget", "5"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+
+def test_site_build_rejects_an_unknown_category(capsys):
+    """--category takes one of the category tags; any other is a usage error."""
+    assert main(["site-build", "--category", "XYZ"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'XYZ'" in captured.err
+
+
+def test_factorize_rejects_an_unknown_category(tmp_path, capsys):
+    """A map header naming an unknown category fails on that line, so
+    factorize does not write it back out."""
+    path = tmp_path / "xyz.map"
+    path.write_text("map m : L1 -> L1 in XYZ\nedge 0 |-> 0\nedge 1 |-> 1\n")
+    status, out = run(capsys, "factorize", str(path), fx("linear.graph"))
+    assert status == 1
+    assert out == "error UnknownCategory: line 1: unknown category 'XYZ'\n"
+
+
+def test_closed_pipe_exits_quietly():
+    """A reader that closes the pipe after one line of a report far longer
+    than the pipe holds gets that line; the command exits with its own
+    status and writes nothing to stderr."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for extra in ([], ["--json"]):
+        argv = [sys.executable, "-m", "looseends.cli", "site-build", "--category", "U", *extra]
+        proc = subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert first == ("{\n" if extra else "manifest: {\n")
+        assert err == ""

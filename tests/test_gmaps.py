@@ -372,6 +372,11 @@ class TestMembership:
         assert object_in_category(two_cycle, "O")
         assert not object_in_category(two_cycle, "G")
 
+    def test_unknown_category_is_named(self):
+        with pytest.raises(LooseEndsError) as ei:
+            object_in_category(make_linear(1), "XYZ")
+        assert ei.value.code == "UnknownCategory"
+
     def test_properadic_morphisms(self, diamond):
         maps = enumerate_graph_maps(diamond, diamond)
         for m in maps:

@@ -43,9 +43,11 @@ def test_count_unions_prints_a_spectrum_per_host():
     assert any(line.endswith(" *") for line in lines)
 
 
-def test_source_stats_counts_verification_lines():
+def test_source_stats_counts_verification_lines(tmp_path):
     """Each module's row splits off the lines of the oracles and of
-    enumerate_etale; the total row sums the columns."""
+    enumerate_etale; the total row sums the columns.  A fork line is a line
+    of code: prose in docstrings and comments is not counted, strings and
+    f-string expressions are."""
     import ast
 
     lines = run_script("source_stats.py")
@@ -58,3 +60,14 @@ def test_source_stats_counts_verification_lines():
         tree = ast.parse(fh.read())
     (node,) = [n for n in tree.body if getattr(n, "name", None) == "enumerate_etale"]
     assert rows["etale.py"][1] == node.end_lineno - node.lineno + 1
+    (tmp_path / "prose.py").write_text(
+        '"""A module about undirected graphs."""\n'
+        "# an undirected comment\n"
+        "def kind(g):\n"
+        '    """undirected or\n'
+        '    directed"""\n'
+        '    word = "undirected"  # an undirected word\n'
+        '    return f"{g.directed}: {word}"\n'
+    )
+    lines = run_script("source_stats.py", "--src", str(tmp_path))
+    assert lines[1].split() == ["prose.py", "7", "0", "2"]
