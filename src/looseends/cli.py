@@ -159,7 +159,9 @@ def pick_graph(graphs, name):
         if name not in graphs:
             raise LooseEndsError("UnknownGraph", f"no graph named {name!r}")
         return graphs[name]
-    if len(graphs) != 1:
+    if not graphs:
+        raise LooseEndsError("NoGraph", "no graph in file")
+    if len(graphs) > 1:
         raise LooseEndsError("AmbiguousGraph", "several graphs in file; use --graph")
     return next(iter(graphs.values()))
 
@@ -435,6 +437,8 @@ def cmd_oracle(args):
         names = sorted(graphs)
         if args.graph:
             src, dst = pick_graph_pair(graphs, args.graph)
+        elif not names:
+            raise LooseEndsError("NoGraph", "no graph in file")
         else:
             src, dst = graphs[names[0]], graphs[names[-1]]
         maps = etale.enumerate_etale(src, dst, budget=budget)

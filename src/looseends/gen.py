@@ -3,7 +3,9 @@
 A connected graph with at least one vertex is assembled from a multiset of
 internal edges between (not necessarily distinct) vertices plus a number of
 pendant boundary edges per vertex; the lone edge is the only vertex-free
-connected graph.  Deduplication is by canonical signature.
+connected graph.  Candidates are listed one per orbit under relabelings of
+the vertices (orderly generation: Read 1978, McKay 1998), and the graphs
+are kept one per canonical signature.
 """
 
 from __future__ import annotations
@@ -40,50 +42,96 @@ def _vertex_multisets(k, max_mult, max_degree, ordered):
     return out
 
 
+def _legs(spare, budget):
+    """Leg counts per vertex, within each vertex's spare arity and budget
+    legs in all, in lexicographic order."""
+    for counts in itertools.product(*(range(min(s, budget) + 1) for s in spare)):
+        if sum(counts) <= budget:
+            yield counts
+
+
+def _inputs_and_outputs(spare, budget):
+    """(inputs, outputs) per vertex, within each vertex's spare arity and
+    budget pendant edges in all, in lexicographic order."""
+    splits = ([(i, o) for i in range(s + 1) for o in range(s - i + 1)] for s in spare)
+    for counts in itertools.product(*splits):
+        if sum(i + o for i, o in counts) <= budget:
+            yield counts
+
+
 def gen_connected_ugraphs(bounds: SiteBounds):
     """All connected undirected graphs within the bounds, one per iso class."""
-
-    def legs(spare, budget):
-        for counts in itertools.product(*(range(min(s, budget) + 1) for s in spare)):
-            if sum(counts) <= budget:
-                yield counts
-
-    return _gen_connected(bounds, make_edge(), legs)
+    return _gen_connected(bounds, make_edge(), _legs)
 
 
 def gen_connected_dgraphs(bounds: SiteBounds):
     """All connected directed graphs within the bounds, one per iso class."""
-
-    def inputs_and_outputs(spare, budget):
-        splits = ([(i, o) for i in range(s + 1) for o in range(s - i + 1)] for s in spare)
-        for counts in itertools.product(*splits):
-            if sum(i + o for i, o in counts) <= budget:
-                yield counts
-
-    return _gen_connected(bounds, make_edge_dir(), inputs_and_outputs)
+    return _gen_connected(bounds, make_edge_dir(), _inputs_and_outputs)
 
 
-def _gen_connected(bounds, lone, pendants):
-    """The lone edge, then on each vertex count every connected bundle of
-    internal edges (ordered pairs when lone is directed) with every choice of
-    pendant edges that pendants(spare arity per vertex, spare edges) yields,
-    one graph per canonical signature, sorted by it.  A candidate's
-    signature is read off its ends, and only the first with a signature is
-    built."""
+def gen_trees_u(bounds: SiteBounds):
+    """The trees among gen_connected_ugraphs(bounds), in its order: the
+    graphs whose internal edges are k - 1 pairs on k vertices.  A connected
+    bundle of k - 1 pairs has no loop, no parallel pair and no cycle, and a
+    bundle with more pairs has one."""
+    return _gen_connected(bounds, make_edge(), _legs, trees=True)
+
+
+def _gen_connected(bounds, lone, pendants, trees=False):
+    """The lone edge and the graphs of _candidates (only trees when trees),
+    one per canonical signature, sorted by it.  A candidate's signature is
+    read off its ends, and only the first with a signature is built."""
     cls, directed = type(lone), lone.directed
     found = {canonical_signature(lone)[0]: lone} if bounds.max_edges >= 1 else {}
-    for k in range(1, bounds.max_vertices + 1):
+    for k, bundle, pend in _candidates(bounds, directed, pendants, trees):
         vs = [f"v{i}" for i in range(k)]
-        for bundle, deg in _vertex_multisets(k, bounds.max_edges, bounds.max_arity, directed):
-            if not ends_connected(bundle, k):
-                continue
-            spare = [bounds.max_arity - d for d in deg]
-            budget = bounds.max_edges - len(bundle)
-            for pend in pendants(spare, budget):
-                sig = ends_signature(_ends(directed, vs, bundle, pend), vs, cls.end_sides)[0]
-                if sig not in found:
-                    found[sig] = _build(cls, k, bundle, pend)
+        sig = ends_signature(_ends(directed, vs, bundle, pend), vs, cls.end_sides)[0]
+        if sig not in found:
+            found[sig] = _build(cls, k, bundle, pend)
     return [found[sig] for sig in sorted(found)]
+
+
+def _candidates(bounds, directed, pendants, trees):
+    """(k, bundle, pend) per candidate graph on k = 1, 2, .. vertices: a
+    connected bundle of internal edges (ordered pairs when directed, only
+    k - 1 of them when trees) and a choice of pendant edges that
+    pendants(spare arity per vertex, spare edges) yields, one candidate per
+    orbit under the relabelings of the k vertices.
+
+    A bundle is expanded only the first time its orbit is met in
+    _vertex_multisets' order; its relabelings that fix it are its
+    automorphisms.  Of its pendant choices only those are yielded that are
+    least, in the order pendants yields them (lexicographic on the count
+    tuples), among their images under these automorphisms.
+
+    Why _gen_connected, which keeps the first candidate per signature,
+    keeps the graphs it would keep from the full list (every bundle with
+    every pendant choice, in the same order): the candidates whose graphs
+    are isomorphic to one candidate's are its orbit.  The first of the orbit
+    in the full list has the orbit's first bundle and, on that bundle, the
+    least pendant choice among its images under the automorphisms.  That is
+    the one candidate of the orbit yielded here, and the first candidate
+    with a signature in the full list is the first of its orbit."""
+    for k in range(1, bounds.max_vertices + 1):
+        perms = list(itertools.permutations(range(k)))
+        seen = set()
+        for bundle, deg in _vertex_multisets(k, bounds.max_edges, bounds.max_arity, directed):
+            if bundle in seen or trees and len(bundle) != k - 1 or not ends_connected(bundle, k):
+                continue
+            images = [_relabel(bundle, p, directed) for p in perms]
+            seen.update(images)
+            autos = [p for p, image in zip(perms[1:], images[1:]) if image == bundle]
+            spare = [bounds.max_arity - d for d in deg]
+            for pend in pendants(spare, bounds.max_edges - len(bundle)):
+                if not any(tuple(pend[i] for i in p) < pend for p in autos):
+                    yield k, bundle, pend
+
+
+def _relabel(bundle, p, directed):
+    """The bundle with vertex i renamed p[i], in _vertex_multisets' form:
+    sorted pairs, each (least, greatest) unless directed."""
+    pairs = ((p[i], p[j]) for i, j in bundle)
+    return tuple(sorted(pairs if directed else (tuple(sorted(pair)) for pair in pairs)))
 
 
 def _ends(directed, vs, bundle, pend):
@@ -108,9 +156,3 @@ def _build(cls, k, bundle, pend):
     prefix = "d" if directed else "u"
     name = f"{prefix}{k}_{len(ends)}_{abs(hash((tuple(bundle), tuple(pend)))) % 10**8}"
     return cls.from_ends(name, dict(zip(keys, ends)), vs)
-
-
-def gen_trees_u(bounds: SiteBounds):
-    from .graphs import shape
-
-    return [g for g in gen_connected_ugraphs(bounds) if shape(g).is_tree]

@@ -291,6 +291,29 @@ def test_graph_choice_error_codes(argv, code, capsys):
     assert json.loads(out)["error"] == code
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        (["emb"], []),
+        (["free-cyclic"], []),
+        (["ssb"], []),
+        (["unions"], ["--pair", "{vertices a}", "{vertices b}"]),
+        (["orient"], ["--plus", "ab"]),
+        (["oracle", "emb"], []),
+        (["oracle", "etale"], []),
+        (["oracle", "shape"], []),
+    ],
+)
+def test_a_file_without_graphs_fails_no_graph(command, options, tmp_path, capsys):
+    """A graph file whose only line is a comment fails NoGraph, not
+    AmbiguousGraph and not an IndexError traceback."""
+    empty = tmp_path / "empty.graph"
+    empty.write_text("# no graph here\n")
+    status, out = run(capsys, *command, str(empty), *options, "--json")
+    assert status == 1
+    assert json.loads(out)["error"] == "NoGraph"
+
+
 def test_nerve_written_for_segal(tmp_path, capsys):
     """A nerve written with -o is a presheaf file that segal reads back."""
     manifest, nerve = tmp_path / "delta.json", tmp_path / "flip.psh"

@@ -1,11 +1,21 @@
-"""The exhaustive generators: their output pinned byte for byte."""
+"""The exhaustive generators: their output pinned byte for byte, and equal
+to that of the generator that lists every candidate."""
 
 import hashlib
 
 import pytest
 
+from looseends import gen
 from looseends.config import SiteBounds
 from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs, gen_trees_u
+from looseends.graphs import (
+    canonical_signature,
+    ends_connected,
+    ends_signature,
+    make_edge,
+    make_edge_dir,
+    shape,
+)
 from looseends.textio import graph_to_text
 
 GENERATORS = {
@@ -78,3 +88,59 @@ def test_generator_output_is_pinned(kind, bounds):
     """Names, texts and order of every generated graph, which the site
     builds, A03, A04 and the benchmark's inputs all start from."""
     assert _digest(GENERATORS[kind](SiteBounds(*bounds))) == PINS[kind][bounds]
+
+
+def _reference(bounds, lone, pendants):
+    """The generator as first written: every bundle of internal edges with
+    every pendant choice, a signature for each, the first graph kept per
+    signature, sorted by it."""
+    cls, directed = type(lone), lone.directed
+    found = {canonical_signature(lone)[0]: lone} if bounds.max_edges >= 1 else {}
+    for k in range(1, bounds.max_vertices + 1):
+        vs = [f"v{i}" for i in range(k)]
+        for bundle, deg in gen._vertex_multisets(
+            k, bounds.max_edges, bounds.max_arity, directed
+        ):
+            if not ends_connected(bundle, k):
+                continue
+            spare = [bounds.max_arity - d for d in deg]
+            for pend in pendants(spare, bounds.max_edges - len(bundle)):
+                sig = ends_signature(gen._ends(directed, vs, bundle, pend), vs, cls.end_sides)[0]
+                if sig not in found:
+                    found[sig] = gen._build(cls, k, bundle, pend)
+    return [found[sig] for sig in sorted(found)]
+
+
+# lone edge, pendant choices and whether only trees are kept, per generator
+FLAVORS = {
+    "ugraphs": (make_edge(), gen._legs, False),
+    "dgraphs": (make_edge_dir(), gen._inputs_and_outputs, False),
+    "trees": (make_edge(), gen._legs, True),
+}
+
+DIFFERENTIAL_CASES = [(kind, bounds) for kind in sorted(GENERATORS) for bounds in PINNED_BOUNDS]
+DIFFERENTIAL_CASES += [("ugraphs", (5, 6, 3)), ("trees", (5, 6, 3))]
+
+
+@pytest.mark.parametrize(
+    "kind, bounds",
+    DIFFERENTIAL_CASES,
+    ids=[f"{kind}-{'-'.join(map(str, b))}" for kind, b in DIFFERENTIAL_CASES],
+)
+def test_generator_matches_the_full_candidate_list(kind, bounds):
+    """The generator, which expands one candidate per iso class, builds the
+    same graphs in the same order as the reference, which signs every
+    candidate (the trees: the reference's graphs that shape calls trees);
+    and no two of its candidates share a signature."""
+    bounds, (lone, pendants, trees) = SiteBounds(*bounds), FLAVORS[kind]
+    out = GENERATORS[kind](bounds)
+    expected = [g for g in _reference(bounds, lone, pendants) if not trees or shape(g).is_tree]
+    assert [(g.name, graph_to_text(g)) for g in out] == [
+        (g.name, graph_to_text(g)) for g in expected
+    ]
+    signatures = [canonical_signature(lone)[0]] if bounds.max_edges >= 1 else []
+    for k, bundle, pend in gen._candidates(bounds, lone.directed, pendants, trees):
+        vs = [f"v{i}" for i in range(k)]
+        ends = gen._ends(lone.directed, vs, bundle, pend)
+        signatures.append(ends_signature(ends, vs, type(lone).end_sides)[0])
+    assert len(set(signatures)) == len(signatures) == len(out)
