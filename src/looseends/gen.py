@@ -83,8 +83,9 @@ def _gen_connected(bounds, lone, pendants, trees=False):
     read off its ends, and only the first with a signature is built."""
     cls, directed = type(lone), lone.directed
     found = {canonical_signature(lone)[0]: lone} if bounds.max_edges >= 1 else {}
+    names = [f"v{i}" for i in range(bounds.max_vertices)]
     for k, bundle, pend in _candidates(bounds, directed, pendants, trees):
-        vs = [f"v{i}" for i in range(k)]
+        vs = names[:k]
         sig = ends_signature(_ends(directed, vs, bundle, pend), vs, cls.end_sides)[0]
         if sig not in found:
             found[sig] = _build(cls, k, bundle, pend)
@@ -123,7 +124,9 @@ def _candidates(bounds, directed, pendants, trees):
             autos = [p for p, image in zip(perms[1:], images[1:]) if image == bundle]
             spare = [bounds.max_arity - d for d in deg]
             for pend in pendants(spare, bounds.max_edges - len(bundle)):
-                if not any(tuple(pend[i] for i in p) < pend for p in autos):
+                # pend read through p is its image under p's inverse, and the
+                # automorphisms other than the identity are closed under inverses
+                if not autos or not any(tuple(pend[i] for i in p) < pend for p in autos):
                     yield k, bundle, pend
 
 

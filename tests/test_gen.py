@@ -91,7 +91,7 @@ def test_generator_output_is_pinned(kind, bounds):
 
 
 def _reference(bounds, lone, pendants):
-    """The generator as first written: every bundle of internal edges with
+    """The reference generator: every connected bundle of internal edges with
     every pendant choice, a signature for each, the first graph kept per
     signature, sorted by it."""
     cls, directed = type(lone), lone.directed
