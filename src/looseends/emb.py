@@ -179,9 +179,7 @@ class HostIndex:
                         pieces.append(EmbRegion(g, frozenset(s), frozenset(z)))
         pieces.sort(key=lambda x: x.sort_key())
         self.emb = tuple(pieces)
-        # factorize() keeps the middle it realizes for a class here, so an
-        # equal middle is one graph, whose own index is built once
-        self.middles = {}
+        self.realized = {}  # class -> realize(class), kept for the host's life
         self._subtrees = {}
         self.host_connected = is_connected(g)
 
@@ -408,18 +406,20 @@ def check_host(x, y):
 
 
 def realize(x):
-    """Canonical representative embedding of the class x.
+    """Canonical representative embedding of the class x, made once and kept
+    in the host index: every caller gets the same pair, and none may change it.
 
     Returns (abstract graph H, EtaleMap H -> host).  An edge at the class's
     vertices that it does not glue is cut: each of its ends there becomes a
     half-edge, loose at the other end, that maps onto the host edge.
     """
-    g = x.host
+    g, ix = x.host, index(x.host)
+    if x in ix.realized:
+        return ix.realized[x]
     if isinstance(x, EmbEdge):
         e = x.edge
         h = type(g).from_ends(f"{g.name}|{g.slot_of(e)}", {e: (None, None)}, [])
-        return h, EtaleMap(h, g, {s: s for s in h.slots}, {})
-    ix = index(g)
+        return ix.realized.setdefault(x, (h, EtaleMap(h, g, {s: s for s in h.slots}, {})))
     ends, comp = {}, {}
     for e in ix.edges_in(ix.code(x)[3]):
         pair = g.ends(e)
@@ -434,7 +434,7 @@ def realize(x):
                 half, ends[half], over = _cut_half(g, e, i, v)
                 comp.update(over)
     h = type(g).from_ends(f"{g.name}|{len(x.vertices)}v", ends, sorted(x.vertices))
-    return h, EtaleMap(h, g, comp, {v: v for v in x.vertices})
+    return ix.realized.setdefault(x, (h, EtaleMap(h, g, comp, {v: v for v in x.vertices})))
 
 
 def _cut_half(g, e, i, v):

@@ -23,7 +23,7 @@ import itertools
 from .config import OperadCaps
 from .errors import fail
 from .gmaps import is_active, is_inert
-from .graphs import UGraph, iso, make_edge, make_star, shape, validate_ugraph
+from .graphs import iso, make_edge, make_star, shape, validate_ugraph
 from .operads import OperadPresentation, _close_tables, flavor_has_contraction
 from .presheaves import Presheaf
 
@@ -67,7 +67,7 @@ def _site_copy(site, g):
 
 def presentation_from_segal(X: Presheaf, flavor, caps=None, name=None):
     site = X.site
-    if not isinstance(site.objects[0], UGraph):
+    if any(g.directed for g in site.objects):
         fail("FlavorMismatch", "extraction implemented for undirected sites")
     arity_cap = 0
     for g in site.objects:

@@ -206,8 +206,8 @@ def restrict_tree_map(m: GraphMap):
 def factorize(m: GraphMap):
     """Factor as an active map followed by an inert map, phi = iota . alpha.
 
-    The middle H realizes top = phi_hat(whole source), once per class of
-    the target's Emb, kept on the target's host index.  alpha is built, not
+    The middle H realizes top = phi_hat(whole source), one graph per class
+    of the target's Emb, which realize keeps.  alpha is built, not
     searched for: a class sent to a region goes to the region of H over it;
     a slot on such a class's boundary goes to the slot over its image on
     the same boundary side of that region (unique: where top cuts an edge,
@@ -222,10 +222,7 @@ def factorize(m: GraphMap):
     top = m.phi_hat.get(id_element(g))
     if top is None:
         fail("NoFactorizationFound", "phi_hat has no image of the whole source")
-    middles = index(top.host).middles
-    if top not in middles:
-        middles[top] = realize(top)
-    h, incl = middles[top]
+    h, incl = realize(top)
     iota = map_from_embedding(incl)
     over = {y: x for x, y in iota.phi_hat.items() if isinstance(x, EmbRegion)}
     ix, hix = index(g), index(h)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 
 from .errors import LooseEndsError, fail
-from .graphs import UGraph
 from .sites import (
     ElementsSite,
     Site,
@@ -129,8 +128,7 @@ def nerve_presheaf(P, site):
     lives for this call only."""
     from .operads import enumerate_decorations, nerve_action
 
-    directed_site = not isinstance(site.objects[0], UGraph)
-    if directed_site != P.directed:
+    if any(g.directed != P.directed for g in site.objects):
         fail("FlavorMismatch", f"{P.flavor} against a {site.tag} site")
     regions = {}
 

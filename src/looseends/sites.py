@@ -265,8 +265,8 @@ class _Build:
     middle is an object K_x, with rho_x : K_x -> H_x one iso, and over the
     active maps alpha : G_i -> K_x; G counts only structured classes.  An
     active map matches boundaries one to one, so only the classes of G_j
-    with a boundary of G_i's size are looked at, and each of them is
-    realized once, for the closure and the inclusions alike.
+    with a boundary of G_i's size are looked at.  Per class, the build keeps
+    its realization's signature and matching object; realize keeps the rest.
     """
 
     def __init__(self, tag, objects, budget):
@@ -274,7 +274,7 @@ class _Build:
         self.by_signature = _signature_index(objects)
         self.sizes = []  # per object: the size of its boundary, side by side
         self.classes = []  # per object: boundary size -> the classes that count
-        self.realized = {}  # class -> [realization, its embedding, signature, object]
+        self.found = {}  # class -> [its realization's signature, object or None]
         self._grow()
 
     def _grow(self):
@@ -293,15 +293,15 @@ class _Build:
         return self.classes[j].get(self.sizes[i], ())
 
     def realization(self, x):
-        """[realization, its embedding, its signature, the object isomorphic
-        to it or None] of the class x, realized once."""
-        out = self.realized.get(x)
-        if out is None:
-            h, incl = realize(x)
-            out = self.realized[x] = [h, incl, canonical_signature(h)[0], None]
-        if out[3] is None:  # objects only grow: once found, found for good
-            out[3] = _find(self.objects, self.by_signature, out[0], out[2])
-        return out
+        """(realization, its embedding, its signature, the object isomorphic
+        to it or None) of the class x."""
+        h, incl = realize(x)
+        found = self.found.get(x)
+        if found is None:
+            found = self.found[x] = [canonical_signature(h)[0], None]
+        if found[1] is None:  # objects only grow: once found, found for good
+            found[1] = _find(self.objects, self.by_signature, h, found[0])
+        return (h, incl, *found)
 
     def first_missing_middle(self, i, j):
         """The middle of the first map of hom(i, j), in hom order, whose

@@ -10,7 +10,7 @@ from .config import DEFAULT_CAPS
 from .emb import EmbEdge, enumerate_emb, region
 from .errors import LooseEndsError, fail
 from .etale import EtaleMap
-from .gmaps import CATEGORY_TAGS, GraphMap, extend_tree_map
+from .gmaps import CATEGORY_TAGS, DIRECTED_TAGS, GraphMap, extend_tree_map
 from .graphs import extend_slot_map, sides, validate_dgraph, validate_ugraph
 from .operads import DIRECTED_FLAVORS, DecoratedGraph, OperadPresentation
 from .presheaves import Presheaf
@@ -385,12 +385,17 @@ def site_from_manifest(text) -> Site:
         fail("MalformedLine", f"site manifest: {e}")
     if data.get("version") != MANIFEST_VERSION:
         fail("SiteTooSmall", "unknown site manifest version")
+    tag = _field(data.get("tag"), str, "tag")
+    if tag not in CATEGORY_TAGS:
+        fail("UnknownCategory", f"site manifest: unknown category {tag!r}")
     objects = []
     for block in _field(data.get("objects"), list, "objects"):
         graphs = parse_graphs(_field(block, str, "an object"))
         if len(graphs) != 1:
             fail("MalformedLine", "site manifest: an object is not one graph block")
         objects.extend(graphs.values())
+        if objects[-1].directed != (tag in DIRECTED_TAGS):
+            fail("FlavorMismatch", f"site manifest: {objects[-1].name} is no {tag} object")
     graphs = {g.name: g for g in objects}
     if len(graphs) != len(objects):
         fail("MalformedLine", "site manifest: two objects share a name")
@@ -408,7 +413,7 @@ def site_from_manifest(text) -> Site:
                 fail("MalformedLine", f"site manifest: {m!r} in hom-set {key}")
             maps.append(m)
         homs[(i, j)] = tuple(maps)
-    return Site(_field(data.get("tag"), str, "tag"), objects, homs)
+    return Site(tag, objects, homs)
 
 
 def morphism_names(site: Site):

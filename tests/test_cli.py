@@ -368,6 +368,31 @@ def test_u_manifest_round_trip(tmp_path, capsys):
     assert json.loads(out)["data"] == {"presheaf": "N(terminal-modular)", "segal": True}
 
 
+ARROW, EDGE = "graph D directed\nedge e\n", "graph E undirected\npair a a*\n"
+
+
+@pytest.mark.parametrize(
+    "objects, tag, status, code",
+    [
+        ([], "U", 0, None),
+        ([ARROW, EDGE], "U", 1, "FlavorMismatch"),
+        ([EDGE], "X", 1, "UnknownCategory"),
+    ],
+    ids=["empty", "mixed-flavors", "unknown-tag"],
+)
+def test_nerve_reads_every_manifest_object(objects, tag, status, code, tmp_path, capsys):
+    """A site with no objects has an empty nerve; a manifest object whose
+    flavor is not its tag's fails FlavorMismatch, whatever comes first, and
+    a tag that names no category UnknownCategory; never a traceback."""
+    manifest = tmp_path / "site.json"
+    manifest.write_text(json.dumps({"homs": {}, "objects": objects, "tag": tag, "version": 1}))
+    result = main(["nerve", fx("flip.operad"), "--site", str(manifest), "--json"])
+    captured = capsys.readouterr()
+    body = json.loads(captured.out)
+    assert (result, captured.err, body.get("error")) == (status, "", code)
+    assert code is not None or body["data"]["values"] == {}
+
+
 @pytest.fixture(scope="module")
 def u0_manifest(tmp_path_factory):
     path = tmp_path_factory.mktemp("site") / "u0.json"

@@ -133,3 +133,22 @@ def test_extracted_tables_are_pinned(u_site, u0_site):
         for label, (P, site) in cases.items()
     }
     assert got == PINNED
+
+
+def test_extraction_reads_the_flavor_of_every_object():
+    """A site with no objects has an empty nerve and no edge object, so
+    extraction fails SiteTooSmall; a directed object fails FlavorMismatch
+    wherever it stands, not only first."""
+    from looseends.graphs import make_edge, make_edge_dir
+    from looseends.presheaves import terminal_presheaf
+    from looseends.sites import Site
+
+    X = nerve_presheaf(terminal_presentation("modular", caps=OperadCaps(4, 16)), Site("U", [], {}))
+    assert X.values == {}
+    with pytest.raises(LooseEndsError) as ei:
+        presentation_from_segal(X, "modular")
+    assert ei.value.code == "SiteTooSmall"
+    mixed = terminal_presheaf(Site("U", [make_edge(), make_edge_dir()], {}))
+    with pytest.raises(LooseEndsError) as ei:
+        presentation_from_segal(mixed, "modular")
+    assert ei.value.code == "FlavorMismatch"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 from collections import Counter
@@ -42,6 +43,7 @@ from looseends.gmaps import (
 from looseends.graphs import (
     DGraph,
     UGraph,
+    ends_by_edge,
     is_connected,
     isomorphic,
     make_edge,
@@ -619,47 +621,57 @@ def test_site_maps_hold_their_hosts_own_classes(a05_sites):
                 assert all(own[x] is x and own[y] is y for x, y in m.phi_hat.items())
 
 
-def _index_builds_while_factorizing(site, monkeypatch):
-    """The hosts whose index is built while factorizing every morphism of
-    site, and the distinct middles met."""
+def _build_and_factorize(monkeypatch):
+    """Build the U site within SiteBounds(2, 2, 3) and factorize each of its
+    morphisms, counting from before the build: the keys of the hosts whose
+    index is built, the realizations that realize makes (emb builds an
+    EtaleMap nowhere else) and the distinct middles met."""
     from looseends import emb
+    from looseends.sites import build_site
 
-    built = []
-    original = emb.HostIndex.__init__
+    built, made = [], []
+    init, etale_map = emb.HostIndex.__init__, emb.EtaleMap
 
-    def counting(ix, g):
+    def counting_init(ix, g):
         built.append(g._key)
-        original(ix, g)
+        init(ix, g)
 
-    monkeypatch.setattr(emb.HostIndex, "__init__", counting)
+    def counting_map(h, g, *rest):
+        made.append(h._key)
+        return etale_map(h, g, *rest)
+
+    monkeypatch.setattr(emb.HostIndex, "__init__", counting_init)
+    monkeypatch.setattr(emb, "EtaleMap", counting_map)
+    site = build_site("U", SiteBounds(2, 2, 3))
     middles = set()
     for ref in site.all_refs():
-        alpha, iota = factorize(site.morph(ref))
-        assert alpha.target is iota.source
+        m = site.morph(ref)
+        alpha, iota = factorize(m)
+        assert alpha.target is iota.source is realize(m.phi_hat[id_element(m.source)])[0]
         middles.add(alpha.target._key)
-    return built, middles
+    return site, built, made, middles
 
 
 def test_factorize_builds_one_index_per_distinct_middle(monkeypatch):
-    """factorize realizes each middle class once, so equal middles share one
-    graph and one host index."""
-    from looseends.sites import build_site
-
-    site = build_site("U", SiteBounds(2, 2, 3))
-    built, middles = _index_builds_while_factorizing(site, monkeypatch)
-    assert len(built) == len(set(built)) == len(middles) == 53
+    """realize keeps each class's realization, so the build and factorize
+    realize each middle class once, equal middles are one graph, and every
+    graph met has one host index."""
+    _, built, made, middles = _build_and_factorize(monkeypatch)
+    assert len(built) == len(set(built)) == 66
+    assert len(made) == len(set(made)) == len(middles) == 53
+    assert middles == set(made)
 
 
 def test_index_builds_do_not_depend_on_earlier_sites(monkeypatch):
     """Emb classes carry the host they were asked for, not an equal host
     seen earlier in the process, so a larger site built first changes
-    nothing: still one index per distinct middle."""
+    nothing: still one index per graph and one realization per middle."""
     from looseends.sites import build_site
 
     build_site("U", SiteBounds(2, 3, 3))
-    site = build_site("U", SiteBounds(2, 2, 3))
-    built, middles = _index_builds_while_factorizing(site, monkeypatch)
-    assert len(built) == len(set(built)) == len(middles) == 53
+    site, built, made, middles = _build_and_factorize(monkeypatch)
+    assert len(built) == len(set(built)) == 66
+    assert len(made) == len(set(made)) == len(middles) == 53
     for g in site.objects:
         h = UGraph(g.name, g.dagger, g.t, g.vertices)
         assert h == g and h is not g
@@ -712,6 +724,32 @@ def test_factorizations_are_pinned(a05_sites):
     assert digest.hexdigest() == (
         "01879b5acacee205fef2523a65041322576f08eb9f132f05ea1e64d2aa9d2547"
     )
+
+
+def test_kept_realizations_are_never_changed(a05_sites):
+    """realize hands every caller the one realization it keeps, so none may
+    change it: after the site builds and a factorization of every
+    morphism, each kept realization equals the one realized afresh on a
+    copy of its host, graph and embedding alike."""
+    for site in a05_sites.values():
+        for ref in site.all_refs():
+            factorize(site.morph(ref))
+    hosts = [g for site in a05_sites.values() for g in site.objects]
+    seen, checked = set(), 0
+    while hosts:
+        g = hosts.pop()
+        ix = g.__dict__.get("_emb_index")
+        if id(g) in seen or ix is None:
+            continue
+        seen.add(id(g))
+        copy = type(g).from_ends(g.name, ends_by_edge(g), g.vertices)
+        for x, (h, m) in ix.realized.items():
+            k, n = realize(dataclasses.replace(x, host=copy))
+            assert (h.name, h._key) == (k.name, k._key), x
+            assert (m.component, m.vertex_map) == (n.component, n.vertex_map), x
+            hosts.append(h)
+            checked += 1
+    assert checked > 1000
 
 
 @st.composite
