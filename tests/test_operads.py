@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import random
 
@@ -384,6 +383,7 @@ def _graded(P):
 
 
 _REMOVE = object()
+_TABLES = ("identities", "actions", "compositions", "contractions")
 
 
 def _mutations(P, table):
@@ -400,7 +400,11 @@ def _mutations(P, table):
                 del entries[key]
             else:
                 entries[key] = alt
-            yield dataclasses.replace(P, **{table: entries})
+            tables = {t: getattr(P, t) for t in _TABLES}
+            tables[table] = entries
+            yield OperadPresentation(
+                P.name, P.flavor, P.colors, P.dagger, P.ops, P.op_profile, caps=P.caps, **tables
+            )
 
 
 def _validation_error(validate, P):
