@@ -1,26 +1,32 @@
 """Run-wide knobs: search budgets, site truncation bounds, operad table caps."""
 
-from dataclasses import dataclass
+from .records import Record, setfield
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     # search nodes allowed per oracle call before SearchBudgetExceeded
-    nodes: int = 10**6
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes=10**6):
+        setfield(self, "nodes", nodes)
 
 
-@dataclass(frozen=True)
-class SiteBounds:
-    max_vertices: int = 3
-    max_edges: int = 6
-    max_arity: int = 3
+class SiteBounds(Record):
+    __slots__ = ("max_vertices", "max_edges", "max_arity")
+
+    def __init__(self, max_vertices=3, max_edges=6, max_arity=3):
+        setfield(self, "max_vertices", max_vertices)
+        setfield(self, "max_edges", max_edges)
+        setfield(self, "max_arity", max_arity)
 
 
-@dataclass(frozen=True)
-class OperadCaps:
+class OperadCaps(Record):
     # longest profile tabulated, and most operations per profile
-    max_arity: int = 4
-    max_ops_per_profile: int = 16
+    __slots__ = ("max_arity", "max_ops_per_profile")
+
+    def __init__(self, max_arity=4, max_ops_per_profile=16):
+        setfield(self, "max_arity", max_arity)
+        setfield(self, "max_ops_per_profile", max_ops_per_profile)
 
 
 DEFAULT_BUDGET = Budget()

@@ -10,25 +10,29 @@ a brute-force enumeration of embeddings elsewhere in the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import fail
 from .etale import EtaleMap, enumerate_etale
 from .graphs import DGraph, UGraph, by_side, is_connected, port_table, sides
+from .records import Record, setfield
 
 # Classes key the hot dicts of graph maps and host indexes, so each hashes
 # its fields once, at construction, into a slot that equality ignores.
 
 
-@dataclass(frozen=True, slots=True)
-class EmbEdge:
-    host: object
-    edge: object
-    _hash: int = field(init=False, repr=False, compare=False)
+class EmbEdge(Record):
+    __slots__ = ("host", "edge", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.host, self.edge)))
+    def __init__(self, host, edge):
+        setfield(self, "host", host)
+        setfield(self, "edge", edge)
+        setfield(self, "_hash", hash((host, edge)))
+
+    def __eq__(self, other):
+        if other.__class__ is EmbEdge:
+            return (self.host, self.edge) == (other.host, other.edge)
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -44,15 +48,19 @@ class EmbEdge:
         return f"[edge {self.edge}]"
 
 
-@dataclass(frozen=True, slots=True)
-class EmbRegion:
-    host: object
-    vertices: frozenset
-    glued: frozenset  # internal edges kept intact
-    _hash: int = field(init=False, repr=False, compare=False)
+class EmbRegion(Record):
+    __slots__ = ("host", "vertices", "glued", "_hash")  # glued: internal edges kept intact
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.host, self.vertices, self.glued)))
+    def __init__(self, host, vertices, glued):
+        setfield(self, "host", host)
+        setfield(self, "vertices", vertices)
+        setfield(self, "glued", glued)
+        setfield(self, "_hash", hash((host, vertices, glued)))
+
+    def __eq__(self, other):
+        if other.__class__ is not EmbRegion:
+            return NotImplemented
+        return (self.host, self.vertices, self.glued) == (other.host, other.vertices, other.glued)
 
     def __hash__(self):
         return self._hash
@@ -358,14 +366,15 @@ class HostIndex:
 
     @cached_property
     def union_triples(self):
-        """Positions (i, j, k) in Emb with emb[k] among unions(emb[i],
-        emb[j]), in the order of a loop over i, then j, then the unions, as
-        three columns."""
+        """Positions (i, j, k), i <= j, in Emb with emb[k] among
+        unions(emb[i], emb[j]), in the order of a loop over i, then j, then
+        the unions, as three columns.  unions is symmetric, so the pairs
+        with j < i would repeat these tests."""
         pos = {x: k for k, x in enumerate(self.emb)}
         triples = [
             (i, j, pos[z])
             for i, x in enumerate(self.emb)
-            for j, y in enumerate(self.emb)
+            for j, y in enumerate(self.emb[i:], i)
             for z in unions(x, y)
         ]
         return _columns(triples, 3)

@@ -36,10 +36,10 @@ connectivity off an ends list before any graph is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import fail
+from .records import Record, setfield
 
 
 class _Graph:
@@ -431,11 +431,13 @@ def ends_by_edge(g):
 # subgraphs
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    host: object
-    edge_set: frozenset
-    vertex_set: frozenset
+class Subgraph(Record):
+    __slots__ = ("host", "edge_set", "vertex_set")
+
+    def __init__(self, host, edge_set, vertex_set):
+        setfield(self, "host", host)
+        setfield(self, "edge_set", edge_set)
+        setfield(self, "vertex_set", vertex_set)
 
 
 def subgraph(g, edge_set, vertex_set):
@@ -467,15 +469,16 @@ def subgraph_view(s: Subgraph, name=None):
 # shape predicates
 
 
-@dataclass(frozen=True)
-class GraphShape:
-    is_edge: bool
-    is_star: bool
-    is_linear: bool
-    is_tree: bool
-    is_acyclic: object  # None for undirected graphs
-    is_connected: bool
-    is_simply_connected: bool
+class GraphShape(Record):
+    # is_acyclic is None for undirected graphs
+    __slots__ = (
+        "is_edge", "is_star", "is_linear", "is_tree", "is_acyclic", "is_connected",
+        "is_simply_connected",
+    )
+
+    def __init__(self, *flags):
+        for name, flag in zip(self.__slots__, flags, strict=True):
+            setfield(self, name, flag)
 
 
 def _incidence(ends, n):

@@ -20,11 +20,11 @@ per flavor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
-from .config import DEFAULT_CAPS, OperadCaps
+from .config import DEFAULT_CAPS
 from .errors import fail
 from .graphs import by_side, joined, port_table, sides
+from .records import Record, setfield
 
 UNDIRECTED_FLAVORS = ("augCyclic", "cyclic", "modular")
 DIRECTED_FLAVORS = ("dioperad", "wheeledProperad")
@@ -39,26 +39,36 @@ def flavor_allows_empty_profile(flavor):
     return flavor != "cyclic"
 
 
-@dataclass
-class OperadPresentation:
-    name: str
-    flavor: str
-    colors: tuple
-    dagger: dict  # color involution (undirected flavors; identity allowed)
-    ops: dict  # profile -> tuple of op names
-    op_profile: dict  # op -> profile
-    compositions: dict  # (p, i, j, q) -> r
-    contractions: dict  # (p, i, j) -> r
-    actions: dict  # (p, perm) -> q  (perm tuple; pair of tuples directed)
-    identities: dict  # color -> op
-    caps: OperadCaps = field(default_factory=lambda: DEFAULT_CAPS)
+class OperadPresentation(Record):
+    """A mutable record: the tables are filled in place, so it has no hash."""
+
+    # dagger: color -> color, the involution (undirected flavors; identity
+    # allowed); ops: profile -> tuple of op names; op_profile: op -> profile;
+    # compositions: (p, i, j, q) -> r; contractions: (p, i, j) -> r;
+    # actions: (p, perm) -> q (perm tuple; pair of tuples directed);
+    # identities: color -> op
+    __slots__ = (
+        "name", "flavor", "colors", "dagger", "ops", "op_profile", "compositions",
+        "contractions", "actions", "identities", "caps", "directed",
+    )
+    __hash__ = None
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self, name, flavor, colors, dagger, ops, op_profile,
+        compositions, contractions, actions, identities, caps=DEFAULT_CAPS,
+    ):
+        self.name, self.flavor, self.colors, self.dagger = name, flavor, colors, dagger
+        self.ops, self.op_profile = ops, op_profile
+        self.compositions, self.contractions = compositions, contractions
+        self.actions, self.identities, self.caps = actions, identities, caps
 
     def __setattr__(self, name, value):
         # directed is read on every profile and port access: kept in step
         # with the flavor rather than recomputed
-        super().__setattr__(name, value)
+        setfield(self, name, value)
         if name == "flavor":
-            super().__setattr__("directed", value in DIRECTED_FLAVORS)
+            setfield(self, "directed", value in DIRECTED_FLAVORS)
 
     def dual(self, c):
         """The color an entry of color c pairs with."""
@@ -154,10 +164,20 @@ def _act_profile(P, x, perm):
 # term calculus: operations with named ports
 
 
-@dataclass(frozen=True)
-class Term:
-    op: str
-    ports: tuple  # tuple of labels; directed: (in labels, out labels)
+class Term(Record):
+    __slots__ = ("op", "ports")  # ports: labels; directed: (in labels, out labels)
+
+    def __init__(self, op, ports):
+        setfield(self, "op", op)
+        setfield(self, "ports", ports)
+
+    def __eq__(self, other):
+        if other.__class__ is Term:
+            return (self.op, self.ports) == (other.op, other.ports)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.ports))
 
 
 def op_term(P, p, tag):
@@ -771,18 +791,32 @@ def subtree_of_op(P, g, p):
 # decorated graphs and evaluation
 
 
-@dataclass(frozen=True)
-class DecoratedGraph:
+class DecoratedGraph(Record):
     """A coloring of the host's arcs/edges plus an operation per vertex.
 
     coloring: arc -> color (involutive) or edge -> color.
     decoration: vertex -> op whose profile matches the coloring of the star
-    boundary listed in canonical (sorted) order.
+    boundary listed in canonical (sorted) order.  Nerve values key every
+    presheaf action table, so the hash is kept, as Emb classes keep theirs.
     """
 
-    host: object
-    coloring: tuple  # sorted items
-    decoration: tuple  # sorted items
+    __slots__ = ("host", "coloring", "decoration", "_hash")  # items, sorted
+
+    def __init__(self, host, coloring, decoration):
+        setfield(self, "host", host)
+        setfield(self, "coloring", coloring)
+        setfield(self, "decoration", decoration)
+        setfield(self, "_hash", hash((host, coloring, decoration)))
+
+    def __eq__(self, other):
+        if other.__class__ is DecoratedGraph:
+            return (self.host, self.coloring, self.decoration) == (
+                other.host, other.coloring, other.decoration
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def color(self, key):
         return dict(self.coloring)[key]

@@ -802,13 +802,31 @@ def test_factorize_rejects_an_unknown_category(tmp_path, capsys):
     assert out == "error UnknownCategory: line 1: unknown category 'XYZ'\n"
 
 
+def _subprocess_env():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cold_start_imports_no_dataclasses():
+    """Every command starts a fresh interpreter, so the package keeps clear
+    of dataclasses and the inspect, ast, dis and tokenize modules it pulls
+    in: they cost more than the rest of the import."""
+    code = "import sys, looseends, looseends.cli; print(*sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert "looseends.cli" in out.stdout.split()
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(out.stdout.split())
+
+
 def test_closed_pipe_exits_quietly():
     """A reader that closes the pipe after one line of a report far longer
     than the pipe holds gets that line; the command exits with its own
     status and writes nothing to stderr."""
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _subprocess_env()
     for extra in ([], ["--json"]):
         argv = [sys.executable, "-m", "looseends.cli", "site-build", "--category", "U", *extra]
         proc = subprocess.Popen(
