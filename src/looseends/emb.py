@@ -30,9 +30,9 @@ class EmbEdge(Record):
         setfield(self, "_hash", hash((host, edge)))
 
     def __eq__(self, other):
-        if other.__class__ is EmbEdge:
-            return (self.host, self.edge) == (other.host, other.edge)
-        return NotImplemented
+        if other.__class__ is not EmbEdge:
+            return NotImplemented
+        return (self.host, self.edge) == (other.host, other.edge)
 
     def __hash__(self):
         return self._hash

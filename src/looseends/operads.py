@@ -53,6 +53,7 @@ class OperadPresentation(Record):
     )
     __hash__ = None
     __delattr__ = object.__delattr__
+    __reduce__ = object.__reduce__  # directed is a field but no __init__ argument
 
     def __init__(
         self, name, flavor, colors, dagger, ops, op_profile,
@@ -172,9 +173,9 @@ class Term(Record):
         setfield(self, "ports", ports)
 
     def __eq__(self, other):
-        if other.__class__ is Term:
-            return (self.op, self.ports) == (other.op, other.ports)
-        return NotImplemented
+        if other.__class__ is not Term:
+            return NotImplemented
+        return (self.op, self.ports) == (other.op, other.ports)
 
     def __hash__(self):
         return hash((self.op, self.ports))
@@ -800,7 +801,7 @@ class DecoratedGraph(Record):
     presheaf action table, so the hash is kept, as Emb classes keep theirs.
     """
 
-    __slots__ = ("host", "coloring", "decoration", "_hash")  # items, sorted
+    __slots__ = ("host", "coloring", "decoration", "_hash")  # sorted items
 
     def __init__(self, host, coloring, decoration):
         setfield(self, "host", host)
@@ -809,11 +810,11 @@ class DecoratedGraph(Record):
         setfield(self, "_hash", hash((host, coloring, decoration)))
 
     def __eq__(self, other):
-        if other.__class__ is DecoratedGraph:
-            return (self.host, self.coloring, self.decoration) == (
-                other.host, other.coloring, other.decoration
-            )
-        return NotImplemented
+        if other.__class__ is not DecoratedGraph:
+            return NotImplemented
+        return (self.host, self.coloring, self.decoration) == (
+            other.host, other.coloring, other.decoration
+        )
 
     def __hash__(self):
         return self._hash

@@ -22,9 +22,9 @@ class Record:
         return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
     def __hash__(self):
         return hash(self._values())
@@ -32,6 +32,10 @@ class Record:
     def __repr__(self):
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild a record through __init__, past the refusal
+        return type(self), self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -1,11 +1,21 @@
 """The record classes: reprs, equality, hashing, immutability, defaults."""
 
+import copy
+import pickle
+
 import pytest
 
 from looseends.config import DEFAULT_CAPS, Budget, OperadCaps, SiteBounds
 from looseends.emb import EmbEdge, EmbRegion
 from looseends.graphs import GraphShape, Subgraph, make_edge, make_star, shape, subgraph
-from looseends.operads import DecoratedGraph, OperadPresentation, Term, decorated, io_presentation
+from looseends.operads import (
+    DecoratedGraph,
+    OperadPresentation,
+    Term,
+    decorated,
+    io_presentation,
+    monoid_dioperad,
+)
 
 G = make_star(2)
 E1, E2 = G.edge_keys
@@ -120,6 +130,12 @@ def test_frozen_records_refuse_assignment(x, values, text):
     assert repr(x) == text
 
 
+@pytest.mark.parametrize("x, values, text", RECORDS, ids=IDS)
+def test_records_survive_pickle_and_copy(x, values, text):
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert y == x and hash(y) == hash(x) and repr(y) == text
+
+
 def test_defaults_and_keyword_forms():
     assert Budget().nodes == 10**6
     assert Budget(nodes=7) == Budget(7)
@@ -180,3 +196,9 @@ def test_operad_presentation_defaults_to_the_default_caps():
     )
     assert Q.caps is DEFAULT_CAPS
     assert Q.directed is False
+
+
+def test_operad_presentation_survives_pickle_and_copy():
+    P = monoid_dioperad()
+    for Q in (pickle.loads(pickle.dumps(P)), copy.copy(P), copy.deepcopy(P)):
+        assert Q == P and Q.directed is True and repr(Q) == repr(P)
