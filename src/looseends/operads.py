@@ -175,7 +175,7 @@ class Term(Record):
     def __eq__(self, other):
         if other.__class__ is not Term:
             return NotImplemented
-        return (self.op, self.ports) == (other.op, other.ports)
+        return self.op == other.op and self.ports == other.ports
 
     def __hash__(self):
         return hash((self.op, self.ports))
