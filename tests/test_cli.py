@@ -593,6 +593,53 @@ def test_directed_input_to_orientations_fails_flavor_mismatch(argv, tmp_path, ca
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "command, tag, functor",
+    [
+        ("kan", "U", "Omega-to-Ucyc"),
+        ("kan", "U0", "O-to-U"),
+        ("elements-check", "U", "O0-to-U0"),
+        ("elements-check", "U0", "O-to-U"),
+    ],
+)
+def test_functor_must_land_in_the_sites_category(command, tag, functor, tmp_path, capsys):
+    """Each functor lands in one category (O-to-U in U, O0-to-U0 in U0,
+    Omega-to-Ucyc in Ucyc), so a site of another tag fails
+    FunctorMismatch with exit 1, rather than report a functor that it did
+    not compute."""
+    manifest = tmp_path / "site.json"
+    site_build = ["site-build", "--category", tag, "--vertices", "1", "--edges", "1"]
+    assert main(site_build + ["-o", str(manifest)]) == 0
+    capsys.readouterr()
+    status = main([command, "--site", str(manifest), "--functor", functor, "--json"])
+    captured = capsys.readouterr()
+    body = json.loads(captured.out)
+    assert status == 1
+    assert (body["error"], captured.err) == ("FunctorMismatch", "")
+    assert functor in body["detail"] and tag in body["detail"]
+
+
+def test_segal_names_a_presheaf_that_is_no_functor(u0_manifest, tmp_path, capsys):
+    """A presheaf file whose identity moves one element is no functor, and
+    segal fails NotFunctorial, naming the law and not the site."""
+    from looseends.presheaves import orientation_presheaf
+    from looseends.textio import presheaf_to_text, site_from_manifest
+
+    site = site_from_manifest(u0_manifest.read_text())
+    X = orientation_presheaf(site)
+    i = next(i for i in range(len(site.objects)) if len(X.value(i)) > 1)
+    x, y = X.value(i)[:2]
+    X.action[site.identity_ref(i)][x] = y
+    path = tmp_path / "moved.psh"
+    path.write_text(presheaf_to_text(X))
+    status = main(["segal", str(path), "--site", str(u0_manifest), "--json"])
+    captured = capsys.readouterr()
+    body = json.loads(captured.out)
+    assert status == 1
+    assert (body["error"], captured.err) == ("NotFunctorial", "")
+    assert body["detail"] == f"identity acts nontrivially at {i}"
+
+
 @pytest.mark.parametrize("index", ["999", "3", "-1"])
 def test_kan_object_out_of_range_exits_2(index, u0_manifest, capsys):
     """kan --object names a base object by its index 0..n-1 (U0 at these

@@ -76,6 +76,12 @@ class TestEnumerate:
             enumerate_emb(example18)
         assert ei.value.code == "NotConnected"
 
+    def test_whole_of_a_disconnected_host_is_rejected(self, example18):
+        # no class of Emb is the whole host, so id_element has none to give
+        with pytest.raises(LooseEndsError) as ei:
+            id_element(example18)
+        assert ei.value.code == "NotConnected"
+
 
 class TestRealize:
     def test_edge(self, theta):
@@ -176,6 +182,23 @@ class TestUnions:
         with pytest.raises(LooseEndsError) as ei:
             region(theta, ["u", "zz"], [])
         assert ei.value.code == "UnknownVertex"
+
+    def test_common_vertices_spanning_no_class_are_rejected(self, four_cycle):
+        # two paths around the square meet in the opposite corners a and c,
+        # which no class spans: they are not subtrees of one tree
+        k = four_cycle.edge_key
+        x = region(four_cycle, "abc", [k("ab"), k("bc")])
+        y = region(four_cycle, "acd", [k("cd"), k("da")])
+        with pytest.raises(LooseEndsError) as ei:
+            intersect_subtrees(x, y)
+        assert ei.value.code == "NotTrees"
+
+    def test_a_region_outside_emb_is_rejected(self, four_cycle):
+        # the order and union tests read codes, which only classes have
+        corners = EmbRegion(four_cycle, frozenset("ac"), frozenset())
+        with pytest.raises(LooseEndsError) as ei:
+            leq(corners, id_element(four_cycle))
+        assert ei.value.code == "UnknownClass"
 
 
 class TestVertexDisjoint:

@@ -13,6 +13,7 @@ from looseends.emb import (
     edge_element,
     enumerate_emb,
     id_element,
+    index,
     intersect_subtrees,
     overlap,
     realize,
@@ -618,6 +619,28 @@ def test_site_maps_hold_their_hosts_own_classes(a05_sites):
         for maps in site.homs.values():
             for m in maps:
                 assert all(own[x] is x and own[y] is y for x, y in m.phi_hat.items())
+
+
+def test_maps_and_their_factorizations_hold_their_hosts_own_classes(a05_sites):
+    """Every key and value of phi_hat, in every map of the A05 sites and in
+    both parts of its factorization, is the very object that its host's
+    index lists: each class is made once, in its host's index, and every
+    path hands that object out."""
+    own = {}  # id of a host -> (the host, the ids of its index's classes)
+
+    def fresh(g, xs):
+        ids = own.setdefault(id(g), (g, {id(x) for x in index(g).emb}))[1]
+        return sum(id(x) not in ids for x in xs)
+
+    found = Counter()
+    for key, site in a05_sites.items():
+        for ref in site.all_refs():
+            m = site.morph(ref)
+            for part in (m, *factorize(m)):
+                found[key] += fresh(part.source, part.phi_hat) + fresh(
+                    part.target, part.phi_hat.values()
+                )
+    assert +found == {}
 
 
 def _build_and_factorize(monkeypatch):
