@@ -14,7 +14,18 @@ from functools import cached_property
 
 from .errors import fail
 from .etale import EtaleMap, enumerate_etale
-from .graphs import DGraph, UGraph, by_side, is_connected, port_table, sides
+from .graphs import (
+    DGraph,
+    UGraph,
+    by_side,
+    canonical_signature,
+    is_connected,
+    make_edge,
+    make_edge_dir,
+    port_table,
+    shape,
+    sides,
+)
 from .records import Record, setfield
 
 # Classes key the hot dicts of graph maps and host indexes, so each hashes
@@ -573,8 +584,6 @@ def is_structured(x) -> bool:
     g = x.host
     if not g.directed:
         fail("FlavorMismatch", "structured subgraphs live in directed graphs")
-    from .graphs import shape
-
     s = shape(g)
     if not s.is_acyclic:
         fail("NotAcyclic", f"{g.name} is not acyclic")
@@ -653,8 +662,6 @@ def oracle_embedding_classes(g):
     """Enumerate embeddings into g modulo domain iso, from first principles:
     generate candidate domains from degree profiles, enumerate etale maps,
     keep the vertex-injective ones, and quotient by triangle isomorphism."""
-    from .graphs import make_edge, make_edge_dir
-
     classes = []
 
     def add(m):
@@ -703,8 +710,6 @@ def _candidate_domains(g):
     """Connected domains with vertex count at most |V_G|, assembled from
     injectively matched degree profiles: internal edges are partial matchings
     on attachment slots, unmatched slots become boundary legs."""
-    from .graphs import canonical_signature
-
     verts = sorted(g.vertices)
     seen = set()
     for k in range(1, len(verts) + 1):

@@ -718,7 +718,7 @@ def isomorphic(g, h) -> bool:
 # brute-force path oracles (kept naive on purpose; used to cross-check shape)
 
 
-def enumerate_path_cycles(u: UGraph, cap=None):
+def enumerate_path_cycles(u: UGraph):
     """Cycles per the alternating arc/vertex definition: simple closed paths
     of length > 1 starting and ending at the same arc or vertex, never
     re-traversing an edge by immediate reversal."""
@@ -758,20 +758,20 @@ def enumerate_path_cycles(u: UGraph, cap=None):
     return cycles
 
 
-def enumerate_directed_paths(d: DGraph, simple=True):
+def enumerate_directed_paths(d: DGraph):
     """Directed paths of the form e0 v1 e1 ... vn en (begin and end with an
-    edge).  With simple=True intermediate elements never repeat, which is
-    complete on acyclic graphs."""
+    edge) whose intermediate elements never repeat, which is complete on
+    acyclic graphs."""
     out = []
 
     def extend(p, seen):
         out.append(tuple(p))
         e = p[-1]
         v = d.inputs.get(e)
-        if v is None or (simple and v in seen):
+        if v is None or v in seen:
             return
         for e2 in sorted(d.out_of(v)):
-            if simple and e2 in seen:
+            if e2 in seen:
                 continue
             p.extend((v, e2))
             extend(p, seen | {v, e2})

@@ -22,8 +22,19 @@ from __future__ import annotations
 import itertools
 
 from .config import DEFAULT_CAPS
+from .emb import boundary, enumerate_emb, realize, unions, vertex_element
 from .errors import fail
-from .graphs import by_side, joined, port_table, sides
+from .gmaps import extend_tree_map
+from .graphs import (
+    by_side,
+    complete_slot_maps,
+    extend_slot_map,
+    is_connected,
+    joined,
+    port_table,
+    shape,
+    sides,
+)
 from .records import Record, setfield
 
 UNDIRECTED_FLAVORS = ("augCyclic", "cyclic", "modular")
@@ -510,13 +521,13 @@ def _check_associativity(P):
     plans = {}
     for (p, i, j, q), mid in comp.items():
         for s, k, l in attachments.get(mid, ()):
-            shape = (shapes[p], shapes[q], shapes[s], i, j, k, l)
-            if shape not in plans:
+            key = (shapes[p], shapes[q], shapes[s], i, j, k, l)
+            if key not in plans:
                 tp, tq, ts = roles[p]["p"], roles[q]["q"], roles[s]["s"]
-                plans[shape] = _associativity_plan(P, tp, tq, ts, i, j, k, l)
-            if plans[shape] is None:
+                plans[key] = _associativity_plan(P, tp, tq, ts, i, j, k, l)
+            if plans[key] is None:
                 continue
-            (a1, i1, j1, b1), (a2, i2, j2, b2), perm = plans[shape]
+            (a1, i1, j1, b1), (a2, i2, j2, b2), perm = plans[key]
             ops = {"p": p, "q": q, "s": s}
             ops["r"] = comp.get((ops[a1], i1, j1, ops[b1]))
             rhs = None if ops["r"] is None else comp.get((ops[a2], i2, j2, ops[b2]))
@@ -738,9 +749,6 @@ def free_cyclic(g, caps=DEFAULT_CAPS):
     boundary; composition is union of subtrees.  Profiles beyond the arity
     cap are omitted (and compositions landing there).
     """
-    from .emb import boundary, enumerate_emb, unions
-    from .graphs import shape
-
     if g.directed or not shape(g).is_tree:
         fail("NotATree", g.name)
 
@@ -779,8 +787,6 @@ def free_cyclic(g, caps=DEFAULT_CAPS):
 
 def subtree_of_op(P, g, p):
     """Recover the subtree class of an op of free_cyclic(g) from its profile."""
-    from .emb import boundary, enumerate_emb
-
     want = frozenset(P.op_profile[p])
     for t in enumerate_emb(g):
         if frozenset(boundary(t)) == want:
@@ -896,8 +902,6 @@ def evaluate(P, d: DecoratedGraph, rng=None):
     collapse order; order independence is a property the tests check, not an
     assumption here.
     """
-    from .graphs import is_connected
-
     g = d.host
     if not is_connected(g):
         fail("NotClosed", "evaluate needs a connected host")
@@ -987,8 +991,6 @@ def pull_decoration(P, incl, d: DecoratedGraph) -> DecoratedGraph:
 def evaluate_region(P, d: DecoratedGraph, x):
     """Evaluate the sub-decoration carried by an embedding class x of the
     host; the resulting term's ports are host arcs (edges, directed)."""
-    from .emb import realize
-
     k, incl = realize(x)
     t = evaluate(P, pull_decoration(P, incl, d))
     return Term(t.op, _ports(k, t.ports, lambda port: incl.component[_slot(k, port)]))
@@ -1001,8 +1003,6 @@ def nerve_action(P, m, d: DecoratedGraph, regions=None) -> DecoratedGraph:
     regions, when given, is a dict that keeps the term of each evaluated
     (decoration, class) pair for the next call; whoever passes it sets how
     long it lives."""
-    from .emb import vertex_element
-
     g = m.source
     col_t = dict(d.coloring)
     col = {s: col_t[m.phi0[s]] for s in g.slots}
@@ -1029,8 +1029,6 @@ def nerve_action(P, m, d: DecoratedGraph, regions=None) -> DecoratedGraph:
 def operad_homs(PH, h, PG, g):
     """All morphisms C(h) -> C(g): an involutive color map plus a
     color-compatible image operation per generator."""
-    from .graphs import complete_slot_maps, extend_slot_map
-
     verts = sorted(h.vertices)
     out = []
 
@@ -1062,8 +1060,6 @@ def operad_homs(PH, h, PG, g):
 def hom_to_tree_map(hom, h, g, PG):
     """The tree map witnessing an operad hom: phi0 is the color map and each
     vertex goes to the subtree underlying its image operation."""
-    from .gmaps import extend_tree_map
-
     f0, images = hom
     phi1 = {v: subtree_of_op(PG, g, q) for v, q in images.items()}
     return extend_tree_map(h, g, f0, phi1)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import itertools
 
+from .config import DEFAULT_BUDGET
 from .errors import LooseEndsError, fail
+from .gmaps import enumerate_graph_maps
+from .operads import enumerate_decorations, nerve_action
 from .sites import (
     ElementsSite,
     Site,
@@ -126,8 +129,6 @@ def nerve_presheaf(P, site):
     """The nerve of an operad presentation on a matching site.  Each
     (decoration, target class) region is evaluated once, through a memo that
     lives for this call only."""
-    from .operads import enumerate_decorations, nerve_action
-
     if any(g.directed != P.directed for g in site.objects):
         fail("FlavorMismatch", f"{P.flavor} against a {site.tag} site")
     regions = {}
@@ -340,9 +341,6 @@ def kan_formula_matches_oracle(els: ElementsSite, Z: Presheaf, i):
 
 def elements_equivalence_check(els: ElementsSite, budget=None):
     """Directly enumerate directed homs and compare with the lifted ones."""
-    from .config import DEFAULT_BUDGET
-    from .gmaps import enumerate_graph_maps
-
     budget = budget or DEFAULT_BUDGET
     report = {"objects": len(els.pairs), "hom_pairs": 0, "mismatches": []}
     d = els.directed
