@@ -29,7 +29,9 @@ from .graphs import (
 from .records import Record, setfield
 
 # Classes key the hot dicts of graph maps and host indexes, so each hashes
-# its fields once, at construction, into a slot that equality ignores.
+# its fields once, at construction, into a slot that equality ignores.  The
+# fast path builds them only in HostIndex and hands out the index's own
+# objects; class_of_embedding and the tests build fresh ones to check it.
 
 
 class EmbEdge(Record):
@@ -105,9 +107,10 @@ def region(g, vertices, glued):
     vmask = ix.vertex_mask(vertices)
     if not glued <= ix.ebit.keys() or ix.edge_mask(glued) & ~ix.internal(vmask):
         fail("UnknownEdge", "glued edges must be internal to the region")
-    if not ix.connected(vmask, ix.edge_mask(glued)):
+    x = ix.region(vmask, ix.edge_mask(glued))
+    if x is None:
         fail("NotClosed", "region does not realize a connected graph")
-    return EmbRegion(g, vertices, glued)
+    return x
 
 
 def edge_element(g, e):
@@ -127,10 +130,7 @@ def vertex_element(g, v):
 
 def id_element(g):
     """The class of the whole host."""
-    if g.vertices:
-        return index(g).top
-    (e,) = g.edge_keys
-    return EmbEdge(g, e)
+    return index(g).top
 
 
 def enumerate_emb_pieces(g):
@@ -227,9 +227,12 @@ class HostIndex:
 
     @cached_property
     def top(self):
-        """The class of the whole host, which has vertices."""
+        """The class of the whole host: its one edge, or the region on all
+        its vertices with every internal edge glued."""
+        if not self.host_connected:
+            fail("NotConnected", "no class of Emb is a disconnected host")
         full = self.vertex_mask(self.host.vertices)
-        return self.region(full, self.internal(full))
+        return self.region(full, self.internal(full)) if full else self.emb[0]
 
     @cached_property
     def slot_bits(self):
@@ -306,7 +309,7 @@ class HostIndex:
 
     def subtree(self, vmask):
         """The region on vmask with all its internal edges glued (in a tree
-        host, the subtree on vmask), kept by mask."""
+        host, the subtree on vmask), or None if no class is; kept by mask."""
         x = self._subtrees.get(vmask)
         if x is None:
             x = self._subtrees[vmask] = self.region(vmask, self.internal(vmask))
@@ -342,9 +345,11 @@ class HostIndex:
         return reached == vmask
 
     def code(self, x):
-        """The masks (V, Z, T, C) of x, looked up for the classes of Emb."""
+        """The masks (V, Z, T, C) of the class x of Emb."""
         c = self.codes.get(x)
-        return self._encode(x) if c is None else c
+        if c is None:
+            fail("UnknownClass", f"{x!r} is no class of Emb({self.host.name})")
+        return c
 
     def _encode(self, x):
         if isinstance(x, EmbEdge):
@@ -354,16 +359,11 @@ class HostIndex:
         return v, self.edge_mask(x.glued), v, self.incident(v)
 
     def region(self, vmask, zmask):
-        """The region with masks (vmask, zmask)."""
+        """The region with masks (vmask, zmask), or None if no class is."""
         for c, x in self.by_v.get(vmask, ()):
             if c[1] == zmask:
                 return x
-        g = self.host
-        return EmbRegion(
-            g,
-            frozenset(v for v in g.vertices if self.vbit[v] & vmask),
-            frozenset(self.edges_in(zmask)),
-        )
+        return None
 
     @cached_property
     def disjoint_pairs(self):
@@ -561,14 +561,15 @@ def class_of_embedding(m: EtaleMap):
 
 
 def pushforward(m: EtaleMap, x):
-    """Image of x in Emb(target) along the embedding m with source = x.host."""
+    """Image of x in Emb(target) along the embedding m with source = x.host,
+    read from the target's index."""
     if x.host != m.source:
         fail("HostMismatch", "pushforward needs x on the embedding's source")
+    ix = index(m.target)
     if isinstance(x, EmbEdge):
-        return EmbEdge(m.target, m.edge_image(x.edge))
-    vset = frozenset(m.vertex_map[v] for v in x.vertices)
-    glued = frozenset(m.edge_image(e) for e in x.glued)
-    return EmbRegion(m.target, vset, glued)
+        return ix.edge_class[m.edge_image(x.edge)]
+    vmask = ix.vertex_mask({m.vertex_map[v] for v in x.vertices})
+    return ix.region(vmask, ix.edge_mask({m.edge_image(e) for e in x.glued}))
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +638,10 @@ def intersect_subtrees(x, y):
     vy, _, _, cy = ix.code(y)
     common_v = vx & vy
     if common_v:
-        return ix.subtree(common_v)
+        common = ix.subtree(common_v)
+        if common is None:
+            fail("NotTrees", "the common vertices span no class")
+        return common
     common_e = cx & cy
     if not common_e:
         return None

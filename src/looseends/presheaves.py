@@ -235,38 +235,24 @@ def restrict_presheaf(els: ElementsSite, X: Presheaf) -> Presheaf:
 
 
 def left_kan_formula(els: ElementsSite, Z: Presheaf) -> Presheaf:
-    """f_!Z on the base site: tagged coproduct over orientations (rootings),
-    with action by orientation restriction plus the lifted morphism."""
+    """f_!Z on the base site: at object i, the sum of Z over the fibre of
+    i, each summand tagged by its orientation (rooting).  A base map acts on
+    a summand through its one lift into the summand's object, and lands in
+    the summand of that lift's source."""
     if Z.site is not els.directed:
         fail("SiteTooSmall", "presheaf lives on the wrong site")
-    base = els.base
+    tags = [tuple(sorted(x)) for _, x in els.pairs]
+    over = {(i, tags[k]): k for k, (i, _) in enumerate(els.pairs)}
 
     def values(i):
-        out = []
-        for x in sorted(orientations(base.objects[i]), key=sorted):
-            k = els.pair_index.get((i, x))
-            if k is None:
-                continue  # rooted-only sites: skip non-rootings
-            for z in Z.value(k):
-                out.append((tuple(sorted(x)), z))
-        return out
+        return [(tags[k], z) for k in els.fibre(i) for z in Z.value(k)]
 
     def action(ref, elem):
-        i, j, pos = ref
-        xs, z = elem
-        x = frozenset(xs)
-        m = base.morph(ref)
-        x_src = restrict_orientation(x, m.phi0, m.source)
-        k_src = els.pair_index.get((i, x_src))
-        k_dst = els.pair_index[(j, x)]
-        if k_src is None:
-            fail("SiteTooSmall", "restriction left the directed site")
-        dref = els.lifts.get((k_src, k_dst, ref))
-        if dref is None:
-            fail("SiteTooSmall", "no lift of a base morphism")
-        return (tuple(sorted(x_src)), Z.act(dref, z))
+        tag, z = elem
+        dref = els.lifts[(over[(ref[1], tag)], ref)]
+        return tags[dref[0]], Z.act(dref, z)
 
-    return presheaf_from_values(base, values, action, name=f"f!{Z.name}")
+    return presheaf_from_values(els.base, values, action, name=f"f!{Z.name}")
 
 
 def left_kan_oracle(els: ElementsSite, Z: Presheaf, i):
@@ -320,10 +306,7 @@ def kan_formula_matches_oracle(els: ElementsSite, Z: Presheaf, i):
     id_ref = base.identity_ref(i)
     hit = {}
     count = 0
-    for x in sorted(orientations(base.objects[i]), key=sorted):
-        k = els.pair_index.get((i, x))
-        if k is None:
-            continue
+    for k in els.fibre(i):
         for z in Z.value(k):
             count += 1
             cls = locate.get((k, id_ref, z))

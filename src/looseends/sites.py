@@ -36,7 +36,6 @@ from .emb import (
     id_element,
     index,
     is_structured,
-    pushforward,
     realize,
 )
 from .errors import fail
@@ -382,18 +381,13 @@ def _size(g, profile):
 
 def _inclusion(rep, h, incl):
     """incl . rho : rep -> host as an inert graph map, for (h, incl) the
-    realization of a class and rho one iso rep -> h.  It holds the host
-    index's own classes, so maps composed with it do too, as searched maps
-    do."""
+    realization of a class and rho one iso rep -> h."""
     w = iso(rep, h)
     if w is None:
         fail("SiteTooSmall", "iso lookup failed")
     comp = {s: incl.component[c] for s, c in w[0].items()}
     vmap = {v: incl.vertex_map[u] for v, u in w[1].items()}
-    m = EtaleMap(rep, incl.target, comp, vmap, check=False)
-    own = {x: x for x in enumerate_emb(m.target)}
-    phi_hat = {y: own[pushforward(m, y)] for y in enumerate_emb(rep)}
-    return GraphMap(rep, m.target, comp, phi_hat, check=False)
+    return map_from_embedding(EtaleMap(rep, incl.target, comp, vmap, check=False))
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +492,15 @@ class ElementsSite:
 
     @cached_property
     def lifts(self):
-        """(directed source, directed target, base ref) -> the directed ref
-        over it; built on first use, since only Kan extension reads it."""
-        return {(a, b, base_ref): (a, b, pos) for (a, b, pos), base_ref in self.mor_map.items()}
+        """(directed target, base ref) -> the directed ref over the base ref
+        into that target: the one lift of a base map into each object over
+        its target, whose source is the pair of the restricted orientation.
+        Built on first use, since only Kan extension reads it."""
+        return {(b, base_ref): (a, b, pos) for (a, b, pos), base_ref in self.mor_map.items()}
+
+    def fibre(self, i):
+        """The directed objects over base object i, in pair order."""
+        return [k for k, (j, _) in enumerate(self.pairs) if j == i]
 
     def _lift(self):
         """Lift each base map m : i -> j once per pair (j, y), from the pair of

@@ -7,7 +7,7 @@ import json
 import re
 
 from .config import DEFAULT_CAPS
-from .emb import EmbEdge, enumerate_emb, region
+from .emb import EmbEdge, edge_element, enumerate_emb, region
 from .errors import LooseEndsError, fail
 from .etale import EtaleMap
 from .gmaps import CATEGORY_TAGS, DIRECTED_TAGS, GraphMap, extend_tree_map
@@ -153,7 +153,7 @@ def emb_from_text(g, text):
         fail("UnknownArc", f"bad emb element {text!r}")
     body = body[1:-1].strip()
     if body.startswith("edge "):
-        return EmbEdge(g, edge_from_token(g, body[5:].strip()))
+        return edge_element(g, edge_from_token(g, body[5:].strip()))
     if not body.startswith("vertices"):
         fail("UnknownArc", f"bad emb element {text!r}")
     parts = body.split(";")
