@@ -15,7 +15,7 @@ from . import emb as emb_mod
 from . import etale, gmaps, operads, presheaves, sites, textio
 from . import graphs as graphs_mod
 from .config import Budget, OperadCaps, SiteBounds
-from .errors import LooseEndsError
+from .errors import LooseEndsError, fail
 
 REPORT_SCHEMA = 1
 
@@ -376,8 +376,12 @@ def cmd_orient(args):
 
 
 def _build_elements(args):
-    rooted = args.functor == "Omega-to-Ucyc"
-    return sites.build_elements_site(read_site(args), rooted_only=rooted)
+    """The elements site of --functor over the --site manifest, whose tag
+    must be the functor's target; a directed site fails FlavorMismatch."""
+    site, target = read_site(args), FUNCTORS[args.functor]
+    if site.tag != target and site.tag not in gmaps.DIRECTED_TAGS:
+        fail("FunctorMismatch", f"{args.functor} lands in {target}, not in a {site.tag} site")
+    return sites.build_elements_site(site, rooted_only=args.functor == "Omega-to-Ucyc")
 
 
 def cmd_kan(args):
@@ -472,7 +476,7 @@ FLAGS = {
     "budget": dict(type=int, help="search node budget"),
     "site": dict(required=True, help="site manifest"),
 }
-FUNCTORS = ["O-to-U", "O0-to-U0", "Omega-to-Ucyc"]
+FUNCTORS = {"O-to-U": "U", "O0-to-U0": "U0", "Omega-to-Ucyc": "Ucyc"}  # functor -> its target
 
 
 def build_parser():

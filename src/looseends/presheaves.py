@@ -66,7 +66,7 @@ class Presheaf:
             ref = self.site.identity_ref(i)
             for elem in self.values[i]:
                 if self.act(ref, elem) != elem:
-                    fail("SiteTooSmall", f"identity acts nontrivially at {i}")
+                    fail("NotFunctorial", f"identity acts nontrivially at {i}")
         by_source = {}
         for ref in self.site.all_refs():
             by_source.setdefault(ref[0], []).append(ref)
@@ -79,10 +79,7 @@ class Presheaf:
                     direct = self.act(ref, elem)
                     stepwise = self.act(ref1, self.act(ref2, elem))
                     if direct != stepwise:
-                        fail(
-                            "SiteTooSmall",
-                            f"functoriality fails through {ref1} {ref2}",
-                        )
+                        fail("NotFunctorial", f"functoriality fails through {ref1} {ref2}")
         return self
 
 
@@ -163,7 +160,7 @@ def segal_map(X: Presheaf, i):
     injective = len(image_set) == len(X.value(i))
     surjective = image_set == set(limit)
     if not image_set <= set(limit):
-        fail("SiteTooSmall", "Segal map leaves the limit; presheaf not functorial")
+        fail("NotFunctorial", "Segal map leaves the limit; presheaf not functorial")
     return mapping, injective and surjective
 
 
