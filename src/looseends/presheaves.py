@@ -233,23 +233,23 @@ def restrict_presheaf(els: ElementsSite, X: Presheaf) -> Presheaf:
 
 def left_kan_formula(els: ElementsSite, Z: Presheaf) -> Presheaf:
     """f_!Z on the base site: at object i, the sum of Z over the fibre of
-    i, each summand tagged by its orientation (rooting).  A base map acts on
-    a summand through its one lift into the summand's object, and lands in
-    the summand of that lift's source."""
+    i, each summand tagged by its orientation (rooting).  A base map has one
+    lift into each object over its target, so it acts on that object's
+    summand through the lift, into the summand of the lift's source."""
     if Z.site is not els.directed:
         fail("SiteTooSmall", "presheaf lives on the wrong site")
-    tags = [tuple(sorted(x)) for _, x in els.pairs]
-    over = {(i, tags[k]): k for k, (i, _) in enumerate(els.pairs)}
-
-    def values(i):
-        return [(tags[k], z) for k in els.fibre(i) for z in Z.value(k)]
-
-    def action(ref, elem):
-        tag, z = elem
-        dref = els.lifts[(over[(ref[1], tag)], ref)]
-        return tags[dref[0]], Z.act(dref, z)
-
-    return presheaf_from_values(els.base, values, action, name=f"f!{Z.name}")
+    base, tags = els.base, [tuple(sorted(x)) for _, x in els.pairs]
+    values = {
+        i: [(tags[k], z) for k in els.fibre(i) for z in Z.value(k)]
+        for i in range(len(base.objects))
+    }
+    action = {ref: {} for ref in base.all_refs()}
+    for lift, ref in els.mor_map.items():
+        a, b, _ = lift
+        table = action[ref]
+        for z in Z.value(b):
+            table[tags[b], z] = tags[a], Z.act(lift, z)
+    return Presheaf(base, values, action, name=f"f!{Z.name}")
 
 
 def left_kan_oracle(els: ElementsSite, Z: Presheaf, i):

@@ -490,14 +490,6 @@ class ElementsSite:
         """(base index, orientation) -> directed object index."""
         return {pair: k for k, pair in enumerate(self.pairs)}
 
-    @cached_property
-    def lifts(self):
-        """(directed target, base ref) -> the directed ref over the base ref
-        into that target: the one lift of a base map into each object over
-        its target, whose source is the pair of the restricted orientation.
-        Built on first use, since only Kan extension reads it."""
-        return {(b, base_ref): (a, b, pos) for (a, b, pos), base_ref in self.mor_map.items()}
-
     def fibre(self, i):
         """The directed objects over base object i, in pair order."""
         return [k for k, (j, _) in enumerate(self.pairs) if j == i]
