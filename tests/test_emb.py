@@ -15,6 +15,7 @@ from looseends.emb import (
     enumerate_ssb,
     id_element,
     in_out,
+    index,
     intersect_subtrees,
     is_structured,
     leq,
@@ -29,7 +30,7 @@ from looseends.emb import (
 )
 from looseends.errors import LooseEndsError
 from looseends.etale import enumerate_etale, is_embedding
-from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs
+from looseends.gen import gen_connected_dgraphs, gen_connected_ugraphs, gen_trees_u
 from looseends.graphs import (
     is_connected,
     isomorphic,
@@ -425,6 +426,25 @@ class TestKernelAgainstSets:
                     if tree:
                         assert intersect_subtrees(x, y) == _intersect_ref(x, y)
         assert trees == (239 if directed else 22)
+
+
+class TestSplits:
+    def test_a_tree_splits_each_subtree_off_its_first_leaf(self):
+        """On a tree host, splits lists each region of two or more vertices
+        once, in Emb order, as (x, x without its first leaf in host vertex
+        order, that leaf's star): the peels a tree map is extended by."""
+        trees = gen_trees_u(SiteBounds(4, 6, 3))
+        for g in trees:
+            want = []
+            for x in enumerate_emb(g):
+                if isinstance(x, EmbRegion) and len(x.vertices) > 1:
+                    # in a tree a region glues all its internal edges
+                    degree = {v: sum(v in _ends_ref(g, e) for e in x.glued) for v in x.vertices}
+                    leaf = next(v for v in g.vertices if degree.get(v) == 1)
+                    glued = [e for e in x.glued if leaf not in _ends_ref(g, e)]
+                    want.append((x, region(g, x.vertices - {leaf}, glued), vertex_element(g, leaf)))
+            assert index(g).splits == want
+        assert len(trees) == 41
 
 
 def _ends_ref(g, e):

@@ -55,6 +55,7 @@ from looseends.graphs import (
     validate_dgraph,
     validate_ugraph,
 )
+from looseends.textio import emb_from_text
 
 
 def star_cover(g):
@@ -227,6 +228,42 @@ class TestTreeMaps:
                     assert rebuilt == m
                     seen.add(m)
                 assert len(seen) == len(full)
+
+    @pytest.mark.parametrize(
+        "phi0, phi1, where",
+        [
+            (
+                {"e0+": "e1+", "e0-": "e0-", "e1+": "e1-", "e1-": "e0-"},
+                {"v0": "{vertices v0}", "v1": "{vertices v0}", "v2": "{edge e1+}"},
+                ["v0", "v2"],
+            ),
+            (
+                {"e0+": "e1+", "e0-": "e1-", "e1+": "e1-", "e1-": "e0-"},
+                {
+                    "v0": "{vertices v0 v1; uncut e0+}",
+                    "v1": "{vertices v0}",
+                    "v2": "{edge e1+}",
+                },
+                ["v1", "v2"],
+            ),
+        ],
+        ids=["first-region", "second-region"],
+    )
+    def test_vertex_data_without_a_union_names_the_region(self, phi0, phi1, where):
+        """Vertex data whose boundaries match but whose images have no
+        union fails BoundaryIncompatible at the first region, by size and
+        then Emb order, where the union is missing: on the path
+        v0 - v2 - v1, {v0, v2} comes before {v1, v2}."""
+        pairs = [("e0+", "e0-"), ("e1+", "e1-")]
+        path3 = [("v0", ["e0+"]), ("v1", ["e1+"]), ("v2", ["e0-", "e1-"])]
+        g = validate_ugraph("path3", pairs, path3)
+        gp = validate_ugraph("path2", pairs, [("v0", ["e0+"]), ("v1", ["e0-", "e1+"])])
+        images = {v: emb_from_text(gp, text) for v, text in phi1.items()}
+        with pytest.raises(LooseEndsError) as ei:
+            extend_tree_map(g, gp, phi0, images)
+        assert str(ei.value) == (
+            f"BoundaryIncompatible: no unique union while extending at {where}"
+        )
 
     def test_intersection_preservation(self, path2):
         maps = enumerate_graph_maps(path2, path2)
