@@ -23,7 +23,6 @@ from .emb import (
     index,
     is_structured,
     is_union_code,
-    mask_bits,
     pushforward,
     realize,
     unions,
@@ -163,8 +162,8 @@ def extend_tree_map(g, gp, phi0, phi1) -> GraphMap:
 
     Builds phi_hat by peeling stars: a subtree with n+1 vertices is the
     union of a subtree with n vertices and an extremal star, and unions of
-    subtrees in a tree are unique.  The extremal vertex is the first one
-    with at most one neighbor in the subtree, read from vertex masks.
+    subtrees in a tree are unique.  The host index's splits list exactly
+    these peels, by size, each subtree split off its first leaf.
     """
     if not (shape(g).is_tree and shape(gp).is_tree):
         fail("NotTrees")
@@ -175,22 +174,14 @@ def extend_tree_map(g, gp, phi0, phi1) -> GraphMap:
         got = boundary_profile(phi1[v])
         if want != got:
             fail("BoundaryIncompatible", f"vertex {v!r}: {want} vs {got}")
-    phi_hat = {}
-    # Emb order lists regions by vertex count, so smaller subtrees come first
-    for x in ix.emb:
-        vmask = ix.codes[x][0]
-        if not vmask:
-            phi_hat[x] = edge_element(gp, probe.edge_image(x.edge))
-        elif not vmask & (vmask - 1):
-            phi_hat[x] = phi1[next(iter(x.vertices))]
-        else:
-            u = next(b for b in mask_bits(vmask) if (ix.adjacent[b] & vmask).bit_count() < 2)
-            star = ix.stars[g.vertices[u.bit_length() - 1]]
-            opts = unions(phi_hat[ix.subtree(vmask ^ u)], phi_hat[star])
-            if len(opts) != 1:
-                where = sorted(x.vertices)
-                fail("BoundaryIncompatible", f"no unique union while extending at {where}")
-            phi_hat[x] = opts[0]
+    phi_hat = {x: edge_element(gp, probe.edge_image(e)) for e, x in ix.edge_class.items()}
+    phi_hat.update((x, phi1[v]) for v, x in ix.stars.items())
+    for x, a, star in ix.splits:
+        opts = unions(phi_hat[a], phi_hat[star])
+        if len(opts) != 1:
+            where = sorted(x.vertices)
+            fail("BoundaryIncompatible", f"no unique union while extending at {where}")
+        phi_hat[x] = opts[0]
     return GraphMap(g, gp, phi0, phi_hat, check=True)
 
 

@@ -26,6 +26,7 @@ orientation y of j, from y restricted along m, through per-pair class tables.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property
 
 from .config import DEFAULT_BOUNDS, DEFAULT_BUDGET
@@ -33,7 +34,6 @@ from .emb import (
     EmbEdge,
     edge_element,
     enumerate_emb,
-    id_element,
     index,
     is_structured,
     realize,
@@ -277,15 +277,17 @@ class _Build:
         self._grow()
 
     def _grow(self):
-        """Sort the classes of each object added since the last call by
-        the size of their boundary."""
+        """Read the classes of each object added since the last call off
+        its host index, by the size of their boundary."""
         for g in self.objects[len(self.sizes) :]:
-            profiles, by_size = index(g).profiles, {}
-            for x in enumerate_emb(g):
-                if self.tag != "G" or is_structured(x):
-                    by_size.setdefault(_size(g, profiles[x]), []).append(x)
-            self.sizes.append(_size(g, profiles[id_element(g)]))
-            self.classes.append(by_size)
+            ix = index(g)
+            self.classes.append(
+                {
+                    size: [x for x, _, _ in row if self.tag != "G" or is_structured(x)]
+                    for size, row in ix.by_arity.items()
+                }
+            )
+            self.sizes.append(tuple(map(len, sides(g, ix.profiles[ix.top]))))
 
     def through(self, i, j):
         """The classes of G_j that a map from G_i may factor through."""
@@ -374,11 +376,6 @@ class _Build:
         return out
 
 
-def _size(g, profile):
-    """The size of a boundary profile, side by side."""
-    return tuple(map(len, sides(g, profile)))
-
-
 def _inclusion(rep, h, incl):
     """incl . rho : rep -> host as an inert graph map, for (h, incl) the
     realization of a class and rho one iso rep -> h."""
@@ -458,11 +455,12 @@ def root(g: UGraph, r, name=None) -> DGraph:
 
 
 def is_rooted_orientation(g: UGraph, x) -> bool:
-    """Does the orientation make g a rooted tree: one output per vertex."""
+    """Does the orientation make g a rooted tree: one output per vertex.  An
+    edge is an output of the vertex its -1 arc is attached to."""
     if not shape(g).is_tree:
         return False
-    d = orient(g, x)
-    return all(len(d.out_of(v)) == 1 for v in d.vertices)
+    outputs = Counter(g.t[a] for a in g.arcs if a in g.t and a not in x)
+    return all(outputs[v] == 1 for v in g.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +483,6 @@ class ElementsSite:
     def __repr__(self):
         return f"ElementsSite({self.directed!r} over {self.base!r})"
 
-    @cached_property
-    def pair_index(self):
-        """(base index, orientation) -> directed object index."""
-        return {pair: k for k, pair in enumerate(self.pairs)}
-
     def fibre(self, i):
         """The directed objects over base object i, in pair order."""
         return [k for k, (j, _) in enumerate(self.pairs) if j == i]
@@ -505,6 +498,7 @@ class ElementsSite:
             orient(objs[i], x, name=f"{objs[i].name}x{k}") for k, (i, x) in enumerate(self.pairs)
         ]
         tables = [class_table(objs[i], d) for (i, _), d in zip(self.pairs, dobjects)]
+        pair_index = {pair: k for k, pair in enumerate(self.pairs)}
         into = [[] for _ in objs]  # per base target: (map, its Emb code, its ref) by source
         for (i, j), maps in sorted(base.homs.items()):
             for pos, m in enumerate(maps):
@@ -513,7 +507,7 @@ class ElementsSite:
         for b, (j, y) in enumerate(self.pairs):
             found = {}  # source pair -> its lifts into b, in base order
             for m, code, ref in into[j]:
-                a = self.pair_index.get((ref[0], restrict_orientation(y, m.phi0, m.source)))
+                a = pair_index.get((ref[0], restrict_orientation(y, m.phi0, m.source)))
                 if a is None:
                     continue
                 phi0 = {e: m.phi0[e] for e in dobjects[a].edges}  # +1 arcs map to +1 arcs
