@@ -15,7 +15,7 @@ from . import emb as emb_mod
 from . import etale, gmaps, operads, presheaves, sites, textio
 from . import graphs as graphs_mod
 from .config import Budget, OperadCaps, SiteBounds
-from .errors import LooseEndsError, fail
+from .errors import LooseEndsError
 
 REPORT_SCHEMA = 1
 
@@ -376,12 +376,10 @@ def cmd_orient(args):
 
 
 def _build_elements(args):
-    """The elements site of --functor over the --site manifest, whose tag
-    must be the functor's target; a directed site fails FlavorMismatch."""
-    site, target = read_site(args), FUNCTORS[args.functor]
-    if site.tag != target and site.tag not in gmaps.DIRECTED_TAGS:
-        fail("FunctorMismatch", f"{args.functor} lands in {target}, not in a {site.tag} site")
-    return sites.build_elements_site(site, rooted_only=args.functor == "Omega-to-Ucyc")
+    """The elements site over the --site manifest of the functor into its
+    tag (FUNCTORS); a directed site fails FlavorMismatch."""
+    site = read_site(args)
+    return sites.build_elements_site(site, rooted_only=site.tag == "Ucyc")
 
 
 def cmd_kan(args):
@@ -405,7 +403,7 @@ def cmd_kan(args):
                 "matches_oracle": presheaves.kan_formula_matches_oracle(els, Z, i),
             }
         )
-    return {"functor": args.functor, "objects": rows}
+    return {"functor": FUNCTORS[els.base.tag], "objects": rows}
 
 
 def cmd_elements_check(args):
@@ -476,7 +474,7 @@ FLAGS = {
     "budget": dict(type=int, help="search node budget"),
     "site": dict(required=True, help="site manifest"),
 }
-FUNCTORS = {"O-to-U": "U", "O0-to-U0": "U0", "Omega-to-Ucyc": "Ucyc"}  # functor -> its target
+FUNCTORS = {"U": "O-to-U", "U0": "O0-to-U0", "Ucyc": "Omega-to-Ucyc"}  # tag -> functor into it
 
 
 def build_parser():
@@ -541,12 +539,10 @@ def build_parser():
     p.add_argument("--root", help="boundary arc for tree rooting")
 
     p = cmd("kan", cmd_kan, "left Kan extension along a forgetful functor", "site")
-    p.add_argument("--functor", required=True, choices=FUNCTORS)
     p.add_argument("--presheaf", default="terminal")
     p.add_argument("--object", type=int)
 
-    p = cmd("elements-check", cmd_elements_check, "category of elements", "site")
-    p.add_argument("--functor", default="O-to-U", choices=FUNCTORS)
+    cmd("elements-check", cmd_elements_check, "category of elements", "site")
 
     p = cmd("export-dot", cmd_export_dot, "write DOT files")
     p.add_argument("files", nargs="+")

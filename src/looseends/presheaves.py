@@ -47,17 +47,17 @@ class Presheaf:
         value and into its source's; validate adds the costlier functor laws."""
         for i in range(len(self.site.objects)):
             if i not in self.values:
-                fail("SiteTooSmall", f"no value at object {i}")
+                fail("NotFunctorial", f"no value at object {i}")
         for (i, j), maps in self.site.homs.items():
             for pos in range(len(maps)):
                 table = self.action.get((i, j, pos))
                 if table is None:
-                    fail("SiteTooSmall", f"missing action at {(i, j, pos)}")
+                    fail("NotFunctorial", f"missing action at {(i, j, pos)}")
                 for elem in self.values[j]:
                     if elem not in table:
-                        fail("SiteTooSmall", f"partial action at {(i, j, pos)}")
+                        fail("NotFunctorial", f"partial action at {(i, j, pos)}")
                     if table[elem] not in self.values[i]:
-                        fail("SiteTooSmall", "action leaves the value set")
+                        fail("NotFunctorial", "action leaves the value set")
         return self
 
     def validate(self):

@@ -384,7 +384,7 @@ def site_from_manifest(text) -> Site:
     except ValueError as e:
         fail("MalformedLine", f"site manifest: {e}")
     if data.get("version") != MANIFEST_VERSION:
-        fail("SiteTooSmall", "unknown site manifest version")
+        fail("MalformedLine", "unknown site manifest version")
     tag = _field(data.get("tag"), str, "tag")
     if tag not in CATEGORY_TAGS:
         fail("UnknownCategory", f"site manifest: unknown category {tag!r}")

@@ -171,8 +171,6 @@ def test_site_and_kan(tmp_path, capsys):
         "kan",
         "--site",
         str(manifest),
-        "--functor",
-        "O0-to-U0",
         "--presheaf",
         "terminal",
         "--json",
@@ -528,8 +526,8 @@ def test_text_readers_name_malformed_lines(kind, text, code):
         ("[1]\n", None, "MalformedLine", "not a JSON dict"),
         ('{"version": 1, "tag": "U0", "homs": {}}\n', None, "MalformedLine", "objects"),
         ("0-0", None, "MalformedLine", "'0-0'"),
-        ('{"version": 2}\n', None, "SiteTooSmall", "version"),
-        (None, 'presheaf X on s\nalong m0_0_0: "*" |-> "*"\n', "SiteTooSmall", "object 0"),
+        ('{"version": 2}\n', None, "MalformedLine", "version"),
+        (None, 'presheaf X on s\nalong m0_0_0: "*" |-> "*"\n', "NotFunctorial", "object 0"),
     ],
     ids=["not-json", "not-object", "no-objects", "hom-key", "version", "no-value"],
 )
@@ -558,12 +556,12 @@ def test_kan_checks_a_presheaf_it_reads(u0_manifest, tmp_path, capsys):
     with a named code and nothing on stderr."""
     path = tmp_path / "z.psh"
     path.write_text('presheaf Z on s\nat 0: "*"\n')
-    argv = ["kan", "--site", str(u0_manifest), "--functor", "O0-to-U0"]
+    argv = ["kan", "--site", str(u0_manifest)]
     status = main(argv + ["--presheaf", str(path), "--json"])
     captured = capsys.readouterr()
     body = json.loads(captured.out)
     assert status == 1
-    assert (body["error"], captured.err) == ("SiteTooSmall", "")
+    assert (body["error"], captured.err) == ("NotFunctorial", "")
     assert "no value at object 1" in body["detail"]
 
 
@@ -572,7 +570,7 @@ def test_kan_checks_a_presheaf_it_reads(u0_manifest, tmp_path, capsys):
     [
         ["orient", fx("diamond.graph"), "--plus", "e0"],
         ["orient", fx("diamond.graph"), "--root", "e0"],
-        ["kan", "--functor", "O-to-U"],
+        ["kan"],
         ["elements-check"],
     ],
     ids=["orient-plus", "orient-root", "kan", "elements-check"],
@@ -594,29 +592,22 @@ def test_directed_input_to_orientations_fails_flavor_mismatch(argv, tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "command, tag, functor",
-    [
-        ("kan", "U", "Omega-to-Ucyc"),
-        ("kan", "U0", "O-to-U"),
-        ("elements-check", "U", "O0-to-U0"),
-        ("elements-check", "U0", "O-to-U"),
-    ],
+    "tag, functor", [("U", "O-to-U"), ("U0", "O0-to-U0"), ("Ucyc", "Omega-to-Ucyc")]
 )
-def test_functor_must_land_in_the_sites_category(command, tag, functor, tmp_path, capsys):
-    """Each functor lands in one category (O-to-U in U, O0-to-U0 in U0,
-    Omega-to-Ucyc in Ucyc), so a site of another tag fails
-    FunctorMismatch with exit 1, rather than report a functor that it did
-    not compute."""
+def test_kan_reports_the_functor_into_the_sites_category(tag, functor, tmp_path, capsys):
+    """Each undirected category is the target of one forgetful functor
+    (O-to-U, O0-to-U0, Omega-to-Ucyc), so kan reads the functor off the
+    manifest's tag and names it in its report."""
     manifest = tmp_path / "site.json"
     site_build = ["site-build", "--category", tag, "--vertices", "1", "--edges", "1"]
     assert main(site_build + ["-o", str(manifest)]) == 0
     capsys.readouterr()
-    status = main([command, "--site", str(manifest), "--functor", functor, "--json"])
+    status = main(["kan", "--site", str(manifest), "--json"])
     captured = capsys.readouterr()
     body = json.loads(captured.out)
-    assert status == 1
-    assert (body["error"], captured.err) == ("FunctorMismatch", "")
-    assert functor in body["detail"] and tag in body["detail"]
+    assert (status, captured.err) == (0, "")
+    assert body["data"]["functor"] == functor
+    assert all(row["matches_oracle"] for row in body["data"]["objects"])
 
 
 def test_segal_names_a_presheaf_that_is_no_functor(u0_manifest, tmp_path, capsys):
@@ -644,7 +635,7 @@ def test_segal_names_a_presheaf_that_is_no_functor(u0_manifest, tmp_path, capsys
 def test_kan_object_out_of_range_exits_2(index, u0_manifest, capsys):
     """kan --object names a base object by its index 0..n-1 (U0 at these
     bounds has three); any other index is a usage error."""
-    argv = ["kan", "--site", str(u0_manifest), "--functor", "O0-to-U0", "--object", index]
+    argv = ["kan", "--site", str(u0_manifest), "--object", index]
     status = main(argv)
     captured = capsys.readouterr()
     assert status == 2
@@ -723,7 +714,7 @@ def sha256(text):
             "73eef96e06f4d15a41a6d88d676c5ec19c549a571dc4e14e788e5ddf8e180cce",
         ),
         (
-            ["elements-check", "--site", "{u0}", "--functor", "O0-to-U0"],
+            ["elements-check", "--site", "{u0}"],
             "objects: 5\nhom_pairs: 25\nmismatches:\n",
             "d097d91d6bb66729316f9c9ca061b5625fb1585ad1d67fbc91c1512adc54ab1b",
         ),
@@ -748,7 +739,7 @@ def sha256(text):
             "d8511624099f28d4b78325a6d1d8cdb6e4c6509fb13c16f66d0f0fbfeb0e4bc5",
         ),
         (
-            ["kan", "--site", "{u0}", "--functor", "O0-to-U0", "--object", "1"],
+            ["kan", "--site", "{u0}", "--object", "1"],
             "functor: O0-to-U0\nobjects:\n    object: U01\n    summands: 1\n"
             "    matches_oracle: True\n",
             "c3cc3933947fa19f9ec73ba670f51ebad408b4e2e3cd55e724d57a49ff85f37e",
