@@ -40,7 +40,7 @@ class EmbEdge(Record):
     def __init__(self, host, edge):
         setfield(self, "host", host)
         setfield(self, "edge", edge)
-        setfield(self, "_hash", hash((host, edge)))
+        setfield(self, "_hash", hash((host.key_hash, edge)))
 
     def __eq__(self, other):
         if other.__class__ is not EmbEdge:
@@ -68,7 +68,7 @@ class EmbRegion(Record):
         setfield(self, "host", host)
         setfield(self, "vertices", vertices)
         setfield(self, "glued", glued)
-        setfield(self, "_hash", hash((host, vertices, glued)))
+        setfield(self, "_hash", hash((host.key_hash, vertices, glued)))
 
     def __eq__(self, other):
         if other.__class__ is not EmbRegion:
@@ -233,6 +233,12 @@ class HostIndex:
             fail("NotConnected", "no class of Emb is a disconnected host")
         full = self.vertex_mask(self.host.vertices)
         return self.region(full, self.internal(full)) if full else self.emb[0]
+
+    @cached_property
+    def by_repr(self):
+        """Each class's repr, keyed by the class in repr order (the texts of a
+        host's classes are distinct): the hom-set order, made on first use."""
+        return dict(sorted(((x, repr(x)) for x in self.emb), key=lambda p: p[1]))
 
     @cached_property
     def slot_bits(self):

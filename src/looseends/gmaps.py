@@ -28,7 +28,7 @@ from .emb import (
     unions,
     vertex_element,
 )
-from .errors import LooseEndsError, fail
+from .errors import fail
 from .etale import EtaleMap
 from .graphs import UGraph, complete_slot_maps, extend_slot_map, shape, sides
 
@@ -73,6 +73,15 @@ class GraphMap:
 
 
 def validate_graph_map(m: GraphMap):
+    codes = _check_slots_and_boundaries(m)
+    if fault := _join_fault(index(m.source), codes):
+        fail(*fault)
+    return m
+
+
+def _check_slots_and_boundaries(m: GraphMap):
+    """Totality, involution, edges to edges, boundaries: what the search
+    builds.  Returns the codes of the images, in the source's Emb order."""
     g, gp = m.source, m.target
     if g.directed != gp.directed:
         fail("SourceTargetMismatch", "mixed directedness")
@@ -92,7 +101,7 @@ def validate_graph_map(m: GraphMap):
             fail("BoundaryIncompatible", f"phi_hat not total at {x!r}")
         if m.phi_hat[x] not in target_codes:
             fail("BoundaryIncompatible", f"phi_hat lands outside Emb at {x!r}")
-    images = [m.phi_hat[x] for x in elems]
+    images = list(map(m.phi_hat.__getitem__, elems))
     # (i) edges to edges, matching phi0
     for x, y in zip(elems, images):
         if isinstance(x, EmbEdge):
@@ -106,16 +115,19 @@ def validate_graph_map(m: GraphMap):
         got = tix.profiles[y]
         if want != got:
             fail("BoundaryIncompatible", f"at {x!r}: {want} vs {got}")
-    # (iii) vertex-disjointness and (ii) unions, as mask tests on the codes
-    # of the images, over the source's precomputed pairs and triples
-    codes = [target_codes[y] for y in images]
+    return list(map(target_codes.__getitem__, images))
+
+
+def _join_fault(ix, codes):
+    """The first fault at (iii) disjointness or (ii) unions, as (code, message),
+    or None, of a map whose images of ix.emb have the codes ``codes``."""
     for i, j in zip(*ix.disjoint_pairs):
         if codes[i][0] & codes[j][0]:
-            fail("DisjointnessViolated", f"{elems[i]!r}, {elems[j]!r}")
+            return "DisjointnessViolated", f"{ix.emb[i]!r}, {ix.emb[j]!r}"
     for i, j, k in zip(*ix.union_triples):
         if not is_union_code(codes[i], codes[j], codes[k]):
-            fail("UnionNotPreserved", f"{elems[i]!r} u {elems[j]!r} -> {elems[k]!r}")
-    return m
+            return "UnionNotPreserved", f"{ix.emb[i]!r} u {ix.emb[j]!r} -> {ix.emb[k]!r}"
+    return None
 
 
 def identity_map(g) -> GraphMap:
@@ -320,10 +332,10 @@ def enumerate_graph_maps(g, gp, tag=None, budget=DEFAULT_BUDGET):
     rest of that boundary.  Edge classes follow from phi0.  Each larger
     region is a union of two classes placed before it (``HostIndex.splits``)
     and a graph map preserves unions, so its image is among the unions of
-    their images, with the pushed boundary.  Every complete candidate is
-    validated in full, and the maps are sorted by ``_sort_key``.  This is
-    the reference search: sites assemble their hom-sets from
-    ``enumerate_active_maps`` instead, and tests compare the two.
+    their images, with the pushed boundary.  So each candidate is built
+    total, involutive, edge- and boundary-compatible, ``_join_fault``
+    checks the rest, and the maps are sorted by ``_sort_key``.  Sites use
+    ``enumerate_active_maps``; tests hold both to this reference search.
     """
     if g.directed != gp.directed:
         return []
@@ -356,10 +368,10 @@ def enumerate_active_maps(g, gp, budget=DEFAULT_BUDGET):
 
 
 def _search(g, gp, budget, name, onto=None):
-    """The validated graph maps g -> gp found by propagation, unsorted.
-    With onto, a dict slot -> (side, slots of gp), each slot of g that keys
-    it goes to one of its slots, and no two on one side to one slot.  Nodes
-    count against budget, and running out names the search and the pair."""
+    """The complete candidates g -> gp of propagation with no ``_join_fault``,
+    unsorted.  With onto, a dict slot -> (side, slots of gp), each slot of g
+    that keys it goes to one of its slots, and no two on one side to one
+    slot.  Nodes count against budget; running out names search and pair."""
     used = 0
 
     def tick():
@@ -425,10 +437,9 @@ def _search(g, gp, budget, name, onto=None):
         def rec(i):
             tick()
             if i == len(splits):
-                try:
-                    out.append(GraphMap(g, gp, full0, table, check=True))
-                except LooseEndsError:
-                    pass
+                codes = list(map(tix.codes.__getitem__, map(table.__getitem__, ix.emb)))
+                if _join_fault(ix, codes) is None:
+                    out.append(GraphMap(g, gp, full0, table, check=False))
                 return
             x, a, b = splits[i]
             for y in unions(table[a], table[b]):
@@ -443,10 +454,12 @@ def _search(g, gp, budget, name, onto=None):
 
 
 def _sort_key(m):
-    """The order of a hom-set: hosts, then phi0, then phi_hat by repr."""
+    """The order of a hom-set: hosts, then phi0, then phi_hat by repr (the
+    classes of a host print distinctly, so ``by_repr`` sorts the pairs)."""
+    text = index(m.target).by_repr
     return (
         m.source._key,
         m.target._key,
         tuple(sorted(m.phi0.items())),
-        tuple(sorted((repr(k), repr(v)) for k, v in m.phi_hat.items())),
+        tuple((t, text[m.phi_hat[k]]) for k, t in index(m.source).by_repr.items()),
     )

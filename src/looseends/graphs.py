@@ -50,11 +50,12 @@ class _Graph:
         return self is other or (isinstance(other, _Graph) and self._key == other._key)
 
     @cached_property
-    def _hash(self):
+    def key_hash(self):
+        """hash(self), kept; records over a host hash it in the host's place."""
         return hash(self._key)
 
     def __hash__(self):
-        return self._hash
+        return self.key_hash
 
     def is_internal_edge(self, e):
         return None not in self.ends(e)

@@ -813,7 +813,7 @@ class DecoratedGraph(Record):
         setfield(self, "host", host)
         setfield(self, "coloring", coloring)
         setfield(self, "decoration", decoration)
-        setfield(self, "_hash", hash((host, coloring, decoration)))
+        setfield(self, "_hash", hash((host.key_hash, coloring, decoration)))
 
     def __eq__(self, other):
         if other.__class__ is not DecoratedGraph:

@@ -73,7 +73,7 @@ def diamond():
 # The sites whose hom-sets are checked against the reference search, with
 # how many of their pairs of objects to check (None: all): the five base
 # sites of acceptance criterion A05, O and Omega, whose closures add
-# objects, and a seeded sample of the pairs of U past desk scale.
+# objects, and seeded samples of the pairs of U past desk scale.
 DIFFERENTIAL_SITES = {
     "U": ("U", SiteBounds(2, 3, 3), None),
     "U0": ("U0", SiteBounds(2, 4, 3), None),
@@ -83,6 +83,7 @@ DIFFERENTIAL_SITES = {
     "O": ("O", SiteBounds(2, 3, 3), None),
     "Omega": ("Omega", SiteBounds(3, 4, 3), None),
     "U(3,4,3)": ("U", SiteBounds(3, 4, 3), 300),
+    "U(4,4,3)": ("U", SiteBounds(4, 4, 3), 300),
 }
 
 

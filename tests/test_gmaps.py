@@ -145,6 +145,26 @@ class TestValidate:
         }
 
 
+def test_join_check_rejects_a_table_that_breaks_a_union(theta):
+    """The whole of theta sent to its two vertices with one of the three
+    parallel edges cut: no two disjoint classes meet, but the image of the
+    whole is no union of the images of its parts.  The search builds every
+    region as a union at its split only, so this is the fault its union
+    test is there to find."""
+    m = identity_map(theta)
+    top = id_element(theta)
+    cut = next(
+        x
+        for x in enumerate_emb(theta)
+        if isinstance(x, EmbRegion) and x.vertices == top.vertices and len(x.glued) == 2
+    )
+    ix, codes = index(theta), index(theta).codes
+    assert gmaps._join_fault(ix, [codes[m.phi_hat[x]] for x in ix.emb]) is None
+    bad = {**m.phi_hat, top: cut}
+    code, message = gmaps._join_fault(ix, [codes[bad[x]] for x in ix.emb])
+    assert code == "UnionNotPreserved" and message.endswith(f"-> {top!r}")
+
+
 class TestCompose:
     def test_identity_neutral(self, theta):
         ms = enumerate_graph_maps(theta, theta)
@@ -308,11 +328,11 @@ class TestCounts:
             assert compose(s0, d, check=True) == identity_map(l0)
 
     def test_program_errors_are_not_swallowed(self, monkeypatch):
-        # only a failed check may drop a candidate; a KeyError is a bug
-        def broken(m):
+        # only a found fault may drop a candidate; a KeyError is a bug
+        def broken(*args):
             raise KeyError("bug")
 
-        monkeypatch.setattr(gmaps, "validate_graph_map", broken)
+        monkeypatch.setattr(gmaps, "_join_fault", broken)
         with pytest.raises(KeyError):
             enumerate_graph_maps(make_linear(1), make_linear(2), tag="Delta")
 
@@ -741,7 +761,14 @@ def test_index_builds_do_not_depend_on_earlier_sites(monkeypatch):
 # enumerate_graph_maps: pinned hom-sets, trees past A04, search budget
 
 
-def test_hom_sets_are_pinned(a05_sites):
+@pytest.fixture(scope="module")
+def a04_tree_maps():
+    """The hom-sets between all 41 x 41 ordered pairs of A04's trees."""
+    trees = gen_trees_u(SiteBounds(4, 6, 3))
+    return [enumerate_graph_maps(h, g) for h in trees for g in trees]
+
+
+def test_hom_sets_are_pinned(a05_sites, a04_tree_maps):
     """Every hom-set of the A05 sites, then of all 41 x 41 pairs of A04's
     trees, in order: the number of maps and a sha256 of their sort keys,
     recorded from the exhaustive search that first tried every boundary
@@ -758,14 +785,21 @@ def test_hom_sets_are_pinned(a05_sites):
         for _, maps in sorted(site.homs.items()):
             add(maps)
     assert count == 12241
-    trees = gen_trees_u(SiteBounds(4, 6, 3))
-    for h in trees:
-        for g in trees:
-            add(enumerate_graph_maps(h, g))
+    for maps in a04_tree_maps:
+        add(maps)
     assert count == 25510
     assert digest.hexdigest() == (
         "9c139fb3aa8357b9ef75efb4eeb06fd4c2da7c0935df3cd802589b707cde4c52"
     )
+
+
+def test_tree_maps_of_a04_pass_the_full_check(a04_tree_maps):
+    """The search checks only disjointness and unions, so every map it
+    finds between A04's trees is validated here in full."""
+    maps = [m for hom in a04_tree_maps for m in hom]
+    for m in maps:
+        validate_graph_map(m)
+    assert len(maps) == 13269
 
 
 def test_factorizations_are_pinned(a05_sites):
@@ -863,12 +897,17 @@ def test_active_search_finds_the_active_maps_of_the_full_search(differential_sit
     """On every checked pair of objects, the active search returns the maps
     of the reference search that send the whole source to the whole
     target, in search order: sorted by _sort_key, they are the reference's
-    list."""
+    list.  The searches check only disjointness and unions, so every map
+    that either returns is validated here in full."""
     tag, site, pairs = differential_site
     found = 0
     for i, j in pairs:
         g, h = site.objects[i], site.objects[j]
-        want = [m for m in enumerate_graph_maps(g, h, tag) if is_active(m)]
-        assert sorted(enumerate_active_maps(g, h), key=gmaps._sort_key) == want, (i, j)
+        every = enumerate_graph_maps(g, h, tag)
+        active = enumerate_active_maps(g, h)
+        for m in every + active:
+            validate_graph_map(m)
+        want = [m for m in every if is_active(m)]
+        assert sorted(active, key=gmaps._sort_key) == want, (i, j)
         found += len(want)
     assert found > len(site.objects)  # more than the identities
